@@ -10,7 +10,7 @@ from .allocation import AllocationResult, allocate, reallocate_step
 from .cache import (
     CacheSession,
     LayerCache,
-    TokenRecord,
+    TokenRow,
     admit,
     footprint_bytes,
     occupancy,
@@ -39,7 +39,7 @@ from .oracle import (
     compare_runs,
     landmark_retention,
 )
-from .scoring import AttentionStats, accumulate, importance, layer_sparsity
+from .scoring import AttentionStats, accumulate, importance, importances, layer_sparsity
 from .simulate import (
     FrameTokens,
     RunSummary,

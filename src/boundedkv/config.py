@@ -101,6 +101,16 @@ class StreamConfig:
             raise ConfigError("tau must be > 0")
         if self.policy not in POLICIES:
             raise ConfigError(f"policy must be one of {POLICIES}")
+        if self.policy == "none" and self.bounded and self.frames >= 3 and (
+            self.total_budget_tokens() < self.layers * self.frames * self.tokens_per_frame
+        ):
+            # Never evicting, the stream outgrows the budget and faults
+            # part-way; with two frames or fewer the protected floor
+            # (frame 0 plus one incoming frame) always makes room.
+            raise ConfigError(
+                "policy 'none' never evicts: a budget needs at least "
+                "layers * frames * tokens_per_frame tokens"
+            )
         if not 0.0 <= self.landmark_frac <= 1.0:
             raise ConfigError("landmark_frac must be in [0, 1]")
         if self.landmark_gain < 0.0:

@@ -19,7 +19,7 @@ import numpy as np
 from .cache import CacheSession, LayerCache, remove
 from .config import StreamConfig
 from .errors import ConfigError, InsufficientUnprotected
-from .scoring import importance
+from .scoring import importances
 
 REASON_ADMIT = "budget_admit"
 REASON_SHRINK = "budget_shrink"
@@ -37,29 +37,37 @@ class EvictionPlan:
     importances_at_eviction: list[float] = field(default_factory=list)
 
 
+def _candidate_rows(layer: LayerCache, slots_needed: int) -> np.ndarray:
+    """Unprotected rows in cache order; raises if they cannot cover the slots."""
+    rows = np.flatnonzero(~layer.protected[: layer.n])
+    if len(rows) < slots_needed:
+        raise InsufficientUnprotected(
+            f"layer {layer.layer_index}: need {slots_needed} slots, "
+            f"{len(rows)} unprotected tokens"
+        )
+    return rows
+
+
+def _plan_rows(layer: LayerCache, rows: np.ndarray, values: np.ndarray) -> EvictionPlan:
+    return EvictionPlan(
+        layer_index=layer.layer_index,
+        victim_ids=layer.token_id[rows].tolist(),
+        importances_at_eviction=values.tolist(),
+    )
+
+
 class AttentionPolicy:
     """Evict the lowest-importance unprotected tokens, deterministically."""
 
     name = "attention"
 
     def plan(self, layer: LayerCache, slots_needed: int) -> EvictionPlan:
-        plan = EvictionPlan(layer_index=layer.layer_index)
         if slots_needed <= 0:
-            return plan
-        candidates = layer.unprotected()
-        if len(candidates) < slots_needed:
-            raise InsufficientUnprotected(
-                f"layer {layer.layer_index}: need {slots_needed} slots, "
-                f"{len(candidates)} unprotected tokens"
-            )
-        ranked = sorted(
-            candidates,
-            key=lambda r: (importance(r), -r.frame_index, -r.token_id),
-        )
-        for rec in ranked[:slots_needed]:
-            plan.victim_ids.append(rec.token_id)
-            plan.importances_at_eviction.append(importance(rec))
-        return plan
+            return EvictionPlan(layer_index=layer.layer_index)
+        rows = _candidate_rows(layer, slots_needed)
+        values = importances(layer, rows)
+        order = np.lexsort((-layer.token_id[rows], -layer.frame_index[rows], values))[:slots_needed]
+        return _plan_rows(layer, rows[order], values[order])
 
 
 class RandomPolicy:
@@ -71,21 +79,11 @@ class RandomPolicy:
         self._rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, _POLICY_STREAM_TAG])))
 
     def plan(self, layer: LayerCache, slots_needed: int) -> EvictionPlan:
-        plan = EvictionPlan(layer_index=layer.layer_index)
         if slots_needed <= 0:
-            return plan
-        candidates = layer.unprotected()
-        if len(candidates) < slots_needed:
-            raise InsufficientUnprotected(
-                f"layer {layer.layer_index}: need {slots_needed} slots, "
-                f"{len(candidates)} unprotected tokens"
-            )
-        picks = self._rng.choice(len(candidates), size=slots_needed, replace=False)
-        for i in picks:
-            rec = candidates[int(i)]
-            plan.victim_ids.append(rec.token_id)
-            plan.importances_at_eviction.append(importance(rec))
-        return plan
+            return EvictionPlan(layer_index=layer.layer_index)
+        rows = _candidate_rows(layer, slots_needed)
+        victims = rows[self._rng.choice(len(rows), size=slots_needed, replace=False)]
+        return _plan_rows(layer, victims, importances(layer, victims))
 
 
 class NonePolicy:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cache import LayerCache, TokenRecord
+from .cache import LayerCache, TokenRow
 from .errors import StaleStats
 
 
@@ -72,14 +72,13 @@ def accumulate(cache_layer: LayerCache, stats: AttentionStats) -> None:
             f"layer {cache_layer.layer_index}: {len(stats.col_sums_raw)} column sums "
             f"for {stats.n_keys} keys"
         )
-    inv_n = 1.0 / stats.n_keys
-    for rec, raw in zip(cache_layer.records, stats.col_sums_raw):
-        rec.cum_score += float(raw) * inv_n
-        if rec.birth_step < stats.step:
-            rec.exposure += 1
+    n = stats.n_keys
+    inv_n = 1.0 / n
+    cache_layer.cum_score[:n] += np.asarray(stats.col_sums_raw, dtype=np.float64) * inv_n
+    cache_layer.exposure[:n] += cache_layer.birth_step[:n] < stats.step
 
 
-def importance(token: TokenRecord) -> float:
+def importance(token: TokenRow) -> float:
     """Final importance: cumulative score discounted by exposure.
 
     Protected tokens map to +inf and are thereby exempt from eviction.
@@ -87,6 +86,13 @@ def importance(token: TokenRecord) -> float:
     if token.protected:
         return math.inf
     return token.cum_score / token.exposure
+
+
+def importances(cache_layer: LayerCache, rows: np.ndarray) -> np.ndarray:
+    """``importance`` of the given rows of a layer, as one array."""
+    values = cache_layer.cum_score[rows] / cache_layer.exposure[rows]
+    values[cache_layer.protected[rows]] = math.inf
+    return values
 
 
 def layer_sparsity(stats: AttentionStats) -> float:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .allocation import bootstrap_budgets, reallocate_step
-from .cache import CacheSession, TokenRecord, admit
+from .cache import CacheSession, admit
 from .config import KIND_CAMERA, KIND_PATCH, KIND_REGISTER, StreamConfig
 from .eviction import maintain_step, make_policy
 from .scoring import AttentionStats, accumulate, layer_sparsity, stats_from_maps
@@ -316,18 +316,7 @@ class StreamSimulator:
             v = zin @ self.w_v[li]
             queries.append(q)
             ids = session.issue_token_ids(cfg.tokens_per_frame)
-            records = [
-                TokenRecord(
-                    token_id=tid,
-                    key=k[row].copy(),
-                    value=v[row].copy(),
-                    frame_index=frame.frame_index,
-                    token_kind=frame.kinds[row],
-                    birth_step=t,
-                )
-                for row, tid in enumerate(ids)
-            ]
-            admit(session, li, records)
+            admit(session, li, ids, k, v, frame.frame_index, frame.kinds)
 
             keys = layer.keys_matrix(self.dtype)
             values = layer.values_matrix(self.dtype)

@@ -3,22 +3,18 @@
 import numpy as np
 import pytest
 
-from boundedkv.cache import CacheSession, TokenRecord, admit, footprint_bytes, occupancy, remove
+from boundedkv.cache import CacheSession, admit, footprint_bytes, occupancy, remove
 from boundedkv.config import StreamConfig
-from boundedkv.errors import AdmissionOverflow, ProtectedEviction, UnknownToken
+from boundedkv.errors import AdmissionOverflow, ProtectedEviction, UnknownLayer, UnknownToken
 
 
-def make_record(session, frame_index, kind="patch", dim=None):
-    d = dim or session.config.dim
-    (tid,) = session.issue_token_ids(1)
-    return TokenRecord(
-        token_id=tid,
-        key=np.zeros(d),
-        value=np.zeros(d),
-        frame_index=frame_index,
-        token_kind=kind,
-        birth_step=session.step_counter,
-    )
+def admit_tokens(session, layer, frame_index, count=1, kinds=None, ids=None):
+    """Admit ``count`` zero-key tokens of one frame; returns their ids."""
+    kinds = kinds or ["patch"] * count
+    ids = list(session.issue_token_ids(len(kinds)) if ids is None else ids)
+    zeros = np.zeros((len(ids), session.config.dim))
+    admit(session, layer, ids, zeros, zeros, frame_index, kinds)
+    return ids
 
 
 def make_session(**kwargs) -> CacheSession:
@@ -29,8 +25,7 @@ def make_session(**kwargs) -> CacheSession:
 
 def test_admit_to_empty_layer():
     session = make_session(tokens_per_frame=8)
-    recs = [make_record(session, 0) for _ in range(3)]
-    admit(session, 0, recs)
+    admit_tokens(session, 0, 0, 3)
     assert occupancy(session, 0) == 3
     assert all(r.exposure == 1 for r in session.layers[0].records)
     assert all(r.birth_step == 0 for r in session.layers[0].records)
@@ -39,8 +34,7 @@ def test_admit_to_empty_layer():
 def test_unbounded_growth_is_frames_times_tokens():
     session = make_session(tokens_per_frame=5, registers=0, frames=10)
     for t in range(10):
-        recs = [make_record(session, t) for _ in range(5)]
-        admit(session, 0, recs)
+        admit_tokens(session, 0, t, 5)
         session.step_counter += 1
     assert occupancy(session, 0) == 50
 
@@ -48,54 +42,52 @@ def test_unbounded_growth_is_frames_times_tokens():
 def test_bounded_admit_without_evict_overflows():
     session = make_session(tokens_per_frame=2, registers=0, budget_tokens=8, frames=4)
     session.layers[0].budget = 2
-    admit(session, 0, [make_record(session, 5) for _ in range(2)])  # frame 5: unprotected
+    admit_tokens(session, 0, 5, 2)  # frame 5: unprotected
     with pytest.raises(AdmissionOverflow):
-        admit(session, 0, [make_record(session, 6) for _ in range(2)])
+        admit_tokens(session, 0, 6, 2)
 
 
 def test_protected_floor_lifts_effective_budget():
     session = make_session(tokens_per_frame=2, registers=0, budget_tokens=8, frames=4)
     session.layers[0].budget = 2
     # Frame-0 tokens are protected and lift the floor to protected + M.
-    admit(session, 0, [make_record(session, 0) for _ in range(2)])
-    admit(session, 0, [make_record(session, 1) for _ in range(2)])
+    admit_tokens(session, 0, 0, 2)
+    admit_tokens(session, 0, 1, 2)
     assert occupancy(session, 0) == 4
     assert session.layers[0].effective_budget(2) == 4
 
 
 def test_remove_preserves_survivor_order():
     session = make_session()
-    recs = [make_record(session, 3) for _ in range(10)]
-    admit(session, 0, recs)
-    doomed = [recs[1].token_id, recs[4].token_id, recs[7].token_id]
+    ids = admit_tokens(session, 0, 3, 10)
+    doomed = [ids[1], ids[4], ids[7]]
     assert remove(session, 0, doomed) == 3
     assert occupancy(session, 0) == 7
     survivors = [r.token_id for r in session.layers[0].records]
-    expected = [r.token_id for r in recs if r.token_id not in doomed]
+    expected = [tid for tid in ids if tid not in doomed]
     assert survivors == expected
 
 
 def test_remove_frame0_token_is_protected():
     session = make_session()
-    recs = [make_record(session, 0), make_record(session, 1)]
-    admit(session, 0, recs)
+    first = admit_tokens(session, 0, 0)
+    admit_tokens(session, 0, 1)
     with pytest.raises(ProtectedEviction):
-        remove(session, 0, [recs[0].token_id])
+        remove(session, 0, first)
 
 
 @pytest.mark.parametrize("kind", ["camera", "register"])
 def test_camera_and_register_always_protected(kind):
     session = make_session()
-    rec = make_record(session, 9, kind=kind)
-    admit(session, 0, [rec])
-    assert rec.protected
+    ids = admit_tokens(session, 0, 9, kinds=[kind])
+    assert session.layers[0].records[0].protected
     with pytest.raises(ProtectedEviction):
-        remove(session, 0, [rec.token_id])
+        remove(session, 0, ids)
 
 
 def test_remove_unknown_token():
     session = make_session()
-    admit(session, 0, [make_record(session, 1)])
+    admit_tokens(session, 0, 1)
     with pytest.raises(UnknownToken):
         remove(session, 0, [123456])
 
@@ -105,7 +97,7 @@ def test_footprint_direct_product():
     session = make_session(layers=2, heads=2, dim=8, tokens_per_frame=6, registers=0, frames=4)
     for t in range(4):
         for layer in range(2):
-            admit(session, layer, [make_record(session, t) for _ in range(6)])
+            admit_tokens(session, layer, t, 6)
         session.step_counter += 1
     assert footprint_bytes(session, 4) == 3072
 
@@ -120,34 +112,41 @@ def test_token_ids_unique_across_layers_and_steps():
     seen = set()
     for t in range(4):
         for layer in range(3):
-            recs = [make_record(session, t) for _ in range(4)]
-            admit(session, layer, recs)
-            for r in recs:
-                assert r.token_id not in seen
-                seen.add(r.token_id)
+            for tid in admit_tokens(session, layer, t, 4):
+                assert tid not in seen
+                seen.add(tid)
         session.step_counter += 1
     assert len(seen) == 4 * 3 * 4
 
 
 def test_duplicate_token_id_rejected():
     session = make_session()
-    rec = make_record(session, 2)
-    admit(session, 0, [rec])
-    clone = TokenRecord(
-        token_id=rec.token_id, key=np.zeros(32), value=np.zeros(32),
-        frame_index=2, token_kind="patch", birth_step=0,
-    )
+    ids = admit_tokens(session, 0, 2)
     with pytest.raises(ValueError):
-        admit(session, 0, [clone])
+        admit_tokens(session, 0, 2, ids=ids)
 
 
 def test_protected_count_tracks_admissions():
     session = make_session(registers=2)
-    recs = [
-        make_record(session, 0),                    # protected: frame 0
-        make_record(session, 1, kind="camera"),     # protected: camera
-        make_record(session, 1, kind="register"),   # protected: register
-        make_record(session, 1),                    # unprotected patch
-    ]
-    admit(session, 0, recs)
+    admit_tokens(session, 0, 0)                                        # protected: frame 0
+    admit_tokens(session, 0, 1, kinds=["camera", "register", "patch"])  # camera, register protected
     assert session.layers[0].protected_count == 3
+
+
+def test_bad_layer_index_is_unknown_layer():
+    session = make_session(layers=2)
+    with pytest.raises(UnknownLayer):
+        session.layer(9)
+    with pytest.raises(UnknownLayer):
+        admit_tokens(session, -1, 0)
+
+
+def test_remove_logs_scalars_once_per_token():
+    session = make_session()
+    ids = admit_tokens(session, 0, 2, 4)
+    session.step_counter = 3
+    assert remove(session, 0, [ids[2], ids[0], ids[2]]) == 2
+    layer = session.layers[0]
+    assert [r.token_id for r in layer.records] == [ids[1], ids[3]]
+    assert [(r.token_id, r.eviction_step) for r in layer.evicted] == [(ids[0], 3), (ids[2], 3)]
+    assert len(layer.evicted) == 2

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from boundedkv.cache import CacheSession, TokenRecord, admit
+from boundedkv.cache import CacheSession, admit, remove
 from boundedkv.config import StreamConfig
 from boundedkv.errors import InsufficientUnprotected
 from boundedkv.eviction import (
@@ -27,19 +27,12 @@ def build_layer(importances, protected_flags=None, frames=None):
     n = len(importances)
     protected_flags = protected_flags or [False] * n
     frames = frames or [1] * n
-    recs = []
+    zeros = np.zeros((1, cfg.dim))
     for i, tid in enumerate(session.issue_token_ids(n)):
-        rec = TokenRecord(
-            token_id=tid, key=np.zeros(4), value=np.zeros(4),
-            frame_index=0 if protected_flags[i] else frames[i],
-            token_kind="patch", birth_step=0,
-        )
-        rec.cum_score = importances[i]
-        recs.append(rec)
-    admit(session, 0, recs)
-    for rec in recs:  # admission reset exposure; keep score/exposure = importance
-        rec.exposure = 1
-    return session, recs
+        admit(session, 0, [tid], zeros, zeros, 0 if protected_flags[i] else frames[i], ["patch"])
+    layer = session.layers[0]
+    layer.cum_score[:n] = importances  # exposure is 1, so score = importance
+    return session, layer.records
 
 
 def test_lowest_importance_evicted_exactly():
@@ -123,10 +116,7 @@ def test_random_policy_deterministic_per_seed():
         for slots in (3, 2, 4):
             plan = plan_evictions(policy, session.layers[0], slots)
             out.append(list(plan.victim_ids))
-            for tid in plan.victim_ids:
-                session.layers[0].records = [
-                    r for r in session.layers[0].records if r.token_id != tid
-                ]
+            remove(session, 0, plan.victim_ids)
         return json.dumps(out)
 
     assert plans_for(5) == plans_for(5)
@@ -162,13 +152,10 @@ def test_maintain_respects_budget_and_admission_room():
         for li in range(2):
             layer = session.layers[li]
             assert layer.occupancy() + 4 <= layer.effective_budget(4)
-            recs = [
-                TokenRecord(token_id=tid, key=np.zeros(cfg.dim), value=np.zeros(cfg.dim),
-                            frame_index=t, token_kind="patch" if (tid % 4) else "camera",
-                            birth_step=t)
-                for tid in session.issue_token_ids(4)
-            ]
-            admit(session, li, recs)
+            ids = list(session.issue_token_ids(4))
+            kinds = ["patch" if (tid % 4) else "camera" for tid in ids]
+            zeros = np.zeros((4, cfg.dim))
+            admit(session, li, ids, zeros, zeros, t, kinds)
             assert layer.occupancy() <= max(layer.budget, layer.protected_count + 4)
         session.step_counter += 1
 

@@ -7,10 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boundedkv.cache import CacheSession, TokenRecord, admit
+from boundedkv.cache import CacheSession, TokenRow, admit
 from boundedkv.config import StreamConfig
 from boundedkv.errors import StaleStats
-from boundedkv.scoring import AttentionStats, accumulate, importance, layer_sparsity, stats_from_maps
+from boundedkv.scoring import (
+    AttentionStats,
+    accumulate,
+    importance,
+    importances,
+    layer_sparsity,
+    stats_from_maps,
+)
 
 from refimpl import cumulative_scores, population_variance
 
@@ -19,15 +26,9 @@ def session_with(n_tokens, frame_index=1, kinds=None):
     cfg = StreamConfig()
     session = CacheSession(config=cfg)
     kinds = kinds or ["patch"] * n_tokens
-    recs = [
-        TokenRecord(
-            token_id=tid, key=np.zeros(cfg.dim), value=np.zeros(cfg.dim),
-            frame_index=frame_index, token_kind=kinds[i], birth_step=0,
-        )
-        for i, tid in enumerate(session.issue_token_ids(n_tokens))
-    ]
-    admit(session, 0, recs)
-    return session, recs
+    zeros = np.zeros((n_tokens, cfg.dim))
+    admit(session, 0, session.issue_token_ids(n_tokens), zeros, zeros, frame_index, kinds)
+    return session, session.layers[0].records
 
 
 def make_stats(step, key_ids, raw):
@@ -47,7 +48,7 @@ def test_uniform_attention_gains():
     assert stats.col_sums_raw == pytest.approx([0.5] * 4)
     assert float(np.sum(stats.col_sums_raw)) == pytest.approx(1 * 2)
     accumulate(session.layers[0], stats)
-    assert [r.cum_score for r in recs] == pytest.approx([0.125] * 4)
+    assert [r.cum_score for r in session.layers[0].records] == pytest.approx([0.125] * 4)
 
 
 def test_stale_stats_rejected():
@@ -65,12 +66,12 @@ def test_exposure_counts_residency_steps():
     ids = [r.token_id for r in recs]
     # Birth step is already counted by admission.
     accumulate(session.layers[0], make_stats(0, ids, [1.0, 1.0]))
-    assert [r.exposure for r in recs] == [1, 1]
+    assert [r.exposure for r in session.layers[0].records] == [1, 1]
     for step in (1, 2, 3):
         session.step_counter = step
         accumulate(session.layers[0], make_stats(step, ids, [1.0, 1.0]))
-    assert [r.exposure for r in recs] == [4, 4]
-    for r in recs:
+    assert [r.exposure for r in session.layers[0].records] == [4, 4]
+    for r in session.layers[0].records:
         assert r.exposure == 3 - r.birth_step + 1
 
 
@@ -81,13 +82,9 @@ def test_two_step_accumulation_matches_bruteforce():
     accumulate(session.layers[0], stats_from_maps(0, 0, maps_t0, ids))
 
     session.step_counter = 1
-    newer = [
-        TokenRecord(token_id=tid, key=np.zeros(32), value=np.zeros(32),
-                    frame_index=1, token_kind="patch", birth_step=1)
-        for tid in session.issue_token_ids(2)
-    ]
-    admit(session, 0, newer)
-    all_ids = ids + [r.token_id for r in newer]
+    newer = list(session.issue_token_ids(2))
+    admit(session, 0, newer, np.zeros((2, 32)), np.zeros((2, 32)), 1, ["patch", "patch"])
+    all_ids = ids + newer
     maps_t1 = np.array([[[0.1, 0.2, 0.3, 0.4], [0.25, 0.25, 0.25, 0.25]]])
     accumulate(session.layers[0], stats_from_maps(1, 0, maps_t1, all_ids))
 
@@ -99,31 +96,36 @@ def test_two_step_accumulation_matches_bruteforce():
 
 
 def test_importance_division():
-    rec = TokenRecord(token_id=0, key=np.zeros(4), value=np.zeros(4),
-                      frame_index=2, token_kind="patch", birth_step=2,
-                      exposure=1, cum_score=0.125)
-    rec.exposure = 1
+    rec = TokenRow(token_id=0, frame_index=2, token_kind="patch", birth_step=2,
+                   exposure=1, cum_score=0.125)
     assert importance(rec) == pytest.approx(0.125)
 
 
 def test_importance_protected_is_infinite():
-    cam = TokenRecord(token_id=1, key=np.zeros(4), value=np.zeros(4),
-                      frame_index=7, token_kind="camera", birth_step=7,
-                      cum_score=0.001)
+    cam = TokenRow(token_id=1, frame_index=7, token_kind="camera", birth_step=7,
+                   cum_score=0.001)
     assert importance(cam) == math.inf
-    first_frame = TokenRecord(token_id=2, key=np.zeros(4), value=np.zeros(4),
-                              frame_index=0, token_kind="patch", birth_step=0)
+    first_frame = TokenRow(token_id=2, frame_index=0, token_kind="patch", birth_step=0)
     assert importance(first_frame) == math.inf
 
 
 def test_importance_discounts_tenure():
-    a = TokenRecord(token_id=1, key=np.zeros(4), value=np.zeros(4),
-                    frame_index=3, token_kind="patch", birth_step=3, cum_score=0.4)
-    b = TokenRecord(token_id=2, key=np.zeros(4), value=np.zeros(4),
-                    frame_index=3, token_kind="patch", birth_step=3, cum_score=0.4)
-    a.exposure, b.exposure = 2, 4
+    a = TokenRow(token_id=1, frame_index=3, token_kind="patch", birth_step=3, cum_score=0.4, exposure=2)
+    b = TokenRow(token_id=2, frame_index=3, token_kind="patch", birth_step=3, cum_score=0.4, exposure=4)
     assert importance(a) == pytest.approx(0.2)
     assert importance(b) == pytest.approx(0.1)
+
+
+def test_vector_importances_match_rows():
+    session, recs = session_with(3, kinds=["camera", "patch", "patch"])
+    ids = [r.token_id for r in recs]
+    for step in range(3):
+        session.step_counter = step
+        accumulate(session.layers[0], make_stats(step, ids, [0.4, 0.1, 1.2]))
+    layer = session.layers[0]
+    expected = [importance(r) for r in layer.records]
+    assert importances(layer, np.arange(3)).tolist() == expected
+    assert expected[0] == math.inf
 
 
 def test_sparsity_zero_for_uniform_columns():
@@ -155,7 +157,7 @@ def test_cum_score_nondecreasing():
     for step in range(5):
         session.step_counter = step
         accumulate(session.layers[0], make_stats(step, ids, [0.4, 0.0, 1.2]))
-        history.append([r.cum_score for r in recs])
+        history.append([r.cum_score for r in session.layers[0].records])
     for earlier, later in zip(history, history[1:]):
         assert all(b >= a for a, b in zip(earlier, later))
 
@@ -173,6 +175,7 @@ def test_score_scaling_preserves_ordering(sums, scale):
         for step, row in enumerate(sums):
             session.step_counter = step
             accumulate(session.layers[0], make_stats(step, ids, [multiplier * x for x in row]))
+        recs = session.layers[0].records
         return [r.cum_score for r in recs], [importance(r) for r in recs]
 
     base_scores, base_imp = run(1.0)

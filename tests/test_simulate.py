@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from boundedkv.config import StreamConfig
-from boundedkv.errors import AdmissionOverflow
+from boundedkv.errors import AdmissionOverflow, ConfigError
 from boundedkv.oracle import baseline_run, compare_runs
 from boundedkv.simulate import (
     StreamSimulator,
@@ -162,6 +162,27 @@ def test_absolute_budget_multiplies_flat_after_warmup():
 
 def test_admission_overflow_with_none_policy_bounded():
     cfg = StreamConfig(**SMALL, policy="none", budget_tokens=16)
+    with pytest.raises(ConfigError):
+        StreamSimulator(cfg)
+
+
+def test_none_policy_budget_boundary():
+    full = SMALL["layers"] * SMALL["frames"] * SMALL["tokens_per_frame"]
+    with pytest.raises(ConfigError):
+        StreamConfig(**SMALL, policy="none", budget_tokens=full - 1).validate()
+    StreamConfig(**SMALL, policy="none", budget_tokens=full).validate()
+    # Two frames never fault: the protected floor holds frame 0 plus one frame.
+    two = StreamConfig(**{**SMALL, "frames": 2}, policy="none", budget_tokens=0)
+    two.validate()
+    assert len(run_stream(two).outputs) == 2
+
+
+def test_none_policy_with_budget_below_stream_faults_without_validation():
+    # The rule validate() enforces: past two frames, a short budget faults.
+    cfg = StreamConfig(**{**SMALL, "frames": 3}, policy="none", budget_tokens=0)
+    with pytest.raises(ConfigError):
+        cfg.validate()
+    cfg.validate = lambda: None
     with pytest.raises(AdmissionOverflow):
         run_stream(cfg)
 
