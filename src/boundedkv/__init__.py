@@ -13,7 +13,6 @@ from .cache import (
     TokenRow,
     admit,
     footprint_bytes,
-    occupancy,
     remove,
 )
 from .config import StreamConfig, config_from_dict
@@ -31,7 +30,7 @@ from .errors import (
     UnknownLayer,
     UnknownToken,
 )
-from .eviction import EvictionPlan, maintain_step, make_policy, plan_evictions
+from .eviction import EvictionPlan, maintain_step, make_policy
 from .oracle import (
     DivergenceReport,
     baseline_run,

@@ -309,10 +309,6 @@ def remove(session: CacheSession, layer_index: int, token_ids) -> int:
     return layer._evict(rows, session.step_counter) if len(rows) else 0
 
 
-def occupancy(session: CacheSession, layer_index: int) -> int:
-    return session.layer(layer_index).occupancy()
-
-
 def footprint_bytes(session: CacheSession, scalar_bytes: int) -> int:
     """Bytes held by cached keys and values only (no metadata).
 

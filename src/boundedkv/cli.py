@@ -14,13 +14,14 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+import typing
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .allocation import allocate
-from .config import StreamConfig, config_from_dict
+from .config import ATTN_DTYPES, BUDGET_MODES, POLICIES, StreamConfig, config_from_dict
 from .errors import BoundedKVError, ConfigError
 from .oracle import baseline_run, brute_force_scores, compare_runs, landmark_retention, map_log_from_run
 from .scoring import importance
@@ -38,14 +39,26 @@ from .telemetry import (
 _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
 
-# Config-file parsers per StreamConfig field.
-_FIELD_PARSERS = {
-    "layers": int, "heads": int, "dim": int, "tokens_per_frame": int,
-    "registers": int, "frames": int, "beta": float, "budget_tokens": int,
-    "budget_mode": str, "ref_frames": int, "tau": float, "policy": str,
-    "seed": int, "landmark_frac": float, "landmark_gain": float,
-    "sharpness": float, "attn_dtype": str,
-}
+# StreamConfig fields that the CLI checks against a fixed set of values.
+_CHOICES = {"policy": POLICIES, "budget_mode": BUDGET_MODES, "attn_dtype": ATTN_DTYPES}
+# Flags that are not the field name with dashes.
+_FLAG_NAMES = {"keep_maps": "--trace-full-maps"}
+# Fields set from code only: no flag and no config key.
+_CODE_ONLY = {"sharpness_profile"}
+
+
+def _settable_fields() -> dict[str, type]:
+    """Value type of every flag/config-file field, in StreamConfig order."""
+    hints = typing.get_type_hints(StreamConfig)
+    types = {}
+    for f in fields(StreamConfig):
+        if f.name not in _CODE_ONLY:
+            hint = hints[f.name]
+            types[f.name] = next((a for a in typing.get_args(hint) if a is not type(None)), hint)
+    return types
+
+
+_FIELD_TYPES = _settable_fields()
 
 
 def _parse_bool(text: str) -> bool:
@@ -54,7 +67,7 @@ def _parse_bool(text: str) -> bool:
         return True
     if low in _BOOL_FALSE:
         return False
-    raise ConfigError(f"not a boolean: {text!r}")
+    raise ValueError(f"not a boolean: {text!r}")
 
 
 def _read_config_file(path: str) -> dict:
@@ -68,48 +81,33 @@ def _read_config_file(path: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key == "keep_maps":
-            values[key] = _parse_bool(value)
-            continue
-        parser = _FIELD_PARSERS.get(key)
-        if parser is None:
+        kind = _FIELD_TYPES.get(key)
+        if kind is None:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            values[key] = parser(value)
+            values[key] = _parse_bool(value) if kind is bool else kind(value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
     return values
 
 
 def _add_stream_flags(parser: argparse.ArgumentParser) -> None:
-    add = parser.add_argument
-    add("--config", help="config file with key = value lines (flags override)")
-    add("--layers", type=int)
-    add("--heads", type=int)
-    add("--dim", type=int)
-    add("--tokens-per-frame", dest="tokens_per_frame", type=int)
-    add("--registers", type=int)
-    add("--frames", type=int)
-    add("--beta", type=float)
-    add("--budget-tokens", dest="budget_tokens", type=int)
-    add("--budget-mode", dest="budget_mode", choices=("fixed-horizon", "steady-state"))
-    add("--ref-frames", dest="ref_frames", type=int)
-    add("--tau", type=float)
-    add("--policy", choices=("attention", "random", "uniform_budget", "none"))
-    add("--seed", type=int)
-    add("--landmark-frac", dest="landmark_frac", type=float)
-    add("--landmark-gain", dest="landmark_gain", type=float)
-    add("--sharpness", type=float)
-    add("--attn-dtype", dest="attn_dtype", choices=("float64", "float32"))
-    add("--trace-full-maps", dest="keep_maps", action="store_true", default=None)
-    add("--out", help="output directory (default: $BOUNDEDKV_OUT or ./out)")
+    """One flag per settable StreamConfig field, between --config and --out."""
+    parser.add_argument("--config", help="config file with key = value lines (flags override)")
+    for name, kind in _FIELD_TYPES.items():
+        flag = _FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
+        if kind is bool:
+            parser.add_argument(flag, dest=name, action="store_true", default=None)
+        else:
+            parser.add_argument(flag, dest=name, type=kind, choices=_CHOICES.get(name))
+    parser.add_argument("--out", help="output directory (default: $BOUNDEDKV_OUT or ./out)")
 
 
 def _merge_config(args: argparse.Namespace) -> StreamConfig:
     values: dict = {}
     if getattr(args, "config", None):
         values.update(_read_config_file(args.config))
-    for name in StreamConfig.__dataclass_fields__:
+    for name in _FIELD_TYPES:
         flag_value = getattr(args, name, None)
         if flag_value is not None:
             values[name] = flag_value
@@ -179,8 +177,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     retention = landmark_retention(run) if cfg.bounded else None
     row = summary_row(run, label="run", divergence=divergence, retention=retention)
     (out / "summary.csv").write_text(summarize([row]), encoding="utf-8")
-    evictions = sum(len(lr.evicted_ids) for rep in run.reports for lr in rep.layers)
-    print(f"frames={cfg.frames} evictions={evictions} "
+    print(f"frames={cfg.frames} evictions={row.total_evictions} "
           f"peak_footprint_bytes={row.peak_footprint_bytes} trace={out / 'trace.jsonl'}")
     return 0
 
@@ -262,10 +259,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     full_run = run_stream(full)
     base_run = baseline_run(full)
     div = compare_runs(full_run, base_run)
-    evictions = sum(len(lr.evicted_ids) for rep in full_run.reports for lr in rep.layers)
-    _check("beta1-equivalence", div.overall_max_abs <= 1e-12 and evictions == 0,
-           f"max_abs_diff={div.overall_max_abs!r} evictions={evictions}", failures)
-    rows.append(summary_row(full_run, label="verify-beta1", divergence=div))
+    row = summary_row(full_run, label="verify-beta1", divergence=div)
+    _check("beta1-equivalence", div.overall_max_abs <= 1e-12 and row.total_evictions == 0,
+           f"max_abs_diff={div.overall_max_abs!r} evictions={row.total_evictions}", failures)
+    rows.append(row)
 
     # Softmax conservation on every step and layer of the full run.
     worst_raw = 0.0
@@ -355,36 +352,9 @@ def cmd_export(args: argparse.Namespace) -> int:
         grid_path = out / f"heatmap_layer{layer}.txt"
         export_heatmap(trace.records, layer, grid_path, reweight=args.reweight)
         print(f"layer {layer}: {grid_path}")
-    row = _summary_row_from_trace(trace, label=Path(args.trace).stem)
+    row = summary_row(trace, label=Path(args.trace).stem)
     (out / "summary.csv").write_text(summarize([row]), encoding="utf-8")
     return 0
-
-
-def _summary_row_from_trace(trace, label: str) -> SummaryRow:
-    cfg = trace.config
-    by_step: dict[int, list] = {}
-    for rec in trace.records:
-        by_step.setdefault(rec.step, []).append(rec)
-    footprints = [sum(r.footprint_bytes for r in recs) for recs in by_step.values()]
-    multiplies = [sum(r.multiplies for r in recs) for recs in by_step.values()]
-    evictions = sum(len(r.evicted) for r in trace.records)
-    return SummaryRow(
-        label=label,
-        policy=cfg.get("policy", ""),
-        budget_mode=trace.budget.get("budget_mode"),
-        beta=cfg.get("beta"),
-        budget_tokens=trace.budget.get("budget_tokens"),
-        tau=cfg.get("tau", 0.0),
-        seed=cfg.get("seed", 0),
-        frames=cfg.get("frames", 0),
-        layers=cfg.get("layers", 0),
-        heads=cfg.get("heads", 0),
-        dim=cfg.get("dim", 0),
-        tokens_per_frame=cfg.get("tokens_per_frame", 0),
-        peak_footprint_bytes=max(footprints, default=0),
-        mean_step_multiplies=float(np.mean(multiplies)) if multiplies else 0.0,
-        total_evictions=evictions,
-    )
 
 
 _COMMANDS = {

@@ -25,6 +25,7 @@ KIND_REGISTER = "register"
 
 POLICIES = ("attention", "random", "uniform_budget", "none")
 BUDGET_MODES = ("fixed-horizon", "steady-state")
+ATTN_DTYPES = ("float64", "float32")
 
 # Allocation temperature used by the uniform-budget ablation.
 UNIFORM_BUDGET_TAU = 100.0
@@ -119,8 +120,8 @@ class StreamConfig:
             raise ConfigError("sharpness must be >= 0")
         if self.sharpness_profile is not None and len(self.sharpness_profile) != self.layers:
             raise ConfigError("sharpness_profile must have one entry per layer")
-        if self.attn_dtype not in ("float64", "float32"):
-            raise ConfigError("attn_dtype must be float64 or float32")
+        if self.attn_dtype not in ATTN_DTYPES:
+            raise ConfigError(f"attn_dtype must be one of {ATTN_DTYPES}")
 
     def total_budget_tokens(self) -> int | None:
         """Resolve the configured budget to a token count (None = unbounded)."""

@@ -110,12 +110,6 @@ def make_policy(config: StreamConfig):
     raise ConfigError(f"unknown policy {config.policy!r}")
 
 
-def plan_evictions(policy, layer_cache: LayerCache, slots_needed: int) -> EvictionPlan:
-    if slots_needed < 0:
-        raise ValueError("slots_needed must be >= 0")
-    return policy.plan(layer_cache, slots_needed)
-
-
 def maintain_step(session: CacheSession, policy) -> list[EvictionPlan]:
     """Free room for the incoming frame in every layer.
 
@@ -132,7 +126,7 @@ def maintain_step(session: CacheSession, policy) -> list[EvictionPlan]:
         slots = layer.occupancy() + per_frame - effective
         if slots <= 0:
             continue
-        plan = plan_evictions(policy, layer, slots)
+        plan = policy.plan(layer, slots)
         if not plan.victim_ids:
             continue
         plan.reason = REASON_SHRINK if layer.occupancy() > effective else REASON_ADMIT

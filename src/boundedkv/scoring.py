@@ -42,14 +42,14 @@ class AttentionStats:
 
 def stats_from_maps(step: int, layer_index: int, maps: np.ndarray, key_ids: list[int]) -> AttentionStats:
     """Build column statistics from an (H, M, N) stack of attention maps."""
-    raw = maps.sum(axis=(0, 1)).astype(np.float64)
+    raw = maps.sum(axis=(0, 1)).astype(np.float64, copy=False)
     return AttentionStats(
         step=step,
         layer_index=layer_index,
         n_keys=maps.shape[2],
         col_sums_raw=raw,
         col_sums_headmean=raw / maps.shape[0],
-        key_ids=list(key_ids),
+        key_ids=key_ids,
     )
 
 

@@ -80,24 +80,42 @@ class FrameTokens:
 
 
 @dataclass
-class LayerReport:
-    """Telemetry for one (step, layer) cell."""
+class TraceRecord:
+    """Telemetry of one (step, layer) cell, in memory and in the trace.
 
+    ``occupancy_pre`` is taken before eviction, ``occupancy_post`` after
+    eviction and admission, so ``post = pre - evicted + tokens_per_frame``.
+    ``budget_pre`` is the budget in force during the step and
+    ``budget_post`` the value after this step's reallocation.
+    ``evicted_ids`` and ``evicted_importances`` are parallel lists; the
+    trace file writes them as one ``evicted`` list of objects.
+
+    ``StreamSimulator.step`` shares the step's ``AttentionStats`` key ids
+    and column-sum arrays (and its attention maps when ``keep_maps`` is
+    set) rather than copying them; ``telemetry.records_from_run`` gives
+    the list form that a trace reads back as.
+    """
+
+    step: int
     layer: int
     n_keys: int
+    budget_pre: int | None
+    budget_post: int | None
     occupancy_pre: int
     occupancy_post: int
     protected_count: int
-    budget_pre: int | None
-    budget_post: int | None
     clamped: bool
-    sigma: float
-    pi: float | None
+    reason: str | None
     evicted_ids: list[int] = field(default_factory=list)
     evicted_importances: list[float] = field(default_factory=list)
-    reason: str | None = None
+    sigma: float = 0.0
+    pi: float | None = None
     multiplies: int = 0
     footprint_bytes: int = 0
+    key_ids: list[int] = field(default_factory=list)
+    col_sums_raw: list[float] | np.ndarray = field(default_factory=list)
+    col_sums_headmean: list[float] | np.ndarray = field(default_factory=list)
+    maps: list | np.ndarray | None = None
 
 
 @dataclass
@@ -105,7 +123,7 @@ class StepReport:
     """Per-step telemetry across all global layers."""
 
     step: int
-    layers: list[LayerReport]
+    layers: list[TraceRecord]
     multiplies_total: int
     footprint_total: int
 
@@ -123,6 +141,11 @@ class RunSummary:
     frame_kinds: list[list[str]]
     landmark_masks: list[np.ndarray]
     session: CacheSession
+
+    @property
+    def records(self) -> list[TraceRecord]:
+        """Every (step, layer) record, in step then layer order."""
+        return [rec for report in self.reports for rec in report.layers]
 
 
 def frame_kind_layout(config: StreamConfig) -> list[str]:
@@ -205,9 +228,9 @@ def _multihead_attention(q, k, v, heads: int, scale_mult: float) -> tuple[np.nda
     maps = np.empty((heads, q.shape[0], k.shape[0]), dtype=np.float64)
     ctx = np.empty((heads, q.shape[0], head_dim), dtype=np.float64)
     for h in range(heads):
-        logits = (qh[h] @ kh[h].T).astype(np.float64) * scale
+        logits = (qh[h] @ kh[h].T).astype(np.float64, copy=False) * scale
         maps[h] = _softmax_rows_f64(logits)
-        ctx[h] = maps[h] @ vh[h].astype(np.float64)
+        ctx[h] = maps[h] @ vh[h].astype(np.float64, copy=False)
     merged = ctx.transpose(1, 0, 2).reshape(q.shape[0], q.shape[1])
     return merged, maps
 
@@ -307,14 +330,12 @@ class StreamSimulator:
         sigmas: list[float] = []
         step_stats: list[AttentionStats] = []
         step_maps: list[np.ndarray] = []
-        layer_reports: list[LayerReport] = []
-        queries: list[np.ndarray] = []
+        records: list[TraceRecord] = []
         for li, layer in enumerate(session.layers):
             zin = _rms_rows(z)
             q = zin @ self.w_q[li]
             k = zin @ self.w_k[li]
             v = zin @ self.w_v[li]
-            queries.append(q)
             ids = session.issue_token_ids(cfg.tokens_per_frame)
             admit(session, li, ids, k, v, frame.frame_index, frame.kinds)
 
@@ -332,41 +353,44 @@ class StreamSimulator:
 
             n_keys = layer.occupancy()
             plan = plans.get(li)
-            layer_reports.append(
-                LayerReport(
+            records.append(
+                TraceRecord(
+                    step=t,
                     layer=li,
                     n_keys=n_keys,
+                    budget_pre=budgets_pre[li],
+                    budget_post=None,
                     occupancy_pre=occupancy_pre[li],
                     occupancy_post=n_keys,
                     protected_count=layer.protected_count,
-                    budget_pre=budgets_pre[li],
-                    budget_post=None,
                     clamped=clamped[li],
-                    sigma=sigmas[li],
-                    pi=None,
-                    evicted_ids=list(plan.victim_ids) if plan else [],
-                    evicted_importances=list(plan.importances_at_eviction) if plan else [],
                     reason=plan.reason if plan else None,
+                    evicted_ids=plan.victim_ids if plan else [],
+                    evicted_importances=plan.importances_at_eviction if plan else [],
+                    sigma=sigmas[li],
                     multiplies=2 * cfg.tokens_per_frame * n_keys * cfg.dim,
                     footprint_bytes=n_keys * 2 * cfg.dim * cfg.scalar_bytes,
+                    key_ids=stats.key_ids,
+                    col_sums_raw=stats.col_sums_raw,
+                    col_sums_headmean=stats.col_sums_headmean,
+                    maps=maps if cfg.keep_maps else None,
                 )
             )
 
         allocation = reallocate_step(session, sigmas)
         if allocation is not None:
-            for report, budget, share in zip(layer_reports, allocation.budgets, allocation.shares):
-                report.budget_post = budget
-                report.pi = share
+            for record, budget, share in zip(records, allocation.budgets, allocation.shares):
+                record.budget_post = budget
+                record.pi = share
 
         session.step_counter += 1
         self.last_stats = step_stats
         self.last_maps = step_maps if cfg.keep_maps else None
-        self.last_queries = queries
         report = StepReport(
             step=t,
-            layers=layer_reports,
-            multiplies_total=sum(r.multiplies for r in layer_reports),
-            footprint_total=sum(r.footprint_bytes for r in layer_reports),
+            layers=records,
+            multiplies_total=sum(r.multiplies for r in records),
+            footprint_total=sum(r.footprint_bytes for r in records),
         )
         return z, report
 

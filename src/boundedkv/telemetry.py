@@ -16,47 +16,17 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field, fields
+from collections import defaultdict
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import MalformedTrace, UnknownLayer
-from .simulate import RunSummary
+from .simulate import RunSummary, TraceRecord
 
 TRACE_FORMAT = "boundedkv-trace"
 TRACE_VERSION = 1
-
-
-@dataclass
-class TraceRecord:
-    """One (step, layer) telemetry record.
-
-    ``occupancy_pre`` is taken before eviction, ``occupancy_post`` after
-    eviction and admission, so ``post = pre - evicted + tokens_per_frame``.
-    ``budget_pre`` is the budget in force during the step and
-    ``budget_post`` the value after this step's reallocation.
-    """
-
-    step: int
-    layer: int
-    n_keys: int
-    budget_pre: int | None
-    budget_post: int | None
-    occupancy_pre: int
-    occupancy_post: int
-    protected_count: int
-    clamped: bool
-    reason: str | None
-    evicted: list[dict] = field(default_factory=list)
-    sigma: float = 0.0
-    pi: float | None = None
-    multiplies: int = 0
-    footprint_bytes: int = 0
-    key_ids: list[int] = field(default_factory=list)
-    col_sums_raw: list[float] = field(default_factory=list)
-    col_sums_headmean: list[float] = field(default_factory=list)
-    maps: list | None = None
 
 
 @dataclass
@@ -68,54 +38,65 @@ class Trace:
 
 
 def records_from_run(run: RunSummary) -> list[TraceRecord]:
-    records = []
-    for report, step_stats in zip(run.reports, run.stats):
-        for lr, stats in zip(report.layers, step_stats):
-            maps = None
-            if run.maps is not None:
-                maps = run.maps[report.step][lr.layer].tolist()
-            records.append(
-                TraceRecord(
-                    step=report.step,
-                    layer=lr.layer,
-                    n_keys=lr.n_keys,
-                    budget_pre=lr.budget_pre,
-                    budget_post=lr.budget_post,
-                    occupancy_pre=lr.occupancy_pre,
-                    occupancy_post=lr.occupancy_post,
-                    protected_count=lr.protected_count,
-                    clamped=lr.clamped,
-                    reason=lr.reason,
-                    evicted=[
-                        {"token_id": tid, "importance": imp}
-                        for tid, imp in zip(lr.evicted_ids, lr.evicted_importances)
-                    ],
-                    sigma=lr.sigma,
-                    pi=lr.pi,
-                    multiplies=lr.multiplies,
-                    footprint_bytes=lr.footprint_bytes,
-                    key_ids=list(stats.key_ids),
-                    col_sums_raw=[float(x) for x in stats.col_sums_raw],
-                    col_sums_headmean=[float(x) for x in stats.col_sums_headmean],
-                    maps=maps,
-                )
-            )
-    return records
+    """The run's records with arrays turned into lists, as a trace reads back."""
+    return [
+        replace(
+            rec,
+            col_sums_raw=rec.col_sums_raw.tolist(),
+            col_sums_headmean=rec.col_sums_headmean.tolist(),
+            maps=None if rec.maps is None else rec.maps.tolist(),
+        )
+        for rec in run.records
+    ]
+
+
+# In-memory parallel lists that the trace writes as one "evicted" list.
+_PAIRED = ("evicted_ids", "evicted_importances")
+_JSON_FIELDS = {f.name for f in fields(TraceRecord)} - set(_PAIRED) | {"evicted"}
 
 
 def _record_to_json(rec: TraceRecord) -> str:
-    payload = {f.name: getattr(rec, f.name) for f in fields(TraceRecord)}
-    return json.dumps(payload, separators=(",", ":"))
+    payload = {}
+    for f in fields(TraceRecord):
+        if f.name == "evicted_ids":
+            payload["evicted"] = [
+                {"token_id": tid, "importance": imp}
+                for tid, imp in zip(rec.evicted_ids, rec.evicted_importances)
+            ]
+        elif f.name not in _PAIRED:
+            payload[f.name] = getattr(rec, f.name)
+    # A run's records hold numpy arrays; they are written as the same lists
+    # that records_from_run gives.
+    return json.dumps(payload, separators=(",", ":"), default=np.ndarray.tolist)
+
+
+def _record_from_json(payload, lineno: int) -> TraceRecord:
+    if not isinstance(payload, dict):
+        raise MalformedTrace("record is not an object", line=lineno)
+    unknown = set(payload) - _JSON_FIELDS
+    if unknown:
+        raise MalformedTrace(f"unknown fields {sorted(unknown)}", line=lineno)
+    values = dict(payload)
+    evicted = values.pop("evicted", [])
+    try:
+        values["evicted_ids"] = [entry["token_id"] for entry in evicted]
+        values["evicted_importances"] = [entry["importance"] for entry in evicted]
+    except (TypeError, KeyError) as exc:
+        raise MalformedTrace("evicted entries need token_id and importance", line=lineno) from exc
+    try:
+        return TraceRecord(**values)
+    except TypeError as exc:
+        raise MalformedTrace(str(exc), line=lineno) from exc
 
 
 def write_trace(run_or_records, path, config: dict | None = None, budget: dict | None = None) -> Path:
     """Write a trace file; accepts a RunSummary or a TraceRecord list."""
     if isinstance(run_or_records, RunSummary):
-        records = records_from_run(run_or_records)
+        records = run_or_records.records
         config = run_or_records.config.to_dict()
         budget = run_or_records.budget
     else:
-        records = list(run_or_records)
+        records = run_or_records
         config = config or {}
         budget = budget or {}
     header = {"format": TRACE_FORMAT, "version": TRACE_VERSION, "config": config, "budget": budget}
@@ -128,8 +109,13 @@ def write_trace(run_or_records, path, config: dict | None = None, budget: dict |
 
 
 def read_trace(path) -> Trace:
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    """Parse a trace file.
+
+    A last line without its newline that does not parse is reported as
+    a truncated record: the writer stopped part-way through it.
+    """
+    text = Path(path).read_text(encoding="utf-8")
+    lines = text.splitlines()
     if not lines:
         raise MalformedTrace("empty trace file", line=1)
     try:
@@ -141,7 +127,6 @@ def read_trace(path) -> Trace:
     if header.get("version") != TRACE_VERSION:
         raise MalformedTrace(f"unsupported trace version {header.get('version')!r}", line=1)
 
-    field_names = {f.name for f in fields(TraceRecord)}
     records = []
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
@@ -149,16 +134,10 @@ def read_trace(path) -> Trace:
         try:
             payload = json.loads(raw)
         except json.JSONDecodeError as exc:
+            if lineno == len(lines) and not text.endswith("\n"):
+                raise MalformedTrace("truncated last record", line=lineno) from exc
             raise MalformedTrace(f"record is not valid JSON ({exc.msg})", line=lineno) from exc
-        if not isinstance(payload, dict):
-            raise MalformedTrace("record is not an object", line=lineno)
-        unknown = set(payload) - field_names
-        if unknown:
-            raise MalformedTrace(f"unknown fields {sorted(unknown)}", line=lineno)
-        try:
-            records.append(TraceRecord(**payload))
-        except TypeError as exc:
-            raise MalformedTrace(str(exc), line=lineno) from exc
+        records.append(_record_from_json(payload, lineno))
     return Trace(version=header["version"], config=header.get("config", {}),
                  budget=header.get("budget", {}), records=records)
 
@@ -217,16 +196,10 @@ def export_heatmap(records: list[TraceRecord], layer: int, path, reweight: bool 
     return grid
 
 
-_SUMMARY_COLUMNS = [
-    "label", "policy", "budget_mode", "beta", "budget_tokens", "tau", "seed",
-    "frames", "layers", "heads", "dim", "tokens_per_frame",
-    "peak_footprint_bytes", "mean_step_multiplies", "total_evictions",
-    "mean_divergence", "landmark_retention",
-]
-
-
 @dataclass
 class SummaryRow:
+    """One run's row of the summary table; the fields are its columns, in order."""
+
     label: str
     policy: str
     budget_mode: str | None
@@ -246,12 +219,20 @@ class SummaryRow:
     landmark_retention: float | None = None
 
 
-def summary_row(run: RunSummary, label: str, divergence=None, retention=None) -> SummaryRow:
-    cfg = run.config
-    meta = run.budget
-    footprints = [rep.footprint_total for rep in run.reports]
-    multiplies = [rep.multiplies_total for rep in run.reports]
-    evictions = sum(len(lr.evicted_ids) for rep in run.reports for lr in rep.layers)
+def summary_row(run: RunSummary | Trace, label: str, divergence=None, retention=None) -> SummaryRow:
+    """One summary row from a finished run or from a trace read back.
+
+    Both give the same row for the same stream; ``divergence`` and
+    ``retention`` need the run's outputs and cache, so only a run has them.
+    """
+    cfg = run.config.to_dict() if isinstance(run, RunSummary) else run.config
+    footprints: dict[int, int] = defaultdict(int)
+    multiplies: dict[int, int] = defaultdict(int)
+    evictions = 0
+    for rec in run.records:
+        footprints[rec.step] += rec.footprint_bytes
+        multiplies[rec.step] += rec.multiplies
+        evictions += len(rec.evicted_ids)
     mean_div = None
     if divergence is not None:
         mean_div = float(np.mean(divergence.rms)) if divergence.rms else 0.0
@@ -261,19 +242,19 @@ def summary_row(run: RunSummary, label: str, divergence=None, retention=None) ->
         mean_ret = float(np.mean(finite)) if finite else None
     return SummaryRow(
         label=label,
-        policy=cfg.policy,
-        budget_mode=meta.get("budget_mode"),
-        beta=cfg.beta,
-        budget_tokens=meta.get("budget_tokens"),
-        tau=cfg.tau,
-        seed=cfg.seed,
-        frames=cfg.frames,
-        layers=cfg.layers,
-        heads=cfg.heads,
-        dim=cfg.dim,
-        tokens_per_frame=cfg.tokens_per_frame,
-        peak_footprint_bytes=max(footprints, default=0),
-        mean_step_multiplies=float(np.mean(multiplies)) if multiplies else 0.0,
+        policy=cfg.get("policy", ""),
+        budget_mode=run.budget.get("budget_mode"),
+        beta=cfg.get("beta"),
+        budget_tokens=run.budget.get("budget_tokens"),
+        tau=cfg.get("tau", 0.0),
+        seed=cfg.get("seed", 0),
+        frames=cfg.get("frames", 0),
+        layers=cfg.get("layers", 0),
+        heads=cfg.get("heads", 0),
+        dim=cfg.get("dim", 0),
+        tokens_per_frame=cfg.get("tokens_per_frame", 0),
+        peak_footprint_bytes=max(footprints.values(), default=0),
+        mean_step_multiplies=float(np.mean(list(multiplies.values()))) if multiplies else 0.0,
         total_evictions=evictions,
         mean_divergence=mean_div,
         landmark_retention=mean_ret,
@@ -284,16 +265,10 @@ def summarize(rows: list[SummaryRow]) -> str:
     """Comma-delimited table, one row per run; header-only when empty."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_SUMMARY_COLUMNS)
+    columns = [f.name for f in fields(SummaryRow)]
+    writer.writerow(columns)
     for row in rows:
-        writer.writerow([
-            row.label, row.policy,
-            row.budget_mode if row.budget_mode is not None else "",
-            _fmt(row.beta), _fmt(row.budget_tokens), _fmt(row.tau), row.seed,
-            row.frames, row.layers, row.heads, row.dim, row.tokens_per_frame,
-            row.peak_footprint_bytes, _fmt(row.mean_step_multiplies),
-            row.total_evictions, _fmt(row.mean_divergence), _fmt(row.landmark_retention),
-        ])
+        writer.writerow([_fmt(getattr(row, name)) for name in columns])
     return buf.getvalue()
 
 

@@ -1,0 +1,67 @@
+"""What the stream benchmark under bench/ reads of the program.
+
+Every benchmark workload runs at seed 0 through bench/worker.py's own
+pass, checks and counts, and its output digest must equal the one
+recorded in bench/digests.json. A change that renames or drops a field,
+function or entry point the benchmark reads fails here, in the test
+suite, and not only when the benchmark runs. This module only reads
+bench/.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from boundedkv import oracle, simulate, telemetry
+from boundedkv.config import StreamConfig
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+MODULES = {"simulate": simulate, "telemetry": telemetry, "oracle": oracle}
+DIGESTS = json.loads((BENCH / "digests.json").read_text())
+
+
+def _load_worker():
+    spec = importlib.util.spec_from_file_location("bench_worker", BENCH / "worker.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+worker = _load_worker()
+
+
+def _pass(name, tmp_path):
+    workload = worker.spec.WORKLOADS[name]
+    cfg = StreamConfig(**workload["config"], seed=0)
+    run_pass = worker.audit_pass if workload["kind"] == "audit" else worker.stream_pass
+    run, stage = run_pass(MODULES, cfg, tmp_path / "trace.jsonl")
+    return cfg, run, stage
+
+
+@pytest.mark.parametrize("name", sorted(worker.spec.WORKLOADS))
+def test_workload_passes_bench_checks(name, tmp_path):
+    cfg, run, stage = _pass(name, tmp_path)
+    problems = worker.check_steps(run, cfg)
+    if stage:
+        problems += worker.check_audit(run, stage, telemetry)
+    assert problems == []
+    counts = worker.counts_of(run, oracle)
+    assert counts["kv_footprint_mib"] > 0
+    assert worker.output_digest(run) == DIGESTS[name]["0"]
+
+
+def test_traced_pass_finds_every_entry_point(tmp_path):
+    tracer = worker.tracing.SpanTracer()
+    tracer.install()
+    try:
+        _, run, _ = _pass("trace_audit", tmp_path)
+    finally:
+        tracer.remove()
+    layers = tracer.take_pass({})
+    assert tracer.absent == set()
+    assert tracer.broken_counters == set()
+    counts = worker.counts_of(run, oracle)
+    for count, metric in worker.spec.TRACED_COUNTS.items():
+        assert layers[metric] == counts[count], metric

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from boundedkv.cache import CacheSession, admit, footprint_bytes, occupancy, remove
+from boundedkv.cache import CacheSession, admit, footprint_bytes, remove
 from boundedkv.config import StreamConfig
 from boundedkv.errors import AdmissionOverflow, ProtectedEviction, UnknownLayer, UnknownToken
 
@@ -26,7 +26,7 @@ def make_session(**kwargs) -> CacheSession:
 def test_admit_to_empty_layer():
     session = make_session(tokens_per_frame=8)
     admit_tokens(session, 0, 0, 3)
-    assert occupancy(session, 0) == 3
+    assert session.layers[0].occupancy() == 3
     assert all(r.exposure == 1 for r in session.layers[0].records)
     assert all(r.birth_step == 0 for r in session.layers[0].records)
 
@@ -36,7 +36,7 @@ def test_unbounded_growth_is_frames_times_tokens():
     for t in range(10):
         admit_tokens(session, 0, t, 5)
         session.step_counter += 1
-    assert occupancy(session, 0) == 50
+    assert session.layers[0].occupancy() == 50
 
 
 def test_bounded_admit_without_evict_overflows():
@@ -53,7 +53,7 @@ def test_protected_floor_lifts_effective_budget():
     # Frame-0 tokens are protected and lift the floor to protected + M.
     admit_tokens(session, 0, 0, 2)
     admit_tokens(session, 0, 1, 2)
-    assert occupancy(session, 0) == 4
+    assert session.layers[0].occupancy() == 4
     assert session.layers[0].effective_budget(2) == 4
 
 
@@ -62,7 +62,7 @@ def test_remove_preserves_survivor_order():
     ids = admit_tokens(session, 0, 3, 10)
     doomed = [ids[1], ids[4], ids[7]]
     assert remove(session, 0, doomed) == 3
-    assert occupancy(session, 0) == 7
+    assert session.layers[0].occupancy() == 7
     survivors = [r.token_id for r in session.layers[0].records]
     expected = [tid for tid in ids if tid not in doomed]
     assert survivors == expected

@@ -1,11 +1,16 @@
-"""CLI subcommands, config precedence, exit codes."""
+"""CLI subcommands, config precedence, exit codes, flag schema, output goldens."""
 
+import hashlib
 import json
-import os
+from dataclasses import fields
 
 import pytest
 
-from boundedkv.cli import main
+from boundedkv.cli import _merge_config, build_parser, main
+from boundedkv.config import StreamConfig
+from boundedkv.errors import ConfigError
+from boundedkv.simulate import run_stream
+from boundedkv.telemetry import summarize, summary_row
 
 
 def run_cli(args, capsys):
@@ -16,6 +21,24 @@ def run_cli(args, capsys):
 
 SMALL_FLAGS = ["--layers", "2", "--heads", "2", "--dim", "16",
                "--tokens-per-frame", "4", "--registers", "0", "--frames", "6"]
+SMALL = dict(layers=2, heads=2, dim=16, tokens_per_frame=4, registers=0, frames=6)
+
+# sha256 of the CLI's output files for SMALL_FLAGS ("run --beta 0.5",
+# the same with --trace-full-maps, "export" of that trace) and for the
+# default "verify". Locked once; platform-anchored (BLAS build) like
+# GOLDEN_DIGEST in test_simulate.
+GOLDEN_SHA256 = {
+    "run/trace.jsonl": "853078b59ef4428b33ab684ce000d687fdb20b864dcd79d2cf3f8f44020ce510",
+    "run/summary.csv": "c6cd9e9563d9141378451ad67f3a27cf3cf7231bb05d55187b3aca3998ff86db",
+    "maps/trace.jsonl": "bc250bf64c469e37df2ab4ab5c92f1af75740f56376ea9509bcf2e3cadadb477",
+    "export/summary.csv": "74feac5132ae4dc847dc29b7832b14ada183c46288eebd50ceb3d11bae22ec06",
+    "verify/verify_trace.jsonl": "d40e0bb94fba979d59e301540ae570c23fa518041a4aec0d84b80d27649a6915",
+    "verify/verify_summary.csv": "90f6c638c71ecaaf16c46a04f2e21477455d72b5b1e72868da59a9e8bbc2b207",
+}
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_run_writes_trace_and_summary(tmp_path, capsys):
@@ -112,8 +135,8 @@ def test_verify_default_config_passes(tmp_path, capsys):
     code, out, _ = run_cli(["verify", "--out", str(tmp_path)], capsys)
     assert code == 0
     assert "FAIL" not in out
-    assert (tmp_path / "verify_trace.jsonl").exists()
-    assert (tmp_path / "verify_summary.csv").exists()
+    assert sha256(tmp_path / "verify_trace.jsonl") == GOLDEN_SHA256["verify/verify_trace.jsonl"]
+    assert sha256(tmp_path / "verify_summary.csv") == GOLDEN_SHA256["verify/verify_summary.csv"]
 
 
 def test_verify_reruns_byte_identical(tmp_path, capsys):
@@ -138,7 +161,30 @@ def test_export_heatmap_from_trace(tmp_path, capsys):
     assert (export_dir / "heatmap_layer1.txt").exists()
     assert (export_dir / "heatmap_layer1.pgm").exists()
     assert (export_dir / "heatmap_layer1.frames.json").exists()
-    assert (export_dir / "summary.csv").exists()
+    assert sha256(export_dir / "summary.csv") == GOLDEN_SHA256["export/summary.csv"]
+
+
+def test_export_summary_row_matches_run(tmp_path, capsys):
+    # The row export builds from a trace equals the row of the run that
+    # wrote it, on every column but the label.
+    cases = [
+        dict(beta=0.3),
+        dict(),
+        dict(frames=0, beta=0.5),
+        dict(beta=0.5, budget_mode="steady-state", ref_frames=3),
+        dict(budget_tokens=20, budget_mode="steady-state"),
+    ]
+    for i, extra in enumerate(cases):
+        flags = [part for key, value in extra.items()
+                 for part in ("--" + key.replace("_", "-"), str(value))]
+        run_dir, export_dir = tmp_path / f"run{i}", tmp_path / f"export{i}"
+        assert run_cli(["run", *SMALL_FLAGS, *flags, "--out", str(run_dir)], capsys)[0] == 0
+        assert run_cli(["export", "--trace", str(run_dir / "trace.jsonl"),
+                        "--out", str(export_dir)], capsys)[0] == 0
+        exported = (export_dir / "summary.csv").read_text().splitlines()
+        expected = summarize([summary_row(run_stream(StreamConfig(**{**SMALL, **extra})), label="run")])
+        assert [row.split(",")[1:] for row in exported] == \
+            [row.split(",")[1:] for row in expected.splitlines()]
 
 
 def test_export_malformed_trace_exit_code(tmp_path, capsys):
@@ -164,3 +210,61 @@ def test_rerun_outputs_byte_identical(tmp_path, capsys):
     run_cli(["run", *SMALL_FLAGS, "--beta", "0.3", "--out", str(d2)], capsys)
     assert (d1 / "trace.jsonl").read_bytes() == (d2 / "trace.jsonl").read_bytes()
     assert (d1 / "summary.csv").read_bytes() == (d2 / "summary.csv").read_bytes()
+
+    plain, maps = tmp_path / "plain", tmp_path / "maps"
+    run_cli(["run", *SMALL_FLAGS, "--beta", "0.5", "--out", str(plain)], capsys)
+    run_cli(["run", *SMALL_FLAGS, "--beta", "0.5", "--trace-full-maps", "--out", str(maps)], capsys)
+    assert sha256(plain / "trace.jsonl") == GOLDEN_SHA256["run/trace.jsonl"]
+    assert sha256(plain / "summary.csv") == GOLDEN_SHA256["run/summary.csv"]
+    assert sha256(maps / "trace.jsonl") == GOLDEN_SHA256["maps/trace.jsonl"]
+
+
+# A non-default value, as typed and as parsed, for every StreamConfig
+# field that has a flag (its name with dashes) and a config-file key.
+FIELD_VALUES = {
+    "layers": ("3", 3), "heads": ("4", 4), "dim": ("64", 64), "tokens_per_frame": ("16", 16),
+    "registers": ("2", 2), "frames": ("5", 5), "beta": ("0.5", 0.5),
+    "budget_tokens": ("100", 100), "budget_mode": ("steady-state", "steady-state"),
+    "ref_frames": ("3", 3), "tau": ("2.5", 2.5), "policy": ("random", "random"),
+    "seed": ("3", 3), "landmark_frac": ("0.5", 0.5), "landmark_gain": ("1.5", 1.5),
+    "sharpness": ("1.5", 1.5), "attn_dtype": ("float32", "float32"),
+}
+
+
+def test_every_config_field_is_a_flag_and_a_config_key(tmp_path):
+    settable = {f.name for f in fields(StreamConfig)} - {"sharpness_profile", "keep_maps"}
+    assert set(FIELD_VALUES) == settable
+    parser = build_parser()
+    for name, (text, value) in FIELD_VALUES.items():
+        from_flag = _merge_config(parser.parse_args(["run", "--" + name.replace("_", "-"), text]))
+        assert getattr(from_flag, name) == value
+        cfg_file = tmp_path / f"{name}.cfg"
+        cfg_file.write_text(f"{name} = {text}\n")
+        from_file = _merge_config(parser.parse_args(["run", "--config", str(cfg_file)]))
+        assert getattr(from_file, name) == value
+
+    assert _merge_config(parser.parse_args(["run", "--trace-full-maps"])).keep_maps is True
+    cfg_file = tmp_path / "maps.cfg"
+    cfg_file.write_text("keep_maps = yes\n")
+    assert _merge_config(parser.parse_args(["run", "--config", str(cfg_file)])).keep_maps is True
+    cfg_file.write_text("keep_maps = maybe\n")
+    with pytest.raises(ConfigError, match="maps.cfg:1: bad value for keep_maps"):
+        _merge_config(parser.parse_args(["run", "--config", str(cfg_file)]))
+
+
+def test_sharpness_profile_has_no_flag_or_config_key(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--sharpness-profile", "1,2", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    cfg_file = tmp_path / "profile.cfg"
+    cfg_file.write_text("sharpness_profile = 1,2\n")
+    with pytest.raises(ConfigError, match="unknown config key"):
+        _merge_config(build_parser().parse_args(["run", "--config", str(cfg_file)]))
+
+
+@pytest.mark.parametrize("flag", ["--policy", "--budget-mode", "--attn-dtype"])
+def test_bad_choice_exits_2(flag, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", flag, "bogus", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err

@@ -14,7 +14,6 @@ from boundedkv.eviction import (
     RandomPolicy,
     maintain_step,
     make_policy,
-    plan_evictions,
 )
 from boundedkv.scoring import importance
 from boundedkv.simulate import run_stream
@@ -43,7 +42,7 @@ def test_lowest_importance_evicted_exactly():
     layer.budget = 9
     slots = layer.occupancy() + 2 - layer.effective_budget(2)
     assert slots == 3
-    plan = plan_evictions(AttentionPolicy(), layer, slots)
+    plan = AttentionPolicy().plan(layer, slots)
     chosen = {recs[2 + imps.index(v)].token_id for v in (0.02, 0.05, 0.07)}
     assert set(plan.victim_ids) == chosen
     assert plan.importances_at_eviction == sorted(plan.importances_at_eviction)
@@ -52,7 +51,7 @@ def test_lowest_importance_evicted_exactly():
 def test_zero_slots_empty_plan_for_all_policies():
     session, _ = build_layer([0.5, 0.1])
     for policy in (AttentionPolicy(), RandomPolicy(seed=3), NonePolicy()):
-        plan = plan_evictions(policy, session.layers[0], 0)
+        plan = policy.plan(session.layers[0], 0)
         assert plan.victim_ids == []
 
 
@@ -64,7 +63,7 @@ def test_full_sort_oracle_matches_selection():
         frames = rng.integers(1, 6, size=n).tolist()
         session, recs = build_layer(imps, frames=frames)
         slots = int(rng.integers(1, n + 1))
-        plan = plan_evictions(AttentionPolicy(), session.layers[0], slots)
+        plan = AttentionPolicy().plan(session.layers[0], slots)
 
         # Oracle: exhaustive repeated minimum extraction with explicit comparator.
         remaining = list(session.layers[0].records)
@@ -83,7 +82,7 @@ def test_full_sort_oracle_matches_selection():
 
 def test_tiebreak_prefers_newer_then_higher_id():
     session, recs = build_layer([0.2, 0.2, 0.2], frames=[1, 3, 3])
-    plan = plan_evictions(AttentionPolicy(), session.layers[0], 2)
+    plan = AttentionPolicy().plan(session.layers[0], 2)
     # Same importance: frame 3 beats frame 1; within frame 3, higher id first.
     assert plan.victim_ids == [recs[2].token_id, recs[1].token_id]
 
@@ -94,7 +93,7 @@ def test_protected_never_planned():
         protected_flags=[True, True, False, False, False, False, False, False],
     )
     for policy in (AttentionPolicy(), RandomPolicy(seed=11)):
-        plan = plan_evictions(policy, session.layers[0], 4)
+        plan = policy.plan(session.layers[0], 4)
         protected_ids = {recs[0].token_id, recs[1].token_id}
         assert not protected_ids & set(plan.victim_ids)
         assert len(plan.victim_ids) == 4
@@ -103,9 +102,9 @@ def test_protected_never_planned():
 def test_insufficient_unprotected_raises():
     session, _ = build_layer([0.1, 0.2], protected_flags=[True, False])
     with pytest.raises(InsufficientUnprotected):
-        plan_evictions(AttentionPolicy(), session.layers[0], 2)
+        AttentionPolicy().plan(session.layers[0], 2)
     with pytest.raises(InsufficientUnprotected):
-        plan_evictions(RandomPolicy(seed=1), session.layers[0], 2)
+        RandomPolicy(seed=1).plan(session.layers[0], 2)
 
 
 def test_random_policy_deterministic_per_seed():
@@ -114,7 +113,7 @@ def test_random_policy_deterministic_per_seed():
         policy = RandomPolicy(seed=seed)
         out = []
         for slots in (3, 2, 4):
-            plan = plan_evictions(policy, session.layers[0], slots)
+            plan = policy.plan(session.layers[0], slots)
             out.append(list(plan.victim_ids))
             remove(session, 0, plan.victim_ids)
         return json.dumps(out)
@@ -125,7 +124,7 @@ def test_random_policy_deterministic_per_seed():
 
 def test_none_policy_never_names_victims():
     session, _ = build_layer([0.1, 0.2, 0.3])
-    plan = plan_evictions(NonePolicy(), session.layers[0], 2)
+    plan = NonePolicy().plan(session.layers[0], 2)
     assert plan.victim_ids == []
 
 

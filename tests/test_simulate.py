@@ -11,6 +11,7 @@ from boundedkv.errors import AdmissionOverflow, ConfigError
 from boundedkv.oracle import baseline_run, compare_runs
 from boundedkv.simulate import (
     StreamSimulator,
+    _rms_rows,
     anchor_direction,
     generate_frame,
     run_stream,
@@ -70,12 +71,14 @@ def test_kernel_matches_slow_reference():
                        frames=3, seed=5, keep_maps=True)
     sim = StreamSimulator(cfg)
     for t in range(3):
-        sim.step(generate_frame(cfg, t))
+        frame = generate_frame(cfg, t)
+        sim.step(frame)
     maps = sim.last_maps[0]
     layer = sim.session.layers[0]
     keys = layer.keys_matrix(np.float64)
     values = layer.values_matrix(np.float64)
-    q = sim.last_queries[0]
+    # Layer 0's queries: its projection of the frame-wise stage's output.
+    q = _rms_rows(sim._framewise(frame.embeddings.astype(sim.dtype))) @ sim.w_q[0]
     _, slow_maps = slow_attention(q, keys, values, heads=2, scale_mult=sim.sharpness[0])
     assert np.max(np.abs(slow_maps - maps)) <= 1e-12
 

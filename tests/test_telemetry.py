@@ -57,6 +57,26 @@ def test_malformed_trace_reports_line(tmp_path):
     assert err.value.line == 1
 
 
+def test_truncated_last_record_is_reported(tmp_path):
+    # A writer that stopped part-way leaves a last line without its
+    # newline; read_trace names it instead of calling it invalid JSON.
+    run = run_stream(StreamConfig(**SMALL, beta=0.5))
+    path = tmp_path / "trace.jsonl"
+    write_trace(run, path)
+    data = path.read_bytes()
+    n_lines = data.count(b"\n")
+    for cut in (2, 40, len(data.splitlines()[-1])):
+        cut_path = tmp_path / f"cut{cut}.jsonl"
+        cut_path.write_bytes(data[:-cut])
+        with pytest.raises(MalformedTrace, match="truncated last record") as err:
+            read_trace(cut_path)
+        assert err.value.line == n_lines
+    # Losing only the final newline loses no record.
+    cut_path = tmp_path / "cut1.jsonl"
+    cut_path.write_bytes(data[:-1])
+    assert read_trace(cut_path).records == read_trace(path).records
+
+
 def test_baseline_trace_key_count(tmp_path):
     cfg = StreamConfig(**{**SMALL, "frames": 8})
     run = baseline_run(cfg)
@@ -86,7 +106,7 @@ def synthetic_records(col_sums_by_step, layer=0):
         records.append(TraceRecord(
             step=step, layer=layer, n_keys=len(sums), budget_pre=None, budget_post=None,
             occupancy_pre=0, occupancy_post=len(sums), protected_count=0, clamped=False,
-            reason=None, evicted=[], sigma=0.0, pi=None, multiplies=0, footprint_bytes=0,
+            reason=None, evicted_ids=[], evicted_importances=[], sigma=0.0, pi=None, multiplies=0, footprint_bytes=0,
             key_ids=ids, col_sums_raw=[2 * s for s in sums], col_sums_headmean=list(sums),
         ))
     return records
