@@ -207,10 +207,12 @@ def _rms_rows(z: np.ndarray) -> np.ndarray:
 
 
 def _softmax_rows_f64(logits: np.ndarray) -> np.ndarray:
-    z = logits.astype(np.float64, copy=False)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Row softmax over the last axis, in place: ``logits`` is a float64
+    buffer the caller owns, overwritten with the result and returned."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
@@ -219,20 +221,18 @@ def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
 
 
 def _multihead_attention(q, k, v, heads: int, scale_mult: float) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled-dot attention; returns (context M x d, maps H x M x N in f64)."""
+    """Scaled-dot attention; returns (context M x d, maps H x M x N in f64).
+
+    One batched matmul per product covers every head; logits are upcast to f64 before scaling.
+    The softmax runs in place on that fresh buffer, so maps kept under ``keep_maps`` are never reused."""
     qh = _split_heads(q, heads)
     kh = _split_heads(k, heads)
     vh = _split_heads(v, heads)
-    head_dim = q.shape[1] // heads
-    scale = scale_mult / math.sqrt(head_dim)
-    maps = np.empty((heads, q.shape[0], k.shape[0]), dtype=np.float64)
-    ctx = np.empty((heads, q.shape[0], head_dim), dtype=np.float64)
-    for h in range(heads):
-        logits = (qh[h] @ kh[h].T).astype(np.float64, copy=False) * scale
-        maps[h] = _softmax_rows_f64(logits)
-        ctx[h] = maps[h] @ vh[h].astype(np.float64, copy=False)
-    merged = ctx.transpose(1, 0, 2).reshape(q.shape[0], q.shape[1])
-    return merged, maps
+    logits = np.matmul(qh, kh.transpose(0, 2, 1)).astype(np.float64, copy=False)
+    logits *= scale_mult / math.sqrt(q.shape[1] // heads)
+    maps = _softmax_rows_f64(logits)
+    ctx = np.matmul(maps, vh.astype(np.float64, copy=False))
+    return ctx.transpose(1, 0, 2).reshape(q.shape), maps
 
 
 class StreamSimulator:

@@ -82,6 +82,40 @@ def slow_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, scal
     return ctx, maps
 
 
+def per_head_attention(q, k, v, heads: int, scale_mult: float) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled-dot attention as a loop over heads; returns (context, maps).
+
+    Same numpy operations as ``simulate._multihead_attention`` in the
+    same order (float64 upcast before scaling, max-shifted softmax), one
+    head at a time with fresh temporaries, so the batched in-place
+    kernel must equal it bit for bit.
+    """
+
+    def split_heads(x):
+        n, d = x.shape
+        return x.reshape(n, heads, d // heads).transpose(1, 0, 2)
+
+    def softmax_rows_f64(logits):
+        z = logits.astype(np.float64, copy=False)
+        z = z - z.max(axis=-1, keepdims=True)
+        e = np.exp(z)
+        return e / e.sum(axis=-1, keepdims=True)
+
+    qh = split_heads(q)
+    kh = split_heads(k)
+    vh = split_heads(v)
+    head_dim = q.shape[1] // heads
+    scale = scale_mult / math.sqrt(head_dim)
+    maps = np.empty((heads, q.shape[0], k.shape[0]), dtype=np.float64)
+    ctx = np.empty((heads, q.shape[0], head_dim), dtype=np.float64)
+    for h in range(heads):
+        logits = (qh[h] @ kh[h].T).astype(np.float64, copy=False) * scale
+        maps[h] = softmax_rows_f64(logits)
+        ctx[h] = maps[h] @ vh[h].astype(np.float64, copy=False)
+    merged = ctx.transpose(1, 0, 2).reshape(q.shape[0], q.shape[1])
+    return merged, maps
+
+
 def cumulative_scores(step_logs) -> dict[int, tuple[float, int]]:
     """Recompute (cum_score, exposure) from (key_ids, maps) step logs.
 

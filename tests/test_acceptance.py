@@ -5,12 +5,10 @@ Each test prints a PASS line with its measured values; run with
 runs are shared with A8 through a module-level cache.
 """
 
-import math
 import time
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from boundedkv.allocation import allocate
 from boundedkv.cli import main as cli_main

@@ -11,15 +11,16 @@ from boundedkv.errors import AdmissionOverflow, ConfigError
 from boundedkv.oracle import baseline_run, compare_runs
 from boundedkv.simulate import (
     StreamSimulator,
+    _multihead_attention,
     _rms_rows,
     anchor_direction,
     generate_frame,
     run_stream,
     sharpness_profile,
 )
-from boundedkv.telemetry import records_from_run, write_trace
+from boundedkv.telemetry import write_trace
 
-from refimpl import slow_attention
+from refimpl import per_head_attention, slow_attention
 
 SMALL = dict(layers=2, heads=2, dim=16, tokens_per_frame=4, registers=0, frames=6, seed=13)
 
@@ -73,14 +74,42 @@ def test_kernel_matches_slow_reference():
     for t in range(3):
         frame = generate_frame(cfg, t)
         sim.step(frame)
-    maps = sim.last_maps[0]
+    z = frame.embeddings.astype(sim.dtype)
+    # The frame-wise stage attends the frame to itself (q is k).
+    zin = _rms_rows(z)
+    q, v = zin @ sim.fw_qk, zin @ sim.fw_v
+    ctx, maps = _multihead_attention(q, q, v, 2, 1.0)
+    slow_ctx, slow_maps = slow_attention(q, q, v, heads=2, scale_mult=1.0)
+    assert np.max(np.abs(slow_ctx - ctx)) <= 1e-12
+    assert np.max(np.abs(slow_maps - maps)) <= 1e-12
+    # Global layer 0: its queries project the frame-wise stage's output
+    # and attend every resident key.
     layer = sim.session.layers[0]
     keys = layer.keys_matrix(np.float64)
     values = layer.values_matrix(np.float64)
-    # Layer 0's queries: its projection of the frame-wise stage's output.
-    q = _rms_rows(sim._framewise(frame.embeddings.astype(sim.dtype))) @ sim.w_q[0]
-    _, slow_maps = slow_attention(q, keys, values, heads=2, scale_mult=sim.sharpness[0])
+    q = _rms_rows(sim._framewise(z)) @ sim.w_q[0]
+    ctx, maps = _multihead_attention(q, keys, values, 2, sim.sharpness[0])
+    assert np.array_equal(maps, sim.last_maps[0])
+    slow_ctx, slow_maps = slow_attention(q, keys, values, heads=2, scale_mult=sim.sharpness[0])
+    assert np.max(np.abs(slow_ctx - ctx)) <= 1e-12
     assert np.max(np.abs(slow_maps - maps)) <= 1e-12
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("n_keys", ["q", 1, 32, 410, 2100])
+def test_batched_kernel_equals_per_head_loop(dtype, heads, n_keys):
+    rng = np.random.default_rng([heads, 0 if n_keys == "q" else n_keys])
+    q = rng.standard_normal((32, 64)).astype(dtype)
+    # "q": the frame-wise stage passes q itself as k, and BLAS may take
+    # a symmetric path for q @ q.T.
+    k = q if n_keys == "q" else rng.standard_normal((n_keys, 64)).astype(dtype)
+    v = rng.standard_normal(k.shape).astype(dtype)
+    ctx, maps = _multihead_attention(q, k, v, heads, 1.7)
+    ref_ctx, ref_maps = per_head_attention(q, k, v, heads, 1.7)
+    assert maps.dtype == ctx.dtype == np.float64
+    assert np.array_equal(maps, ref_maps)
+    assert np.array_equal(ctx, ref_ctx)
 
 
 def test_run_deterministic_and_golden():

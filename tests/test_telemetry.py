@@ -1,7 +1,6 @@
 """Trace round-trips, heatmap export, summary tables."""
 
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
