@@ -7,14 +7,7 @@ simulator, brute-force oracles, and trace/metric telemetry.
 """
 
 from .allocation import AllocationResult, allocate, reallocate_step
-from .cache import (
-    CacheSession,
-    LayerCache,
-    TokenRow,
-    admit,
-    footprint_bytes,
-    remove,
-)
+from .cache import CacheSession, LayerCache, TokenRow, admit, remove
 from .config import StreamConfig, config_from_dict
 from .errors import (
     AdmissionOverflow,
@@ -38,7 +31,7 @@ from .oracle import (
     compare_runs,
     landmark_retention,
 )
-from .scoring import AttentionStats, accumulate, importance, importances, layer_sparsity
+from .scoring import accumulate, importance, importances, layer_sparsity
 from .simulate import (
     FrameTokens,
     RunSummary,

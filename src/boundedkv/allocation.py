@@ -28,8 +28,6 @@ class AllocationResult:
 
     shares: list[float]
     budgets: list[int]
-    tau: float
-    total: int
 
 
 def _softmax(sigmas: np.ndarray, tau: float) -> np.ndarray:
@@ -71,7 +69,7 @@ def allocate(sigmas, tau: float, total: int, cap: int | None = None) -> Allocati
 
     if cap is None:
         budgets = _floor_largest_remainder(shares, total)
-        return AllocationResult(shares=[float(p) for p in shares], budgets=budgets, tau=tau, total=total)
+        return AllocationResult(shares=[float(p) for p in shares], budgets=budgets)
 
     budgets = [0] * sig.size
     active = list(range(sig.size))
@@ -88,7 +86,7 @@ def allocate(sigmas, tau: float, total: int, cap: int | None = None) -> Allocati
             budgets[i] = cap
             remaining -= cap
         active = [i for i in active if i not in set(overflow)]
-    return AllocationResult(shares=[float(p) for p in shares], budgets=budgets, tau=tau, total=total)
+    return AllocationResult(shares=[float(p) for p in shares], budgets=budgets)
 
 
 def reallocate_step(session: CacheSession, sigmas) -> AllocationResult | None:
@@ -109,7 +107,6 @@ def reallocate_step(session: CacheSession, sigmas) -> AllocationResult | None:
     )
     for layer, budget in zip(session.layers, result.budgets):
         layer.budget = budget
-    session.last_sigmas = [float(s) for s in sigmas]
     return result
 
 

@@ -138,7 +138,7 @@ class LayerCache(_Columns):
     metadata columns are ``token_id``, ``frame_index``, ``kind``,
     ``birth_step``, ``exposure``, ``cum_score`` and ``protected``.
     ``id_objects`` holds the ids as Python ints, shared by every step's
-    AttentionStats.key_ids instead of fresh ints per key per step.
+    ``TraceRecord.key_ids`` instead of fresh ints per key per step.
     Token ids increase down the rows (admission order is id order).
     """
 
@@ -219,7 +219,6 @@ class CacheSession:
     layers: list[LayerCache] = field(default_factory=list)
     step_counter: int = 0
     budgets_total: int | None = None
-    last_sigmas: list[float] | None = None
     _next_token_id: int = 0
 
     def __post_init__(self):
@@ -308,11 +307,3 @@ def remove(session: CacheSession, layer_index: int, token_ids) -> int:
         raise ProtectedEviction(f"layer {layer_index}: protected token ids {wanted[shielded].tolist()}")
     return layer._evict(rows, session.step_counter) if len(rows) else 0
 
-
-def footprint_bytes(session: CacheSession, scalar_bytes: int) -> int:
-    """Bytes held by cached keys and values only (no metadata).
-
-    Each resident token stores a key and a value of ``dim`` scalars.
-    """
-    width = 2 * session.config.dim * scalar_bytes
-    return sum(layer.occupancy() * width for layer in session.layers)

@@ -23,7 +23,7 @@ import numpy as np
 from .allocation import allocate
 from .config import ATTN_DTYPES, BUDGET_MODES, POLICIES, StreamConfig, config_from_dict
 from .errors import BoundedKVError, ConfigError
-from .oracle import baseline_run, brute_force_scores, compare_runs, landmark_retention, map_log_from_run
+from .oracle import baseline_run, brute_force_scores, compare_runs, landmark_retention, map_log_from_records
 from .scoring import importance
 from .simulate import run_stream
 from .telemetry import (
@@ -222,13 +222,12 @@ def cmd_ablate(args: argparse.Namespace) -> int:
             cell = replace(seed_cfg, policy=policy)
             run = run_stream(cell)
             divergence = compare_runs(run, base)
-            retention = landmark_retention(run)
-            finite = [r for r in retention if not np.isnan(r)]
-            if finite:
-                retention_by_policy[policy].append(float(np.mean(finite)))
+            row = summary_row(run, label=f"{policy}-seed{cell.seed}",
+                              divergence=divergence, retention=landmark_retention(run))
+            if row.landmark_retention is not None:
+                retention_by_policy[policy].append(row.landmark_retention)
             retained_mass_by_policy[policy].append(float(np.mean(divergence.retained_mass)))
-            rows.append(summary_row(run, label=f"{policy}-seed{cell.seed}",
-                                    divergence=divergence, retention=retention))
+            rows.append(row)
     table = summarize(rows)
     (out / "ablate_summary.csv").write_text(table, encoding="utf-8")
     print(table, end="")
@@ -267,10 +266,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # Softmax conservation on every step and layer of the full run.
     worst_raw = 0.0
     worst_mean = 0.0
-    for step_stats in full_run.stats:
-        for st in step_stats:
-            worst_raw = max(worst_raw, abs(float(np.sum(st.col_sums_raw)) - cfg.heads * cfg.tokens_per_frame))
-            worst_mean = max(worst_mean, abs(float(np.sum(st.col_sums_headmean)) - cfg.tokens_per_frame))
+    for rec in full_run.records:
+        worst_raw = max(worst_raw, abs(float(np.sum(rec.col_sums_raw)) - cfg.heads * cfg.tokens_per_frame))
+        worst_mean = max(worst_mean, abs(float(np.sum(rec.col_sums_headmean)) - cfg.tokens_per_frame))
     _check("conservation", worst_raw <= 1e-6 and worst_mean <= 1e-6,
            f"max_raw_err={worst_raw:.3e} max_mean_err={worst_mean:.3e}", failures)
 
@@ -280,7 +278,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     score_run = run_stream(score_cfg)
     worst_rel = 0.0
     for layer in range(score_cfg.layers):
-        expected = brute_force_scores(map_log_from_run(score_run, layer))
+        expected = brute_force_scores(map_log_from_records(score_run.records, layer))
         lc = score_run.session.layers[layer]
         for rec in list(lc.records) + list(lc.evicted):
             ref = expected[rec.token_id]

@@ -14,9 +14,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import KIND_PATCH, StreamConfig
+from .config import StreamConfig
 from .errors import ConfigMismatch, IncompleteLog
-from .simulate import RunSummary, run_stream
+from .simulate import RunSummary, TraceRecord, run_stream
 
 # Config fields allowed to differ between compared runs.
 _NONSTRUCTURAL = {"beta", "budget_tokens", "budget_mode", "ref_frames", "policy", "keep_maps"}
@@ -57,43 +57,24 @@ def baseline_run(config: StreamConfig) -> RunSummary:
     return run_stream(replace(config, policy="none", beta=None, budget_tokens=None))
 
 
-@dataclass
-class MapLogEntry:
-    """One step of a layer's full attention-map log."""
-
-    step: int
-    key_ids: list[int]
-    maps: np.ndarray
-
-
-def map_log_from_run(run: RunSummary, layer: int) -> list[MapLogEntry]:
-    if run.maps is None:
-        raise IncompleteLog("run was executed without keep_maps")
-    entries = []
-    for t, (step_stats, step_maps) in enumerate(zip(run.stats, run.maps)):
-        entries.append(MapLogEntry(step=t, key_ids=list(step_stats[layer].key_ids), maps=step_maps[layer]))
-    return entries
-
-
-def map_log_from_records(records, layer: int) -> list[MapLogEntry]:
-    entries = []
-    for rec in records:
-        if rec.layer != layer:
-            continue
+def map_log_from_records(records: list[TraceRecord], layer: int) -> list[TraceRecord]:
+    """The layer's records, each checked to carry its attention maps."""
+    entries = [rec for rec in records if rec.layer == layer]
+    for rec in entries:
         if rec.maps is None:
             raise IncompleteLog(f"record (step {rec.step}, layer {layer}) has no map payload")
-        entries.append(MapLogEntry(step=rec.step, key_ids=list(rec.key_ids), maps=np.asarray(rec.maps)))
     return entries
 
 
-def brute_force_scores(map_log: list[MapLogEntry]) -> dict[int, TokenScores]:
+def brute_force_scores(map_log: list[TraceRecord]) -> dict[int, TokenScores]:
     """Recompute cumulative score, exposure, and importance from maps.
 
     For each token: the score is the sum over its residency steps of the
     per-step column sum (over heads and queries) divided by that step's
     key count; exposure counts the residency steps; importance is their
     ratio. Tokens evicted at step k accrue nothing from later steps by
-    construction (they no longer appear as columns).
+    construction (they no longer appear as columns). Only each record's
+    ``step``, ``key_ids`` and ``maps`` are read.
     """
     entries = sorted(map_log, key=lambda e: e.step)
     if not entries:
@@ -144,9 +125,9 @@ def compare_runs(bounded: RunSummary, baseline: RunSummary) -> DivergenceReport:
     for layer in range(baseline.config.layers):
         kept = 0.0
         total = 0.0
-        for step_stats_b, step_stats_a in zip(baseline.stats, bounded.stats):
-            base = step_stats_b[layer]
-            resident = set(step_stats_a[layer].key_ids)
+        for report_b, report_a in zip(baseline.reports, bounded.reports):
+            base = report_b.layers[layer]
+            resident = set(report_a.layers[layer].key_ids)
             mass = np.asarray(base.col_sums_headmean, dtype=np.float64)
             total += float(mass.sum())
             keep_mask = np.fromiter((tid in resident for tid in base.key_ids), dtype=bool, count=len(base.key_ids))
@@ -162,23 +143,18 @@ def landmark_token_ids(run: RunSummary, layer: int) -> set[int]:
     Frame-0 landmarks are excluded: protection retains them under every
     policy, which would flatten retention comparisons.
     """
-    cfg = run.config
+    m = run.config.tokens_per_frame
     ids: set[int] = set()
-    for t, step_stats in enumerate(run.stats):
-        if t == 0:
-            continue
-        admitted = step_stats[layer].key_ids[-cfg.tokens_per_frame:]
-        mask = run.landmark_masks[t]
-        kinds = run.frame_kinds[t]
-        for slot, tid in enumerate(admitted):
-            if mask[slot] and kinds[slot] == KIND_PATCH:
-                ids.add(tid)
+    for report, mask in zip(run.reports[1:], run.landmark_masks[1:]):
+        admitted = report.layers[layer].key_ids[-m:]
+        # Landmarks are planted on patch slots only.
+        ids.update(tid for slot, tid in enumerate(admitted) if mask[slot])
     return ids
 
 
 def landmark_retention(run: RunSummary) -> list[float]:
     """Per-layer fraction of planted (unprotected) landmarks still resident."""
-    if not run.stats:
+    if not run.reports:
         return [float("nan")] * run.config.layers
     out = []
     for layer in range(run.config.layers):
@@ -186,6 +162,6 @@ def landmark_retention(run: RunSummary) -> list[float]:
         if not planted:
             out.append(float("nan"))
             continue
-        final_ids = set(run.stats[-1][layer].key_ids)
+        final_ids = set(run.reports[-1].layers[layer].key_ids)
         out.append(len(planted & final_ids) / len(planted))
     return out

@@ -15,67 +15,52 @@ Protected tokens short-circuit to +inf importance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .cache import LayerCache, TokenRow
 from .errors import StaleStats
 
+if TYPE_CHECKING:
+    from .simulate import TraceRecord
 
-@dataclass
-class AttentionStats:
-    """Column statistics of one step's attention in one layer.
 
-    ``col_sums_raw`` sums weights over all heads and queries (totals H*M);
-    ``col_sums_headmean`` is the column sum of the head-averaged map
-    (totals M). ``key_ids`` names the column owners in cache order.
+def stats_from_maps(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column sums of an (H, M, N) stack of attention maps.
+
+    Returns ``(col_sums_raw, col_sums_headmean)``: the first sums weights
+    over all heads and queries (totals H*M), the second is the column sum
+    of the head-averaged map (totals M).
     """
-
-    step: int
-    layer_index: int
-    n_keys: int
-    col_sums_raw: np.ndarray
-    col_sums_headmean: np.ndarray
-    key_ids: list[int]
-
-
-def stats_from_maps(step: int, layer_index: int, maps: np.ndarray, key_ids: list[int]) -> AttentionStats:
-    """Build column statistics from an (H, M, N) stack of attention maps."""
     raw = maps.sum(axis=(0, 1)).astype(np.float64, copy=False)
-    return AttentionStats(
-        step=step,
-        layer_index=layer_index,
-        n_keys=maps.shape[2],
-        col_sums_raw=raw,
-        col_sums_headmean=raw / maps.shape[0],
-        key_ids=key_ids,
-    )
+    return raw, raw / maps.shape[0]
 
 
-def accumulate(cache_layer: LayerCache, stats: AttentionStats) -> None:
+def accumulate(cache_layer: LayerCache, record: TraceRecord) -> None:
     """Fold one step's column sums into the layer's resident tokens.
 
-    Adds ``col_sums_raw[j] / n_keys`` to each token's cumulative score
-    and counts the step into every resident token's exposure. Tokens
-    born this step already carry the step in their admission exposure
-    of 1, so only older residents are incremented here.
+    ``record`` is the step's (step, layer) record. Adds
+    ``col_sums_raw[j] / n_keys`` to each token's cumulative score and
+    counts the step into every resident token's exposure. Tokens born
+    this step already carry the step in their admission exposure of 1,
+    so only older residents are incremented here.
     """
     ids = cache_layer.token_ids()
-    if stats.n_keys != len(ids) or stats.key_ids != ids:
+    if record.n_keys != len(ids) or record.key_ids != ids:
         raise StaleStats(
-            f"layer {cache_layer.layer_index}: stats cover {stats.n_keys} keys, "
+            f"layer {cache_layer.layer_index}: record covers {record.n_keys} keys, "
             f"cache holds {len(ids)}"
         )
-    if len(stats.col_sums_raw) != stats.n_keys:
+    if len(record.col_sums_raw) != record.n_keys:
         raise StaleStats(
-            f"layer {cache_layer.layer_index}: {len(stats.col_sums_raw)} column sums "
-            f"for {stats.n_keys} keys"
+            f"layer {cache_layer.layer_index}: {len(record.col_sums_raw)} column sums "
+            f"for {record.n_keys} keys"
         )
-    n = stats.n_keys
+    n = record.n_keys
     inv_n = 1.0 / n
-    cache_layer.cum_score[:n] += np.asarray(stats.col_sums_raw, dtype=np.float64) * inv_n
-    cache_layer.exposure[:n] += cache_layer.birth_step[:n] < stats.step
+    cache_layer.cum_score[:n] += np.asarray(record.col_sums_raw, dtype=np.float64) * inv_n
+    cache_layer.exposure[:n] += cache_layer.birth_step[:n] < record.step
 
 
 def importance(token: TokenRow) -> float:
@@ -95,11 +80,11 @@ def importances(cache_layer: LayerCache, rows: np.ndarray) -> np.ndarray:
     return values
 
 
-def layer_sparsity(stats: AttentionStats) -> float:
+def layer_sparsity(record: TraceRecord) -> float:
     """Negative population variance of the head-mean column sums.
 
     Near-uniform (dense) attention gives a value near zero; concentrated
     attention gives a strictly more negative value. Defined for a single
     key (variance 0).
     """
-    return -float(np.var(np.asarray(stats.col_sums_headmean, dtype=np.float64)))
+    return -float(np.var(np.asarray(record.col_sums_headmean, dtype=np.float64)))

@@ -35,7 +35,7 @@ from .allocation import bootstrap_budgets, reallocate_step
 from .cache import CacheSession, admit
 from .config import KIND_CAMERA, KIND_PATCH, KIND_REGISTER, StreamConfig
 from .eviction import maintain_step, make_policy
-from .scoring import AttentionStats, accumulate, layer_sparsity, stats_from_maps
+from .scoring import accumulate, layer_sparsity, stats_from_maps
 
 _TAG_FRAME = 11
 _TAG_LANDMARK = 12
@@ -90,10 +90,10 @@ class TraceRecord:
     ``evicted_ids`` and ``evicted_importances`` are parallel lists; the
     trace file writes them as one ``evicted`` list of objects.
 
-    ``StreamSimulator.step`` shares the step's ``AttentionStats`` key ids
-    and column-sum arrays (and its attention maps when ``keep_maps`` is
-    set) rather than copying them; ``telemetry.records_from_run`` gives
-    the list form that a trace reads back as.
+    This is the one carrier of a step's attention data: scoring reads
+    its key ids and column sums, and it holds the attention maps when
+    ``keep_maps`` is set. ``telemetry.records_from_run`` gives the list
+    form that a trace reads back as.
     """
 
     step: int
@@ -130,15 +130,18 @@ class StepReport:
 
 @dataclass
 class RunSummary:
-    """Everything a finished stream produced."""
+    """Everything a finished stream produced.
+
+    ``stats[t]`` is the same list object as ``reports[t].layers``, not a
+    copy; the field stays for callers that build a run with
+    ``dataclasses.replace(run, reports=..., stats=...)``.
+    """
 
     config: StreamConfig
     budget: dict
     reports: list[StepReport]
     outputs: list[np.ndarray]
-    stats: list[list[AttentionStats]]
-    maps: list[list[np.ndarray]] | None
-    frame_kinds: list[list[str]]
+    stats: list[list[TraceRecord]]
     landmark_masks: list[np.ndarray]
     session: CacheSession
 
@@ -304,11 +307,7 @@ class StreamSimulator:
         return z + ctx.astype(self.dtype) @ self.fw_out
 
     def step(self, frame: FrameTokens) -> tuple[np.ndarray, StepReport]:
-        """Process one frame; returns its output embeddings and telemetry.
-
-        The step's per-layer column statistics (and full maps when
-        ``keep_maps`` is set) are left on ``last_stats`` / ``last_maps``.
-        """
+        """Process one frame; returns its output embeddings and telemetry."""
         cfg = self.config
         session = self.session
         t = session.step_counter
@@ -327,9 +326,6 @@ class StreamSimulator:
         z = frame.embeddings.astype(self.dtype)
         z = self._framewise(z)
 
-        sigmas: list[float] = []
-        step_stats: list[AttentionStats] = []
-        step_maps: list[np.ndarray] = []
         records: list[TraceRecord] = []
         for li, layer in enumerate(session.layers):
             zin = _rms_rows(z)
@@ -344,48 +340,40 @@ class StreamSimulator:
             ctx, maps = _multihead_attention(q, keys, values, cfg.heads, self.sharpness[li])
             z = z + ctx.astype(self.dtype) @ self.w_out[li]
 
-            stats = stats_from_maps(t, li, maps, layer.token_ids())
-            accumulate(layer, stats)
-            sigmas.append(layer_sparsity(stats))
-            step_stats.append(stats)
-            if cfg.keep_maps:
-                step_maps.append(maps)
-
+            raw, headmean = stats_from_maps(maps)
             n_keys = layer.occupancy()
             plan = plans.get(li)
-            records.append(
-                TraceRecord(
-                    step=t,
-                    layer=li,
-                    n_keys=n_keys,
-                    budget_pre=budgets_pre[li],
-                    budget_post=None,
-                    occupancy_pre=occupancy_pre[li],
-                    occupancy_post=n_keys,
-                    protected_count=layer.protected_count,
-                    clamped=clamped[li],
-                    reason=plan.reason if plan else None,
-                    evicted_ids=plan.victim_ids if plan else [],
-                    evicted_importances=plan.importances_at_eviction if plan else [],
-                    sigma=sigmas[li],
-                    multiplies=2 * cfg.tokens_per_frame * n_keys * cfg.dim,
-                    footprint_bytes=n_keys * 2 * cfg.dim * cfg.scalar_bytes,
-                    key_ids=stats.key_ids,
-                    col_sums_raw=stats.col_sums_raw,
-                    col_sums_headmean=stats.col_sums_headmean,
-                    maps=maps if cfg.keep_maps else None,
-                )
+            record = TraceRecord(
+                step=t,
+                layer=li,
+                n_keys=n_keys,
+                budget_pre=budgets_pre[li],
+                budget_post=None,
+                occupancy_pre=occupancy_pre[li],
+                occupancy_post=n_keys,
+                protected_count=layer.protected_count,
+                clamped=clamped[li],
+                reason=plan.reason if plan else None,
+                evicted_ids=plan.victim_ids if plan else [],
+                evicted_importances=plan.importances_at_eviction if plan else [],
+                multiplies=2 * cfg.tokens_per_frame * n_keys * cfg.dim,
+                footprint_bytes=n_keys * 2 * cfg.dim * cfg.scalar_bytes,
+                key_ids=layer.token_ids(),
+                col_sums_raw=raw,
+                col_sums_headmean=headmean,
+                maps=maps if cfg.keep_maps else None,
             )
+            accumulate(layer, record)
+            record.sigma = layer_sparsity(record)
+            records.append(record)
 
-        allocation = reallocate_step(session, sigmas)
+        allocation = reallocate_step(session, [r.sigma for r in records])
         if allocation is not None:
             for record, budget, share in zip(records, allocation.budgets, allocation.shares):
                 record.budget_post = budget
                 record.pi = share
 
         session.step_counter += 1
-        self.last_stats = step_stats
-        self.last_maps = step_maps if cfg.keep_maps else None
         report = StepReport(
             step=t,
             layers=records,
@@ -400,28 +388,19 @@ def run_stream(config: StreamConfig) -> RunSummary:
     sim = StreamSimulator(config)
     reports: list[StepReport] = []
     outputs: list[np.ndarray] = []
-    all_stats: list[list[AttentionStats]] = []
-    all_maps: list[list[np.ndarray]] = []
-    frame_kinds: list[list[str]] = []
     masks: list[np.ndarray] = []
     for t in range(config.frames):
         frame = generate_frame(config, t)
         out, report = sim.step(frame)
         reports.append(report)
         outputs.append(out)
-        all_stats.append(sim.last_stats)
-        frame_kinds.append(list(frame.kinds))
         masks.append(frame.landmark_mask.copy())
-        if config.keep_maps:
-            all_maps.append(sim.last_maps)
     return RunSummary(
         config=config,
         budget=config.budget_metadata(),
         reports=reports,
         outputs=outputs,
-        stats=all_stats,
-        maps=all_maps if config.keep_maps else None,
-        frame_kinds=frame_kinds,
+        stats=[report.layers for report in reports],
         landmark_masks=masks,
         session=sim.session,
     )

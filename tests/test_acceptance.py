@@ -18,7 +18,7 @@ from boundedkv.oracle import (
     brute_force_scores,
     compare_runs,
     landmark_retention,
-    map_log_from_run,
+    map_log_from_records,
 )
 from boundedkv.scoring import importance
 from boundedkv.simulate import run_stream
@@ -119,7 +119,7 @@ def test_a3_scoring_oracle_ten_seeds():
         run = run_stream(cfg)
         assert total_evictions(run) > 0  # the regime must exercise eviction
         for layer in range(cfg.layers):
-            expected = brute_force_scores(map_log_from_run(run, layer))
+            expected = brute_force_scores(map_log_from_records(run.records, layer))
             lc = run.session.layers[layer]
             for rec in list(lc.records) + list(lc.evicted):
                 ref = expected[rec.token_id]
@@ -140,10 +140,9 @@ def test_a4_conservation():
     for cfg in (DESK, replace(DESK, frames=12, beta=0.2, budget_mode="fixed-horizon")):
         run = run_stream(cfg)
         h, m = cfg.heads, cfg.tokens_per_frame
-        for step_stats in run.stats:
-            for st in step_stats:
-                worst_raw = max(worst_raw, abs(float(np.sum(st.col_sums_raw)) - h * m))
-                worst_mean = max(worst_mean, abs(float(np.sum(st.col_sums_headmean)) - m))
+        for rec in run.records:
+            worst_raw = max(worst_raw, abs(float(np.sum(rec.col_sums_raw)) - h * m))
+            worst_mean = max(worst_mean, abs(float(np.sum(rec.col_sums_headmean)) - m))
     assert worst_raw <= 1e-6
     assert worst_mean <= 1e-6
     print(f"\nA4 PASS — column-sum conservation: raw err {worst_raw:.2e} <= 1e-6, "
@@ -240,13 +239,13 @@ def test_a8_protected_persistence():
                                            for p in A6_POLICIES]:
         cfg = run.config
         expected = cfg.tokens_per_frame + (cfg.frames - 1) * (1 + cfg.registers)
-        final_ids = [set(run.stats[-1][layer].key_ids) for layer in range(cfg.layers)]
+        final_ids = [set(run.reports[-1].layers[layer].key_ids) for layer in range(cfg.layers)]
         for layer, lc in enumerate(run.session.layers):
             assert not any(rec.protected for rec in lc.evicted)
             assert lc.protected_count == expected
             resident_protected = {rec.token_id for rec in lc.records if rec.protected}
             assert resident_protected <= final_ids[layer]
-            first_frame = set(run.stats[0][layer].key_ids)
+            first_frame = set(run.reports[0].layers[layer].key_ids)
             assert first_frame <= final_ids[layer]
         checked += 1
     assert checked == len(A2_BETAS) + len(A6_SEEDS) * len(A6_POLICIES)

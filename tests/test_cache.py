@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from boundedkv.cache import CacheSession, admit, footprint_bytes, remove
+from boundedkv.cache import CacheSession, admit, remove
 from boundedkv.config import StreamConfig
 from boundedkv.errors import AdmissionOverflow, ProtectedEviction, UnknownLayer, UnknownToken
 
@@ -90,21 +90,6 @@ def test_remove_unknown_token():
     admit_tokens(session, 0, 1)
     with pytest.raises(UnknownToken):
         remove(session, 0, [123456])
-
-
-def test_footprint_direct_product():
-    # 4 frames x 6 tokens x 2 layers x 2*8 scalars x 4 bytes = 3072
-    session = make_session(layers=2, heads=2, dim=8, tokens_per_frame=6, registers=0, frames=4)
-    for t in range(4):
-        for layer in range(2):
-            admit_tokens(session, layer, t, 6)
-        session.step_counter += 1
-    assert footprint_bytes(session, 4) == 3072
-
-
-def test_footprint_empty_session():
-    session = make_session()
-    assert footprint_bytes(session, 4) == 0
 
 
 def test_token_ids_unique_across_layers_and_steps():

@@ -1,10 +1,17 @@
-"""Source hygiene: no module imports a name it never uses.
+"""Source hygiene: no module imports a name it never uses, and no
+package class has a field that nothing reads.
 
-The repository configures no linter, so this standard-library AST scan
-stands in for the unused-import rule. It covers the package modules
-(except ``__init__.py``, whose imports are re-exports) and the test
-modules. A name counts as used when it is read anywhere in the module
-or listed in ``__all__``.
+The repository configures no linter, so these standard-library AST scans
+stand in for the unused-import and write-only-field rules.
+
+The import scan covers the package modules (except ``__init__.py``,
+whose imports are re-exports) and the test modules. A name counts as
+used when it is read anywhere in the module or listed in ``__all__``.
+
+The field scan covers every annotated field of a class in the package.
+A field counts as read when some module under ``src/``, ``tests/`` or
+``bench/`` loads an attribute of that name, names it in a ``getattr``
+call, or passes the field's class to ``fields(...)``.
 """
 
 import ast
@@ -13,10 +20,12 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = sorted((ROOT / "src" / "boundedkv").glob("*.py"))
 SCANNED = sorted(
-    p for p in [*(ROOT / "src" / "boundedkv").glob("*.py"), *(ROOT / "tests").glob("*.py")]
+    p for p in [*PACKAGE, *(ROOT / "tests").glob("*.py")]
     if p.name != "__init__.py"
 )
+READERS = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -49,3 +58,43 @@ def test_scanner_flags_an_unused_import():
 @pytest.mark.parametrize("path", SCANNED, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def write_only_fields(defining: str, readers: list[str]) -> list[str]:
+    """``Class.field`` of every annotated field in ``defining`` that no
+    module in ``readers`` reads."""
+    declared = [
+        (cls.name, stmt.target.id)
+        for cls in ast.walk(ast.parse(defining)) if isinstance(cls, ast.ClassDef)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    ]
+    read: set[str] = set()
+    whole: set[str] = set()
+    for source in readers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                args = node.args
+                if node.func.id == "fields" and args and isinstance(args[0], ast.Name):
+                    whole.add(args[0].id)
+                elif node.func.id == "getattr" and len(args) > 1 and isinstance(args[1], ast.Constant):
+                    read.add(args[1].value)
+    return [f"{cls}.{name}" for cls, name in declared if name not in read and cls not in whole]
+
+
+def test_scanner_flags_a_write_only_field():
+    defining = (
+        "class A:\n    x: int\n    y: int\n    z: int = 0\n"
+        "class B:\n    w: int\n"
+        "class C:\n    v: int\n"
+    )
+    reader = "print(a.x, getattr(a, 'y'))\nfields(B)\na.z = a.v = 2\n"
+    assert write_only_fields(defining, [reader]) == ["A.z", "C.v"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_write_only_fields(path):
+    readers = [p.read_text() for p in READERS]
+    assert write_only_fields(path.read_text(), readers) == []

@@ -8,19 +8,28 @@ import pytest
 from boundedkv.config import StreamConfig
 from boundedkv.errors import ConfigMismatch, IncompleteLog
 from boundedkv.oracle import (
-    MapLogEntry,
     baseline_run,
     brute_force_scores,
     compare_runs,
     landmark_retention,
-    map_log_from_run,
+    map_log_from_records,
 )
 from boundedkv.scoring import importance
-from boundedkv.simulate import run_stream
+from boundedkv.simulate import TraceRecord, run_stream
+from boundedkv.telemetry import read_trace, write_trace
 
 from refimpl import cumulative_scores
 
 DESK = dict(layers=4, heads=2, dim=32, tokens_per_frame=8, registers=1, seed=7)
+
+
+def map_record(step, key_ids, maps):
+    """A layer-0 record carrying only what brute force reads."""
+    return TraceRecord(
+        step=step, layer=0, n_keys=len(key_ids), budget_pre=None, budget_post=None,
+        occupancy_pre=0, occupancy_post=len(key_ids), protected_count=0, clamped=False,
+        reason=None, key_ids=key_ids, maps=maps,
+    )
 
 
 def test_baseline_occupancy_and_quadratic_totals():
@@ -44,7 +53,7 @@ def test_brute_force_matches_incremental_under_eviction():
     run = run_stream(cfg)
     evicted_any = False
     for layer in range(cfg.layers):
-        expected = brute_force_scores(map_log_from_run(run, layer))
+        expected = brute_force_scores(map_log_from_records(run.records, layer))
         lc = run.session.layers[layer]
         evicted_any = evicted_any or bool(lc.evicted)
         for rec in list(lc.records) + list(lc.evicted):
@@ -56,9 +65,27 @@ def test_brute_force_matches_incremental_under_eviction():
     assert evicted_any  # the regime must actually exercise eviction
 
 
+def test_live_records_and_trace_give_same_brute_force_scores(tmp_path):
+    cfg = StreamConfig(**DESK, frames=12, beta=0.2, keep_maps=True)
+    run = run_stream(cfg)
+    assert any(rec.evicted_ids for rec in run.records)
+    path = tmp_path / "trace.jsonl"
+    write_trace(run, path)
+    read = read_trace(path).records
+    for layer in range(cfg.layers):
+        live = brute_force_scores(map_log_from_records(run.records, layer))
+        assert live == brute_force_scores(map_log_from_records(read, layer))
+
+
+def test_map_log_needs_maps():
+    run = run_stream(StreamConfig(**DESK, frames=2))
+    with pytest.raises(IncompleteLog):
+        map_log_from_records(run.records, 0)
+
+
 def test_single_step_log_reduces_to_column_sums():
     maps = np.array([[[0.2, 0.8], [0.5, 0.5]]])  # (H=1, M=2, N=2)
-    scores = brute_force_scores([MapLogEntry(step=0, key_ids=[10, 11], maps=maps)])
+    scores = brute_force_scores([map_record(0, [10, 11], maps)])
     assert scores[10].cum_score == pytest.approx(0.7 / 2)
     assert scores[11].cum_score == pytest.approx(1.3 / 2)
     assert scores[10].exposure == 1
@@ -67,7 +94,7 @@ def test_single_step_log_reduces_to_column_sums():
 def test_brute_force_agrees_with_pure_python_reference():
     cfg = StreamConfig(**DESK, frames=5, beta=0.4, keep_maps=True)
     run = run_stream(cfg)
-    log = map_log_from_run(run, 2)
+    log = map_log_from_records(run.records, 2)
     mine = brute_force_scores(log)
     ref = cumulative_scores([(e.key_ids, e.maps) for e in log])
     assert set(mine) == set(ref)
@@ -81,7 +108,7 @@ def test_evicted_token_accrues_nothing_after_eviction():
     run = run_stream(cfg)
     layer = run.session.layers[1]
     assert layer.evicted
-    scores = brute_force_scores(map_log_from_run(run, 1))
+    scores = brute_force_scores(map_log_from_records(run.records, 1))
     for rec in layer.evicted:
         # Residency window: birth..eviction-1 (evicted before its
         # eviction step's attention ran).
@@ -95,11 +122,11 @@ def test_incomplete_log_rejected():
         brute_force_scores([])
     with pytest.raises(IncompleteLog):
         brute_force_scores([
-            MapLogEntry(step=0, key_ids=[0, 1], maps=maps),
-            MapLogEntry(step=2, key_ids=[0, 1], maps=maps),
+            map_record(0, [0, 1], maps),
+            map_record(2, [0, 1], maps),
         ])
     with pytest.raises(IncompleteLog):
-        brute_force_scores([MapLogEntry(step=0, key_ids=[0, 1, 2], maps=maps)])
+        brute_force_scores([map_record(0, [0, 1, 2], maps)])
 
 
 def test_compare_runs_identical_at_full_budget():

@@ -58,8 +58,8 @@ def test_stream_properties(layers, heads, patches, registers, frames, budget, va
         # Scores and exposures of every token ever admitted match the
         # pure-Python recomputation from the logged maps.
         expected = cumulative_scores(
-            (step_stats[layer].key_ids, step_maps[layer])
-            for step_stats, step_maps in zip(run.stats, run.maps)
+            (report.layers[layer].key_ids, report.layers[layer].maps)
+            for report in run.reports
         )
         rows = list(lc.records) + list(lc.evicted)
         assert sorted(r.token_id for r in rows) == sorted(expected)
@@ -71,9 +71,9 @@ def test_stream_properties(layers, heads, patches, registers, frames, budget, va
         # Survivors keep admission order: each step's keys are the last
         # step's keys minus this step's victims, then the new frame.
         previous = []
-        for step_stats, report in zip(run.stats, run.reports):
-            ids = step_stats[layer].key_ids
+        for report in run.reports:
             cell = report.layers[layer]
+            ids = cell.key_ids
             victims = set(cell.evicted_ids)
             assert len(victims) == len(cell.evicted_ids) and victims <= set(previous)
             survivors = [tid for tid in previous if tid not in victims]

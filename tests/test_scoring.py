@@ -11,13 +11,13 @@ from boundedkv.cache import CacheSession, TokenRow, admit
 from boundedkv.config import StreamConfig
 from boundedkv.errors import StaleStats
 from boundedkv.scoring import (
-    AttentionStats,
     accumulate,
     importance,
     importances,
     layer_sparsity,
     stats_from_maps,
 )
+from boundedkv.simulate import TraceRecord
 
 from refimpl import cumulative_scores, population_variance
 
@@ -31,12 +31,18 @@ def session_with(n_tokens, frame_index=1, kinds=None):
     return session, session.layers[0].records
 
 
-def make_stats(step, key_ids, raw):
+def make_record(step, key_ids, raw, headmean=None):
+    """A layer-0 record carrying one step's column sums."""
     raw = np.asarray(raw, dtype=np.float64)
-    return AttentionStats(
-        step=step, layer_index=0, n_keys=len(key_ids),
-        col_sums_raw=raw, col_sums_headmean=raw, key_ids=list(key_ids),
+    return TraceRecord(
+        step=step, layer=0, n_keys=len(key_ids), budget_pre=None, budget_post=None,
+        occupancy_pre=0, occupancy_post=len(key_ids), protected_count=0, clamped=False, reason=None,
+        key_ids=list(key_ids), col_sums_raw=raw, col_sums_headmean=raw if headmean is None else headmean,
     )
+
+
+def record_from_maps(step, maps, key_ids):
+    return make_record(step, key_ids, *stats_from_maps(maps))
 
 
 def test_uniform_attention_gains():
@@ -44,19 +50,19 @@ def test_uniform_attention_gains():
     # total 2 = H*M, each cumulative score gains 0.5/4 = 0.125.
     session, recs = session_with(4)
     maps = np.full((1, 2, 4), 0.25)
-    stats = stats_from_maps(step=0, layer_index=0, maps=maps, key_ids=[r.token_id for r in recs])
-    assert stats.col_sums_raw == pytest.approx([0.5] * 4)
-    assert float(np.sum(stats.col_sums_raw)) == pytest.approx(1 * 2)
-    accumulate(session.layers[0], stats)
+    record = record_from_maps(0, maps, [r.token_id for r in recs])
+    assert record.col_sums_raw == pytest.approx([0.5] * 4)
+    assert float(np.sum(record.col_sums_raw)) == pytest.approx(1 * 2)
+    accumulate(session.layers[0], record)
     assert [r.cum_score for r in session.layers[0].records] == pytest.approx([0.125] * 4)
 
 
 def test_stale_stats_rejected():
     session, recs = session_with(3)
-    stats = make_stats(0, [recs[0].token_id, recs[1].token_id], [0.5, 0.5])
+    stale = make_record(0, [recs[0].token_id, recs[1].token_id], [0.5, 0.5])
     with pytest.raises(StaleStats):
-        accumulate(session.layers[0], stats)
-    reordered = make_stats(0, [r.token_id for r in reversed(recs)], [0.3, 0.3, 0.4])
+        accumulate(session.layers[0], stale)
+    reordered = make_record(0, [r.token_id for r in reversed(recs)], [0.3, 0.3, 0.4])
     with pytest.raises(StaleStats):
         accumulate(session.layers[0], reordered)
 
@@ -65,11 +71,11 @@ def test_exposure_counts_residency_steps():
     session, recs = session_with(2)
     ids = [r.token_id for r in recs]
     # Birth step is already counted by admission.
-    accumulate(session.layers[0], make_stats(0, ids, [1.0, 1.0]))
+    accumulate(session.layers[0], make_record(0, ids, [1.0, 1.0]))
     assert [r.exposure for r in session.layers[0].records] == [1, 1]
     for step in (1, 2, 3):
         session.step_counter = step
-        accumulate(session.layers[0], make_stats(step, ids, [1.0, 1.0]))
+        accumulate(session.layers[0], make_record(step, ids, [1.0, 1.0]))
     assert [r.exposure for r in session.layers[0].records] == [4, 4]
     for r in session.layers[0].records:
         assert r.exposure == 3 - r.birth_step + 1
@@ -79,14 +85,14 @@ def test_two_step_accumulation_matches_bruteforce():
     session, recs = session_with(2)
     ids = [r.token_id for r in recs]
     maps_t0 = np.array([[[0.7, 0.3], [0.4, 0.6]]])  # (H=1, M=2, N=2)
-    accumulate(session.layers[0], stats_from_maps(0, 0, maps_t0, ids))
+    accumulate(session.layers[0], record_from_maps(0, maps_t0, ids))
 
     session.step_counter = 1
     newer = list(session.issue_token_ids(2))
     admit(session, 0, newer, np.zeros((2, 32)), np.zeros((2, 32)), 1, ["patch", "patch"])
     all_ids = ids + newer
     maps_t1 = np.array([[[0.1, 0.2, 0.3, 0.4], [0.25, 0.25, 0.25, 0.25]]])
-    accumulate(session.layers[0], stats_from_maps(1, 0, maps_t1, all_ids))
+    accumulate(session.layers[0], record_from_maps(1, maps_t1, all_ids))
 
     expected = cumulative_scores([(ids, maps_t0), (all_ids, maps_t1)])
     for rec in session.layers[0].records:
@@ -121,7 +127,7 @@ def test_vector_importances_match_rows():
     ids = [r.token_id for r in recs]
     for step in range(3):
         session.step_counter = step
-        accumulate(session.layers[0], make_stats(step, ids, [0.4, 0.1, 1.2]))
+        accumulate(session.layers[0], make_record(step, ids, [0.4, 0.1, 1.2]))
     layer = session.layers[0]
     expected = [importance(r) for r in layer.records]
     assert importances(layer, np.arange(3)).tolist() == expected
@@ -129,25 +135,25 @@ def test_vector_importances_match_rows():
 
 
 def test_sparsity_zero_for_uniform_columns():
-    stats = make_stats(0, [0, 1, 2], [0.5, 0.5, 0.5])
-    assert layer_sparsity(stats) == 0.0
+    record = make_record(0, [0, 1, 2], [0.5, 0.5, 0.5])
+    assert layer_sparsity(record) == 0.0
 
 
 def test_sparsity_hand_example():
-    stats = make_stats(0, [0, 1, 2, 3], [1.0, 0.0, 0.0, 1.0])
-    assert layer_sparsity(stats) == pytest.approx(-0.25, abs=1e-15)
-    assert layer_sparsity(stats) == pytest.approx(-population_variance([1.0, 0.0, 0.0, 1.0]), abs=1e-15)
+    record = make_record(0, [0, 1, 2, 3], [1.0, 0.0, 0.0, 1.0])
+    assert layer_sparsity(record) == pytest.approx(-0.25, abs=1e-15)
+    assert layer_sparsity(record) == pytest.approx(-population_variance([1.0, 0.0, 0.0, 1.0]), abs=1e-15)
 
 
 def test_denser_map_has_larger_sparsity_value():
-    dense = make_stats(0, list(range(4)), [0.5, 0.5, 0.5, 0.5])
-    concentrated = make_stats(0, list(range(4)), [1.9, 0.05, 0.03, 0.02])
+    dense = make_record(0, list(range(4)), [0.5, 0.5, 0.5, 0.5])
+    concentrated = make_record(0, list(range(4)), [1.9, 0.05, 0.03, 0.02])
     assert layer_sparsity(dense) > layer_sparsity(concentrated)
 
 
 def test_single_key_sparsity_defined():
-    stats = make_stats(0, [0], [2.0])
-    assert layer_sparsity(stats) == 0.0
+    record = make_record(0, [0], [2.0])
+    assert layer_sparsity(record) == 0.0
 
 
 def test_cum_score_nondecreasing():
@@ -156,7 +162,7 @@ def test_cum_score_nondecreasing():
     history = []
     for step in range(5):
         session.step_counter = step
-        accumulate(session.layers[0], make_stats(step, ids, [0.4, 0.0, 1.2]))
+        accumulate(session.layers[0], make_record(step, ids, [0.4, 0.0, 1.2]))
         history.append([r.cum_score for r in session.layers[0].records])
     for earlier, later in zip(history, history[1:]):
         assert all(b >= a for a, b in zip(earlier, later))
@@ -174,7 +180,7 @@ def test_score_scaling_preserves_ordering(sums, scale):
         ids = [r.token_id for r in recs]
         for step, row in enumerate(sums):
             session.step_counter = step
-            accumulate(session.layers[0], make_stats(step, ids, [multiplier * x for x in row]))
+            accumulate(session.layers[0], make_record(step, ids, [multiplier * x for x in row]))
         recs = session.layers[0].records
         return [r.cum_score for r in recs], [importance(r) for r in recs]
 

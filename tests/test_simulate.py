@@ -61,10 +61,9 @@ def test_zero_gain_masks_have_no_effect():
 def test_attention_rows_sum_to_one():
     cfg = StreamConfig(**SMALL, keep_maps=True)
     run = run_stream(cfg)
-    for step_maps in run.maps:
-        for maps in step_maps:
-            rows = maps.sum(axis=2)
-            assert np.max(np.abs(rows - 1.0)) <= 1e-6
+    for rec in run.records:
+        rows = rec.maps.sum(axis=2)
+        assert np.max(np.abs(rows - 1.0)) <= 1e-6
 
 
 def test_kernel_matches_slow_reference():
@@ -73,7 +72,7 @@ def test_kernel_matches_slow_reference():
     sim = StreamSimulator(cfg)
     for t in range(3):
         frame = generate_frame(cfg, t)
-        sim.step(frame)
+        _, report = sim.step(frame)
     z = frame.embeddings.astype(sim.dtype)
     # The frame-wise stage attends the frame to itself (q is k).
     zin = _rms_rows(z)
@@ -89,7 +88,7 @@ def test_kernel_matches_slow_reference():
     values = layer.values_matrix(np.float64)
     q = _rms_rows(sim._framewise(z)) @ sim.w_q[0]
     ctx, maps = _multihead_attention(q, keys, values, 2, sim.sharpness[0])
-    assert np.array_equal(maps, sim.last_maps[0])
+    assert np.array_equal(maps, report.layers[0].maps)
     slow_ctx, slow_maps = slow_attention(q, keys, values, heads=2, scale_mult=sim.sharpness[0])
     assert np.max(np.abs(slow_ctx - ctx)) <= 1e-12
     assert np.max(np.abs(slow_maps - maps)) <= 1e-12
@@ -147,9 +146,9 @@ def test_policy_none_unbounded_keeps_every_frame():
     cfg = StreamConfig(**SMALL, policy="none")
     run = run_stream(cfg)
     m = cfg.tokens_per_frame
-    for t, step_stats in enumerate(run.stats):
+    for t, report in enumerate(run.reports):
         for layer in range(cfg.layers):
-            ids = step_stats[layer].key_ids
+            ids = report.layers[layer].key_ids
             assert len(ids) == (t + 1) * m
             assert ids == sorted(ids)
 
@@ -228,6 +227,13 @@ def test_none_policy_with_roomy_budget_matches_baseline():
     assert div.overall_max_abs <= 1e-12
 
 
+def test_run_stats_are_the_step_records():
+    run = run_stream(StreamConfig(**SMALL, beta=0.4))
+    assert len(run.stats) == len(run.reports) == run.config.frames
+    for t, report in enumerate(run.reports):
+        assert run.stats[t] is report.layers
+
+
 def test_report_internal_consistency():
     cfg = StreamConfig(**SMALL, beta=0.4)
     run = run_stream(cfg)
@@ -249,7 +255,7 @@ def landmark_percentiles(run, layer):
     pcts = []
     frames = run.config.frames
     for t in range(frames // 2, frames):
-        st = run.stats[t][layer]
+        st = run.reports[t].layers[layer]
         sums = np.asarray(st.col_sums_headmean)
         order = np.argsort(-sums)
         rank = {st.key_ids[i]: r for r, i in enumerate(order)}
