@@ -137,15 +137,12 @@ class LayerCache(_Columns):
     ``K`` and ``V`` hold keys and values in the compute dtype; the
     metadata columns are ``token_id``, ``frame_index``, ``kind``,
     ``birth_step``, ``exposure``, ``cum_score`` and ``protected``.
-    ``id_objects`` holds the ids as Python ints, shared by every step's
-    ``TraceRecord.key_ids`` instead of fresh ints per key per step.
     Token ids increase down the rows (admission order is id order).
     """
 
     def __init__(self, layer_index: int, dim: int, dtype=np.float64):
         super().__init__(_META, (
             ("protected", np.bool_, ()),
-            ("id_objects", object, ()),
             ("K", dtype, (dim,)),
             ("V", dtype, (dim,)),
         ))
@@ -161,9 +158,6 @@ class LayerCache(_Columns):
     def occupancy(self) -> int:
         return self.n
 
-    def token_ids(self) -> list[int]:
-        return self.id_objects[: self.n].tolist()
-
     def effective_budget(self, new_tokens: int) -> int | None:
         """Budget clamped to the protected floor (None when unbounded).
 
@@ -174,13 +168,13 @@ class LayerCache(_Columns):
             return None
         return max(self.budget, self.protected_count + new_tokens)
 
-    def keys_matrix(self, dtype) -> np.ndarray:
+    def keys_matrix(self) -> np.ndarray:
         """Resident keys; a view, valid until the layer next changes."""
-        return self.K[: self.n].astype(dtype, copy=False)
+        return self.K[: self.n]
 
-    def values_matrix(self, dtype) -> np.ndarray:
+    def values_matrix(self) -> np.ndarray:
         """Resident values; a view, valid until the layer next changes."""
-        return self.V[: self.n].astype(dtype, copy=False)
+        return self.V[: self.n]
 
     def _evict(self, rows: np.ndarray, step: int) -> int:
         """Move the given sorted rows to the eviction log, keeping
@@ -254,8 +248,8 @@ def admit(session: CacheSession, layer_index: int, token_ids, keys, values,
     not free enough slots) first. Validation happens before any mutation.
     """
     layer = session.layer(layer_index)
-    ids = list(token_ids)
-    count, start = len(ids), layer.n
+    new_ids = np.array(list(token_ids), dtype=np.int64)
+    count, start = len(new_ids), layer.n
     if not session.unbounded:
         effective = layer.effective_budget(count)
         if start + count > effective:
@@ -263,9 +257,8 @@ def admit(session: CacheSession, layer_index: int, token_ids, keys, values,
                 f"layer {layer_index}: occupancy {start} + "
                 f"{count} new tokens exceeds effective budget {effective}"
             )
-    new_ids = np.array(ids, dtype=np.int64)
     if np.any(new_ids[1:] <= new_ids[:-1]) or (count and start and new_ids[0] <= layer.token_id[start - 1]):
-        raise ValueError(f"layer {layer_index}: token ids {ids} are not new and increasing")
+        raise ValueError(f"layer {layer_index}: token ids {new_ids.tolist()} are not new and increasing")
     if len(kinds) != count or np.shape(keys) != (count, layer.K.shape[1]) or np.shape(values) != np.shape(keys):
         raise ValueError(f"layer {layer_index}: {count} ids need {count} kinds, keys and values")
     codes = np.array([_KIND_CODE[kind] for kind in kinds], dtype=np.int64)
@@ -282,7 +275,6 @@ def admit(session: CacheSession, layer_index: int, token_ids, keys, values,
     layer.exposure[start:stop] = 1
     layer.cum_score[start:stop] = 0.0
     layer.protected[start:stop] = protected
-    layer.id_objects[start:stop] = ids
     layer.n = stop
     layer.protected_count += int(np.count_nonzero(protected))
 

@@ -127,11 +127,9 @@ def compare_runs(bounded: RunSummary, baseline: RunSummary) -> DivergenceReport:
         total = 0.0
         for report_b, report_a in zip(baseline.reports, bounded.reports):
             base = report_b.layers[layer]
-            resident = set(report_a.layers[layer].key_ids)
             mass = np.asarray(base.col_sums_headmean, dtype=np.float64)
             total += float(mass.sum())
-            keep_mask = np.fromiter((tid in resident for tid in base.key_ids), dtype=bool, count=len(base.key_ids))
-            kept += float(mass[keep_mask].sum())
+            kept += float(mass[np.isin(base.key_ids, report_a.layers[layer].key_ids)].sum())
         retained.append(kept / total if total > 0 else 1.0)
 
     return DivergenceReport(max_abs=max_abs, rms=rms, cosine=cosine, retained_mass=retained)
@@ -146,9 +144,8 @@ def landmark_token_ids(run: RunSummary, layer: int) -> set[int]:
     m = run.config.tokens_per_frame
     ids: set[int] = set()
     for report, mask in zip(run.reports[1:], run.landmark_masks[1:]):
-        admitted = report.layers[layer].key_ids[-m:]
         # Landmarks are planted on patch slots only.
-        ids.update(tid for slot, tid in enumerate(admitted) if mask[slot])
+        ids.update(np.asarray(report.layers[layer].key_ids[-m:])[mask].tolist())
     return ids
 
 
@@ -162,6 +159,6 @@ def landmark_retention(run: RunSummary) -> list[float]:
         if not planted:
             out.append(float("nan"))
             continue
-        final_ids = set(run.reports[-1].layers[layer].key_ids)
+        final_ids = set(np.asarray(run.reports[-1].layers[layer].key_ids).tolist())
         out.append(len(planted & final_ids) / len(planted))
     return out

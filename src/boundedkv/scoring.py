@@ -46,18 +46,17 @@ def accumulate(cache_layer: LayerCache, record: TraceRecord) -> None:
     this step already carry the step in their admission exposure of 1,
     so only older residents are incremented here.
     """
-    ids = cache_layer.token_ids()
-    if record.n_keys != len(ids) or record.key_ids != ids:
+    n = cache_layer.n
+    if record.n_keys != n or not np.array_equal(record.key_ids, cache_layer.token_id[:n]):
         raise StaleStats(
             f"layer {cache_layer.layer_index}: record covers {record.n_keys} keys, "
-            f"cache holds {len(ids)}"
+            f"cache holds {n}"
         )
     if len(record.col_sums_raw) != record.n_keys:
         raise StaleStats(
             f"layer {cache_layer.layer_index}: {len(record.col_sums_raw)} column sums "
             f"for {record.n_keys} keys"
         )
-    n = record.n_keys
     inv_n = 1.0 / n
     cache_layer.cum_score[:n] += np.asarray(record.col_sums_raw, dtype=np.float64) * inv_n
     cache_layer.exposure[:n] += cache_layer.birth_step[:n] < record.step

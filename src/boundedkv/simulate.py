@@ -92,7 +92,8 @@ class TraceRecord:
 
     This is the one carrier of a step's attention data: scoring reads
     its key ids and column sums, and it holds the attention maps when
-    ``keep_maps`` is set. ``telemetry.records_from_run`` gives the list
+    ``keep_maps`` is set. In a run, ``key_ids`` is an int64 copy of the
+    layer's id column. ``telemetry.records_from_run`` gives the list
     form that a trace reads back as.
     """
 
@@ -112,7 +113,7 @@ class TraceRecord:
     pi: float | None = None
     multiplies: int = 0
     footprint_bytes: int = 0
-    key_ids: list[int] = field(default_factory=list)
+    key_ids: list[int] | np.ndarray = field(default_factory=list)
     col_sums_raw: list[float] | np.ndarray = field(default_factory=list)
     col_sums_headmean: list[float] | np.ndarray = field(default_factory=list)
     maps: list | np.ndarray | None = None
@@ -244,7 +245,7 @@ class StreamSimulator:
     def __init__(self, config: StreamConfig):
         config.validate()
         self.config = config
-        self.dtype = np.float64 if config.attn_dtype == "float64" else np.float32
+        self.dtype = np.dtype(config.attn_dtype)
         self.session = CacheSession(config=config)
         self.policy = make_policy(config)
         d, seed = config.dim, config.seed
@@ -316,11 +317,7 @@ class StreamSimulator:
 
         budgets_pre = [layer.budget for layer in session.layers]
         occupancy_pre = [layer.occupancy() for layer in session.layers]
-        clamped = [
-            layer.budget is not None
-            and layer.protected_count + cfg.tokens_per_frame > layer.budget
-            for layer in session.layers
-        ]
+        clamped = [layer.effective_budget(cfg.tokens_per_frame) != layer.budget for layer in session.layers]
         plans = {p.layer_index: p for p in maintain_step(session, self.policy)}
 
         z = frame.embeddings.astype(self.dtype)
@@ -335,8 +332,8 @@ class StreamSimulator:
             ids = session.issue_token_ids(cfg.tokens_per_frame)
             admit(session, li, ids, k, v, frame.frame_index, frame.kinds)
 
-            keys = layer.keys_matrix(self.dtype)
-            values = layer.values_matrix(self.dtype)
+            keys = layer.keys_matrix()
+            values = layer.values_matrix()
             ctx, maps = _multihead_attention(q, keys, values, cfg.heads, self.sharpness[li])
             z = z + ctx.astype(self.dtype) @ self.w_out[li]
 
@@ -358,7 +355,7 @@ class StreamSimulator:
                 evicted_importances=plan.importances_at_eviction if plan else [],
                 multiplies=2 * cfg.tokens_per_frame * n_keys * cfg.dim,
                 footprint_bytes=n_keys * 2 * cfg.dim * cfg.scalar_bytes,
-                key_ids=layer.token_ids(),
+                key_ids=layer.token_id[:n_keys].copy(),
                 col_sums_raw=raw,
                 col_sums_headmean=headmean,
                 maps=maps if cfg.keep_maps else None,

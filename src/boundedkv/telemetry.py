@@ -42,6 +42,7 @@ def records_from_run(run: RunSummary) -> list[TraceRecord]:
     return [
         replace(
             rec,
+            key_ids=rec.key_ids.tolist(),
             col_sums_raw=rec.col_sums_raw.tolist(),
             col_sums_headmean=rec.col_sums_headmean.tolist(),
             maps=None if rec.maps is None else rec.maps.tolist(),
@@ -89,21 +90,14 @@ def _record_from_json(payload, lineno: int) -> TraceRecord:
         raise MalformedTrace(str(exc), line=lineno) from exc
 
 
-def write_trace(run_or_records, path, config: dict | None = None, budget: dict | None = None) -> Path:
-    """Write a trace file; accepts a RunSummary or a TraceRecord list."""
-    if isinstance(run_or_records, RunSummary):
-        records = run_or_records.records
-        config = run_or_records.config.to_dict()
-        budget = run_or_records.budget
-    else:
-        records = run_or_records
-        config = config or {}
-        budget = budget or {}
-    header = {"format": TRACE_FORMAT, "version": TRACE_VERSION, "config": config, "budget": budget}
+def write_trace(source: RunSummary | Trace, path) -> Path:
+    """Write a trace file from a finished run or from a trace read back."""
+    config = source.config.to_dict() if isinstance(source, RunSummary) else source.config
+    header = {"format": TRACE_FORMAT, "version": TRACE_VERSION, "config": config, "budget": source.budget}
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, separators=(",", ":")) + "\n")
-        for rec in records:
+        for rec in source.records:
             fh.write(_record_to_json(rec) + "\n")
     return path
 
@@ -192,7 +186,9 @@ def export_heatmap(records: list[TraceRecord], layer: int, path, reweight: bool 
     path.with_suffix(".pgm").write_text("".join(pgm_lines), encoding="utf-8")
 
     sidecar = {"layer": layer, "column_ids": col_ids, "frame_boundaries": boundaries}
-    path.with_suffix(".frames.json").write_text(json.dumps(sidecar, separators=(",", ":")) + "\n", encoding="utf-8")
+    # A run's records hold key ids as numpy ints.
+    sidecar_text = json.dumps(sidecar, separators=(",", ":"), default=int)
+    path.with_suffix(".frames.json").write_text(sidecar_text + "\n", encoding="utf-8")
     return grid
 
 
@@ -233,9 +229,7 @@ def summary_row(run: RunSummary | Trace, label: str, divergence=None, retention=
         footprints[rec.step] += rec.footprint_bytes
         multiplies[rec.step] += rec.multiplies
         evictions += len(rec.evicted_ids)
-    mean_div = None
-    if divergence is not None:
-        mean_div = float(np.mean(divergence.rms)) if divergence.rms else 0.0
+    mean_div = None if divergence is None else divergence.mean_rms
     mean_ret = None
     if retention is not None:
         finite = [r for r in retention if not math.isnan(r)]

@@ -135,3 +135,38 @@ def cumulative_scores(step_logs) -> dict[int, tuple[float, int]]:
             scores[tid] = scores.get(tid, 0.0) + acc / n
             exposure[tid] = exposure.get(tid, 0) + 1
     return {tid: (scores[tid], exposure[tid]) for tid in scores}
+
+
+def retained_mass_by_id(bounded, baseline, layer: int) -> float:
+    """Share of the baseline's head-mean column mass on keys resident in
+    the bounded run at the same step, for one layer.
+
+    Residency is tested one id at a time against a Python set. The sums
+    are the same numpy reductions the package uses, so the two results
+    can be compared exactly.
+    """
+    kept = total = 0.0
+    for report_b, report_a in zip(baseline.reports, bounded.reports):
+        resident = {int(tid) for tid in report_a.layers[layer].key_ids}
+        base = report_b.layers[layer]
+        mass = np.asarray(base.col_sums_headmean, dtype=np.float64)
+        keep = np.array([int(tid) in resident for tid in base.key_ids], dtype=bool)
+        total += float(mass.sum())
+        kept += float(mass[keep].sum())
+    return kept / total if total > 0 else 1.0
+
+
+def landmark_retention_by_id(run, layer: int) -> float:
+    """Fraction of a layer's planted landmarks, frames 1 onward, that are
+    resident at the last step; NaN when none were planted."""
+    m = run.config.tokens_per_frame
+    planted = set()
+    for report, mask in zip(run.reports[1:], run.landmark_masks[1:]):
+        admitted = [int(tid) for tid in report.layers[layer].key_ids][-m:]
+        for slot in range(m):
+            if mask[slot]:
+                planted.add(admitted[slot])
+    if not planted:
+        return math.nan
+    final = {int(tid) for tid in run.reports[-1].layers[layer].key_ids}
+    return sum(1 for tid in planted if tid in final) / len(planted)

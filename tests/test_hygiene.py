@@ -12,12 +12,18 @@ The field scan covers every annotated field of a class in the package.
 A field counts as read when some module under ``src/``, ``tests/`` or
 ``bench/`` loads an attribute of that name, names it in a ``getattr``
 call, or passes the field's class to ``fields(...)``.
+
+The column scan checks that a new ``LayerCache`` and ``EvictionLog``
+hold no ``object``-dtype array.
 """
 
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from boundedkv.cache import EvictionLog, LayerCache
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "boundedkv").glob("*.py"))
@@ -98,3 +104,11 @@ def test_scanner_flags_a_write_only_field():
 def test_no_write_only_fields(path):
     readers = [p.read_text() for p in READERS]
     assert write_only_fields(path.read_text(), readers) == []
+
+
+@pytest.mark.parametrize("make", [lambda: LayerCache(0, 8), EvictionLog], ids=["LayerCache", "EvictionLog"])
+def test_no_object_columns(make):
+    # North star: the cache is arrays, not per-token Python objects.
+    columns = {name: value.dtype for name, value in vars(make()).items() if isinstance(value, np.ndarray)}
+    assert columns
+    assert [name for name, dtype in columns.items() if dtype == object] == []

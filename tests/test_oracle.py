@@ -18,7 +18,7 @@ from boundedkv.scoring import importance
 from boundedkv.simulate import TraceRecord, run_stream
 from boundedkv.telemetry import read_trace, write_trace
 
-from refimpl import cumulative_scores
+from refimpl import cumulative_scores, landmark_retention_by_id, retained_mass_by_id
 
 DESK = dict(layers=4, heads=2, dim=32, tokens_per_frame=8, registers=1, seed=7)
 
@@ -157,6 +157,19 @@ def test_retained_mass_within_unit_interval():
     div = compare_runs(run, base)
     assert all(0.0 <= m <= 1.0 for m in div.retained_mass)
     assert any(m < 1.0 for m in div.retained_mass)  # eviction discarded some mass
+
+
+def test_retained_mass_and_landmark_retention_match_id_by_id_reference():
+    cfg = StreamConfig(**DESK, frames=12, beta=0.2, landmark_frac=0.25)
+    run, base = run_stream(cfg), baseline_run(cfg)
+    div = compare_runs(run, base)
+    retention = landmark_retention(run)
+    assert any(len(layer.evicted) for layer in run.session.layers)
+    assert any(m < 1.0 for m in div.retained_mass)
+    assert any(r < 1.0 for r in retention)
+    for layer in range(cfg.layers):
+        assert div.retained_mass[layer] == retained_mass_by_id(run, base, layer)
+        assert retention[layer] == landmark_retention_by_id(run, layer)
 
 
 def test_config_mismatch_detected():

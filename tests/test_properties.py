@@ -73,7 +73,7 @@ def test_stream_properties(layers, heads, patches, registers, frames, budget, va
         previous = []
         for report in run.reports:
             cell = report.layers[layer]
-            ids = cell.key_ids
+            ids = cell.key_ids.tolist()
             victims = set(cell.evicted_ids)
             assert len(victims) == len(cell.evicted_ids) and victims <= set(previous)
             survivors = [tid for tid in previous if tid not in victims]

@@ -84,8 +84,8 @@ def test_kernel_matches_slow_reference():
     # Global layer 0: its queries project the frame-wise stage's output
     # and attend every resident key.
     layer = sim.session.layers[0]
-    keys = layer.keys_matrix(np.float64)
-    values = layer.values_matrix(np.float64)
+    keys = layer.keys_matrix()
+    values = layer.values_matrix()
     q = _rms_rows(sim._framewise(z)) @ sim.w_q[0]
     ctx, maps = _multihead_attention(q, keys, values, 2, sim.sharpness[0])
     assert np.array_equal(maps, report.layers[0].maps)
@@ -148,7 +148,7 @@ def test_policy_none_unbounded_keeps_every_frame():
     m = cfg.tokens_per_frame
     for t, report in enumerate(run.reports):
         for layer in range(cfg.layers):
-            ids = report.layers[layer].key_ids
+            ids = report.layers[layer].key_ids.tolist()
             assert len(ids) == (t + 1) * m
             assert ids == sorted(ids)
 

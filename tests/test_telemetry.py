@@ -33,7 +33,7 @@ def test_round_trip_records_and_bytes(tmp_path):
     assert trace.records == records_from_run(run)
     # Writing what was read reproduces the file byte for byte.
     second = tmp_path / "copy.jsonl"
-    write_trace(trace.records, second, config=trace.config, budget=trace.budget)
+    write_trace(trace, second)
     assert second.read_bytes() == path.read_bytes()
 
 
@@ -151,6 +151,15 @@ def test_heatmap_files_and_boundaries(tmp_path):
     sidecar = json.loads((tmp_path / "heatmap.frames.json").read_text())
     # Baseline admission order: frame f starts at column f * M.
     assert sidecar["frame_boundaries"] == [f * cfg.tokens_per_frame for f in range(cfg.frames)]
+
+
+def test_heatmap_from_run_records_matches_trace_records(tmp_path):
+    run = run_stream(StreamConfig(**SMALL, beta=0.5))
+    export_heatmap(run.records, 1, tmp_path / "run.txt")
+    export_heatmap(records_from_run(run), 1, tmp_path / "trace.txt")
+    for suffix in (".txt", ".pgm", ".frames.json"):
+        written = [(tmp_path / name).with_suffix(suffix).read_bytes() for name in ("run", "trace")]
+        assert written[0] == written[1]
 
 
 def test_exported_variance_ordering_matches_sparsity(tmp_path):
