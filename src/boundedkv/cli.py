@@ -11,9 +11,11 @@ Exit codes: 0 success, 2 configuration error, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import filecmp
 import json
 import os
 import sys
+import tempfile
 import typing
 from dataclasses import fields, replace
 from pathlib import Path
@@ -30,7 +32,6 @@ from .telemetry import (
     SummaryRow,
     export_heatmap,
     read_trace,
-    records_from_run,
     summarize,
     summary_row,
     write_trace,
@@ -328,12 +329,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     rows.append(summary_row(bounded_run, label="verify-bounded", retention=landmark_retention(bounded_run)))
 
     # Identical config and seed must reproduce the trace byte-for-byte.
-    again = run_stream(bounded_cfg)
-    first_bytes = json.dumps([r.__dict__ for r in records_from_run(bounded_run)])
-    second_bytes = json.dumps([r.__dict__ for r in records_from_run(again)])
-    _check("determinism", first_bytes == second_bytes, "bounded rerun byte-identical", failures)
+    trace_path = write_trace(bounded_run, out / "verify_trace.jsonl")
+    with tempfile.TemporaryDirectory() as tmp:
+        rerun_path = write_trace(run_stream(bounded_cfg), Path(tmp) / "verify_trace.jsonl")
+        identical = filecmp.cmp(trace_path, rerun_path, shallow=False)
+    _check("determinism", identical, "bounded rerun byte-identical", failures)
 
-    write_trace(bounded_run, out / "verify_trace.jsonl")
     (out / "verify_summary.csv").write_text(summarize(rows), encoding="utf-8")
     if failures:
         print(f"verification failed: {', '.join(failures)}", file=sys.stderr)

@@ -53,8 +53,13 @@ class DivergenceReport:
 
 
 def baseline_run(config: StreamConfig) -> RunSummary:
-    """Unbounded no-eviction run sharing the exact compute kernels."""
-    return run_stream(replace(config, policy="none", beta=None, budget_tokens=None))
+    """Unbounded no-eviction run sharing the exact compute kernels.
+
+    The run keeps no attention maps: ``compare_runs`` reads only outputs,
+    key ids and column sums, and ``keep_maps`` is nonstructural, so the
+    result compares against a ``keep_maps`` run unchanged.
+    """
+    return run_stream(replace(config, policy="none", beta=None, budget_tokens=None, keep_maps=False))
 
 
 def map_log_from_records(records: list[TraceRecord], layer: int) -> list[TraceRecord]:

@@ -103,35 +103,38 @@ def write_trace(source: RunSummary | Trace, path) -> Path:
 
 
 def read_trace(path) -> Trace:
-    """Parse a trace file.
+    """Parse a trace file, one line at a time.
 
-    A last line without its newline that does not parse is reported as
-    a truncated record: the writer stopped part-way through it.
+    Only the current line is held besides the records, so reading takes
+    little more memory than the records it returns. A last line without
+    its newline that does not parse is reported as a truncated record:
+    the writer stopped part-way through it.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if not lines:
-        raise MalformedTrace("empty trace file", line=1)
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise MalformedTrace(f"header is not valid JSON ({exc.msg})", line=1) from exc
-    if not isinstance(header, dict) or header.get("format") != TRACE_FORMAT:
-        raise MalformedTrace("missing trace format tag", line=1)
-    if header.get("version") != TRACE_VERSION:
-        raise MalformedTrace(f"unsupported trace version {header.get('version')!r}", line=1)
-
-    records = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
+    with Path(path).open(encoding="utf-8") as fh:
+        first = fh.readline()
+        if not first:
+            raise MalformedTrace("empty trace file", line=1)
         try:
-            payload = json.loads(raw)
+            header = json.loads(first)
         except json.JSONDecodeError as exc:
-            if lineno == len(lines) and not text.endswith("\n"):
-                raise MalformedTrace("truncated last record", line=lineno) from exc
-            raise MalformedTrace(f"record is not valid JSON ({exc.msg})", line=lineno) from exc
-        records.append(_record_from_json(payload, lineno))
+            raise MalformedTrace(f"header is not valid JSON ({exc.msg})", line=1) from exc
+        if not isinstance(header, dict) or header.get("format") != TRACE_FORMAT:
+            raise MalformedTrace("missing trace format tag", line=1)
+        if header.get("version") != TRACE_VERSION:
+            raise MalformedTrace(f"unsupported trace version {header.get('version')!r}", line=1)
+
+        records = []
+        for lineno, raw in enumerate(fh, start=2):
+            if not raw.strip():
+                continue
+            try:
+                payload = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                # Only the last line can lack its newline.
+                if not raw.endswith("\n"):
+                    raise MalformedTrace("truncated last record", line=lineno) from exc
+                raise MalformedTrace(f"record is not valid JSON ({exc.msg})", line=lineno) from exc
+            records.append(_record_from_json(payload, lineno))
     return Trace(version=header["version"], config=header.get("config", {}),
                  budget=header.get("budget", {}), records=records)
 

@@ -129,6 +129,16 @@ def test_incomplete_log_rejected():
         brute_force_scores([map_record(0, [0, 1, 2], maps)])
 
 
+def test_baseline_keeps_no_maps_and_compares_the_same():
+    cfg = StreamConfig(**DESK, frames=10, beta=0.3, keep_maps=True)
+    run = run_stream(cfg)
+    base = baseline_run(cfg)
+    assert all(rec.maps is None for rec in base.records)
+    with_maps = run_stream(replace(cfg, policy="none", beta=None, budget_tokens=None))
+    assert all(rec.maps is not None for rec in with_maps.records)
+    assert compare_runs(run, base) == compare_runs(run, with_maps)
+
+
 def test_compare_runs_identical_at_full_budget():
     cfg = StreamConfig(**DESK, frames=10, beta=1.0)
     run = run_stream(cfg)

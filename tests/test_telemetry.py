@@ -1,6 +1,7 @@
 """Trace round-trips, heatmap export, summary tables."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,30 @@ def test_round_trip_records_and_bytes(tmp_path):
     second = tmp_path / "copy.jsonl"
     write_trace(trace, second)
     assert second.read_bytes() == path.read_bytes()
+
+
+def test_read_trace_holds_only_its_result(tmp_path):
+    # The reader parses line by line: beyond the records it returns it
+    # holds about one line, never the whole text or a list of its lines.
+    run = run_stream(StreamConfig(**{**SMALL, "frames": 24}, beta=0.5, keep_maps=True))
+    path = write_trace(run, tmp_path / "trace.jsonl")
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        trace = read_trace(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.records == records_from_run(run)
+    assert peak - kept < size / 2
+
+
+def test_crlf_trace_reads_back_equal(tmp_path):
+    run = run_stream(StreamConfig(**SMALL, beta=0.5))
+    path = write_trace(run, tmp_path / "trace.jsonl")
+    crlf = tmp_path / "crlf.jsonl"
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert read_trace(crlf) == read_trace(path)
 
 
 def test_malformed_trace_reports_line(tmp_path):
