@@ -86,9 +86,4 @@ def layer_sparsity(record: TraceRecord) -> float:
     attention gives a strictly more negative value. Defined for a single
     key (variance 0).
     """
-    x = np.asarray(record.col_sums_headmean, dtype=np.float64)
-    n = x.shape[0]
-    # np.var's own operation order, without its dispatch.
-    dev = x - np.add.reduce(x) / n
-    np.square(dev, out=dev)
-    return -float(np.add.reduce(dev) / n)
+    return -float(np.var(np.asarray(record.col_sums_headmean, dtype=np.float64)))

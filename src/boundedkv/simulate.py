@@ -206,7 +206,7 @@ def sharpness_profile(config: StreamConfig) -> list[float]:
 
 
 def _rms_rows(z: np.ndarray) -> np.ndarray:
-    scale = np.sqrt(np.add.reduce(z * z, axis=1, keepdims=True) / z.shape[1] + 1e-12)
+    scale = np.sqrt(np.mean(z * z, axis=1, keepdims=True) + 1e-12)
     return z / scale
 
 

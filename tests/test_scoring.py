@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from boundedkv.cache import CacheSession, TokenRow, admit
 from boundedkv.config import StreamConfig
@@ -157,16 +156,6 @@ def test_single_key_sparsity_defined():
     assert layer_sparsity(record) == 0.0
 
 
-@settings(max_examples=100, deadline=None)
-@given(data=st.data(), width=st.sampled_from([64, 32]))
-def test_sparsity_equals_numpy_var(data, width):
-    # Exactly np.var's value, not an approximation, for any length.
-    dtype = np.float64 if width == 64 else np.float32
-    sums = data.draw(hnp.arrays(dtype, st.integers(1, 300), elements=st.floats(0.0, 1e3, width=width)))
-    record = make_record(0, list(range(len(sums))), sums, headmean=sums)
-    assert layer_sparsity(record) == -float(np.var(np.asarray(sums, dtype=np.float64)))
-
-
 def test_cum_score_nondecreasing():
     session, recs = session_with(3)
     ids = [r.token_id for r in recs]
@@ -179,12 +168,9 @@ def test_cum_score_nondecreasing():
         assert all(b >= a for a, b in zip(earlier, later))
 
 
-# Subnormal sums are left out: 5e-324 / 3 rounds to 0 while 2 * 5e-324 / 3
-# does not, so float underflow alone reorders them.
 @settings(max_examples=40, deadline=None)
 @given(
-    sums=st.lists(st.lists(st.floats(0.0, 10.0, allow_subnormal=False), min_size=3, max_size=3),
-                  min_size=1, max_size=6),
+    sums=st.lists(st.lists(st.floats(0.0, 10.0), min_size=3, max_size=3), min_size=1, max_size=6),
     scale=st.floats(0.1, 50.0),
 )
 def test_score_scaling_preserves_ordering(sums, scale):

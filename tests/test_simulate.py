@@ -5,9 +5,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from boundedkv.config import StreamConfig
 from boundedkv.errors import AdmissionOverflow, ConfigError
@@ -95,18 +92,6 @@ def test_kernel_matches_slow_reference():
     slow_ctx, slow_maps = slow_attention(q, keys, values, heads=2, scale_mult=sim.sharpness[0])
     assert np.max(np.abs(slow_ctx - ctx)) <= 1e-12
     assert np.max(np.abs(slow_maps - maps)) <= 1e-12
-
-
-@settings(max_examples=100, deadline=None)
-@given(data=st.data(), width=st.sampled_from([64, 32]))
-def test_rms_rows_equals_numpy_mean(data, width):
-    # Exactly the np.mean form, not an approximation, for any row length.
-    dtype = np.float64 if width == 64 else np.float32
-    shape = st.tuples(st.integers(1, 6), st.integers(1, 80))
-    z = data.draw(hnp.arrays(dtype, shape, elements=st.floats(-1e3, 1e3, width=width)))
-    expected = z / np.sqrt(np.mean(z * z, axis=1, keepdims=True) + 1e-12)
-    assert _rms_rows(z).dtype == expected.dtype
-    assert np.array_equal(_rms_rows(z), expected)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
