@@ -37,15 +37,15 @@ def _softmax(sigmas: np.ndarray, tau: float) -> np.ndarray:
     return e / e.sum()
 
 
-def _floor_largest_remainder(weights: np.ndarray, total: int) -> list[int]:
-    raw = weights * total
-    base = np.floor(raw).astype(int)
-    residue = total - int(base.sum())
+def _floor_largest_remainder(weights: list[float], total: int) -> list[int]:
+    raw = [w * total for w in weights]
+    base = [math.floor(r) for r in raw]
+    residue = total - sum(base)
     # Ties on the fractional remainder go to the lower layer index.
     order = sorted(range(len(weights)), key=lambda i: (-(raw[i] - base[i]), i))
     for i in order[:residue]:
         base[i] += 1
-    return [int(b) for b in base]
+    return base
 
 
 def allocate(sigmas, tau: float, total: int, cap: int | None = None) -> AllocationResult:
@@ -60,23 +60,25 @@ def allocate(sigmas, tau: float, total: int, cap: int | None = None) -> Allocati
     sig = np.asarray(sigmas, dtype=np.float64)
     if sig.ndim != 1 or sig.size == 0:
         raise ValueError("sigmas must be a non-empty 1-d sequence")
-    if not np.all(np.isfinite(sig)):
+    if not np.isfinite(sig).all():
         raise ValueError("sigmas must be finite")
     if total < 0:
         raise ValueError("total budget must be >= 0")
 
+    # The softmax and the sums run in numpy; the rest of the allocation
+    # runs on Python floats, whose IEEE arithmetic gives the same values.
     shares = _softmax(sig, tau)
+    weights = shares.tolist()
 
     if cap is None:
-        budgets = _floor_largest_remainder(shares, total)
-        return AllocationResult(shares=[float(p) for p in shares], budgets=budgets)
+        return AllocationResult(shares=weights, budgets=_floor_largest_remainder(weights, total))
 
     budgets = [0] * sig.size
     active = list(range(sig.size))
     remaining = total
     while active:
-        sub = shares[active]
-        trial = _floor_largest_remainder(sub / sub.sum(), remaining)
+        norm = float(shares[active].sum())
+        trial = _floor_largest_remainder([weights[i] / norm for i in active], remaining)
         overflow = [i for i, b in zip(active, trial) if b > cap]
         if not overflow:
             for i, b in zip(active, trial):
@@ -86,7 +88,7 @@ def allocate(sigmas, tau: float, total: int, cap: int | None = None) -> Allocati
             budgets[i] = cap
             remaining -= cap
         active = [i for i in active if i not in set(overflow)]
-    return AllocationResult(shares=[float(p) for p in shares], budgets=budgets)
+    return AllocationResult(shares=weights, budgets=budgets)
 
 
 def reallocate_step(session: CacheSession, sigmas) -> AllocationResult | None:

@@ -28,7 +28,6 @@ from .errors import AdmissionOverflow, ProtectedEviction, UnknownLayer, UnknownT
 
 # Values of the ``kind`` column index this tuple.
 _KINDS = (KIND_PATCH, KIND_CAMERA, KIND_REGISTER)
-_KIND_CODE = {kind: code for code, kind in enumerate(_KINDS)}
 
 # Scalar fields of a token, in TokenRow order.
 _META = ("token_id", "frame_index", "kind", "birth_step", "exposure", "cum_score")
@@ -39,6 +38,10 @@ _MIN_ROWS = 64
 def is_protected(frame_index: int, token_kind: str) -> bool:
     """First-frame tokens plus camera/register tokens of every frame."""
     return frame_index == 0 or token_kind in (KIND_CAMERA, KIND_REGISTER)
+
+
+# Whether a token of each kind code is protected outside the first frame.
+_PROTECTED_KIND = np.array([is_protected(1, kind) for kind in _KINDS])
 
 
 @dataclass(frozen=True)
@@ -231,24 +234,34 @@ class CacheSession:
             raise UnknownLayer(f"layer {layer_index} out of range")
         return self.layers[layer_index]
 
-    def issue_token_ids(self, count: int) -> range:
-        ids = range(self._next_token_id, self._next_token_id + count)
+    def issue_token_ids(self, count: int) -> np.ndarray:
+        """The next ``count`` token ids, as an int64 array."""
+        start = self._next_token_id
         self._next_token_id += count
-        return ids
+        return np.arange(start, start + count, dtype=np.int64)
+
+
+def kind_codes(kinds) -> np.ndarray:
+    """Kind names (patch, camera, register) as the int64 codes ``admit`` takes."""
+    unknown = set(kinds) - set(_KINDS)
+    if unknown:
+        raise ValueError(f"unknown token kinds {sorted(unknown)}")
+    return np.array([_KINDS.index(kind) for kind in kinds], dtype=np.int64)
 
 
 def admit(session: CacheSession, layer_index: int, token_ids, keys, values,
-          frame_index: int, kinds) -> None:
+          frame_index: int, codes: np.ndarray) -> None:
     """Append one frame's tokens to a layer, born at the current step.
 
-    ``keys`` and ``values`` are (count, dim) arrays and ``kinds`` names
-    each token's kind. Ids must be new to the layer and increasing,
-    above every resident id. Raises AdmissionOverflow when a bounded
-    layer lacks room, which means the eviction pass did not run (or did
-    not free enough slots) first. Validation happens before any mutation.
+    ``keys`` and ``values`` are (count, dim) arrays and ``codes`` is the
+    int64 array of each token's kind code (``kind_codes``). Ids must be
+    new to the layer and increasing, above every resident id. Raises
+    AdmissionOverflow when a bounded layer lacks room, which means the
+    eviction pass did not run (or did not free enough slots) first.
+    Validation happens before any mutation.
     """
     layer = session.layer(layer_index)
-    new_ids = np.array(list(token_ids), dtype=np.int64)
+    new_ids = np.asarray(token_ids, dtype=np.int64)
     count, start = len(new_ids), layer.n
     if not session.unbounded:
         effective = layer.effective_budget(count)
@@ -257,12 +270,13 @@ def admit(session: CacheSession, layer_index: int, token_ids, keys, values,
                 f"layer {layer_index}: occupancy {start} + "
                 f"{count} new tokens exceeds effective budget {effective}"
             )
-    if np.any(new_ids[1:] <= new_ids[:-1]) or (count and start and new_ids[0] <= layer.token_id[start - 1]):
+    if (new_ids[1:] <= new_ids[:-1]).any() or (count and start and new_ids[0] <= layer.token_id[start - 1]):
         raise ValueError(f"layer {layer_index}: token ids {new_ids.tolist()} are not new and increasing")
-    if len(kinds) != count or np.shape(keys) != (count, layer.K.shape[1]) or np.shape(values) != np.shape(keys):
+    if len(codes) != count or np.shape(keys) != (count, layer.K.shape[1]) or np.shape(values) != np.shape(keys):
         raise ValueError(f"layer {layer_index}: {count} ids need {count} kinds, keys and values")
-    codes = np.array([_KIND_CODE[kind] for kind in kinds], dtype=np.int64)
-    protected = (codes != _KIND_CODE[KIND_PATCH]) | (frame_index == 0)
+    if count and not 0 <= codes.min() <= codes.max() < len(_KINDS):
+        raise ValueError(f"layer {layer_index}: kind codes {codes.tolist()} outside 0..{len(_KINDS) - 1}")
+    protected = _PROTECTED_KIND[codes] if frame_index else np.ones(count, dtype=bool)
 
     stop = start + count
     layer._reserve(stop)
@@ -280,14 +294,15 @@ def admit(session: CacheSession, layer_index: int, token_ids, keys, values,
 
 
 def remove(session: CacheSession, layer_index: int, token_ids) -> int:
-    """Remove the given ids from a layer, preserving survivor order.
+    """Remove the given ids (an int64 array or a sequence of ints) from a
+    layer, preserving survivor order.
 
     Evicted tokens' scalars move to the layer's eviction log. Returns
     the number removed. Refuses protected ids and ids that are not
     resident; validation happens before any mutation.
     """
     layer = session.layer(layer_index)
-    wanted = np.array(list(token_ids), dtype=np.int64)
+    wanted = np.array(token_ids, dtype=np.int64)
     wanted.sort()
     resident = layer.token_id[: layer.n]
     rows = resident.searchsorted(wanted)

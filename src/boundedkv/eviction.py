@@ -29,17 +29,21 @@ _POLICY_STREAM_TAG = 18
 
 @dataclass
 class EvictionPlan:
-    """Victims chosen for one layer in one maintenance pass."""
+    """Victims chosen for one layer in one maintenance pass.
+
+    ``victim_ids`` (int64) and ``importances_at_eviction`` (float64) are
+    parallel arrays, in the order the policy chose the victims.
+    """
 
     layer_index: int
-    victim_ids: list[int] = field(default_factory=list)
+    victim_ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     reason: str = REASON_ADMIT
-    importances_at_eviction: list[float] = field(default_factory=list)
+    importances_at_eviction: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.float64))
 
 
 def _candidate_rows(layer: LayerCache, slots_needed: int) -> np.ndarray:
     """Unprotected rows in cache order; raises if they cannot cover the slots."""
-    rows = np.flatnonzero(~layer.protected[: layer.n])
+    rows = (~layer.protected[: layer.n]).nonzero()[0]
     if len(rows) < slots_needed:
         raise InsufficientUnprotected(
             f"layer {layer.layer_index}: need {slots_needed} slots, "
@@ -51,8 +55,8 @@ def _candidate_rows(layer: LayerCache, slots_needed: int) -> np.ndarray:
 def _plan_rows(layer: LayerCache, rows: np.ndarray, values: np.ndarray) -> EvictionPlan:
     return EvictionPlan(
         layer_index=layer.layer_index,
-        victim_ids=layer.token_id[rows].tolist(),
-        importances_at_eviction=values.tolist(),
+        victim_ids=layer.token_id[rows],
+        importances_at_eviction=values,
     )
 
 
@@ -127,7 +131,7 @@ def maintain_step(session: CacheSession, policy) -> list[EvictionPlan]:
         if slots <= 0:
             continue
         plan = policy.plan(layer, slots)
-        if not plan.victim_ids:
+        if not len(plan.victim_ids):
             continue
         plan.reason = REASON_SHRINK if layer.occupancy() > effective else REASON_ADMIT
         remove(session, layer.layer_index, plan.victim_ids)

@@ -86,4 +86,9 @@ def layer_sparsity(record: TraceRecord) -> float:
     attention gives a strictly more negative value. Defined for a single
     key (variance 0).
     """
-    return -float(np.var(np.asarray(record.col_sums_headmean, dtype=np.float64)))
+    # np.var's own operation order (sum, divide, subtract, square, sum,
+    # divide), without its dispatch: the value is bit-identical.
+    x = np.asarray(record.col_sums_headmean, dtype=np.float64)
+    deviation = x - np.add.reduce(x) / len(x)
+    deviation *= deviation
+    return -float(np.add.reduce(deviation) / len(x))

@@ -26,13 +26,14 @@ sparsity-driven budget allocation has structure to work with.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .allocation import bootstrap_budgets, reallocate_step
-from .cache import CacheSession, admit
+from .cache import CacheSession, admit, kind_codes
 from .config import KIND_CAMERA, KIND_PATCH, KIND_REGISTER, StreamConfig
 from .eviction import maintain_step, make_policy
 from .scoring import accumulate, layer_sparsity, stats_from_maps
@@ -70,7 +71,9 @@ class FrameTokens:
     """One synthetic frame: embeddings plus ground-truth landmark mask.
 
     The mask is generator truth for retention analysis and is never
-    visible to eviction policies.
+    visible to eviction policies. ``kinds`` is ``frame_kind_layout`` of
+    the config, the same for every frame of a stream; the simulator
+    admits the kind codes it built from that layout once.
     """
 
     frame_index: int
@@ -87,14 +90,16 @@ class TraceRecord:
     eviction and admission, so ``post = pre - evicted + tokens_per_frame``.
     ``budget_pre`` is the budget in force during the step and
     ``budget_post`` the value after this step's reallocation.
-    ``evicted_ids`` and ``evicted_importances`` are parallel lists; the
-    trace file writes them as one ``evicted`` list of objects.
+    ``evicted_ids`` and ``evicted_importances`` are parallel; the trace
+    file writes them as one ``evicted`` list of objects.
 
     This is the one carrier of a step's attention data: scoring reads
     its key ids and column sums, and it holds the attention maps when
-    ``keep_maps`` is set. In a run, ``key_ids`` is an int64 copy of the
-    layer's id column. ``telemetry.records_from_run`` gives the list
-    form that a trace reads back as.
+    ``keep_maps`` is set. In a run, every per-token payload is an
+    ndarray: ``key_ids`` is an int64 copy of the layer's id column and
+    the evicted ids and importances are the eviction plan's int64 and
+    float64 arrays. ``telemetry.records_from_run`` gives the list form
+    that a trace reads back as.
     """
 
     step: int
@@ -107,8 +112,8 @@ class TraceRecord:
     protected_count: int
     clamped: bool
     reason: str | None
-    evicted_ids: list[int] = field(default_factory=list)
-    evicted_importances: list[float] = field(default_factory=list)
+    evicted_ids: list[int] | np.ndarray = field(default_factory=list)
+    evicted_importances: list[float] | np.ndarray = field(default_factory=list)
     sigma: float = 0.0
     pi: float | None = None
     multiplies: int = 0
@@ -162,8 +167,16 @@ def _rng(*key: int) -> np.random.Generator:
 
 
 def anchor_direction(config: StreamConfig) -> np.ndarray:
-    v = _rng(config.seed, _TAG_ANCHOR).standard_normal(config.dim)
-    return v / np.linalg.norm(v)
+    """Unit anchor direction of the config's seed; cached, so read-only."""
+    return _anchor(config.seed, config.dim)
+
+
+@functools.lru_cache(maxsize=16)
+def _anchor(seed: int, dim: int) -> np.ndarray:
+    v = _rng(seed, _TAG_ANCHOR).standard_normal(dim)
+    u = v / np.linalg.norm(v)
+    u.flags.writeable = False
+    return u
 
 
 def generate_frame(config: StreamConfig, frame_index: int) -> FrameTokens:
@@ -206,8 +219,12 @@ def sharpness_profile(config: StreamConfig) -> list[float]:
 
 
 def _rms_rows(z: np.ndarray) -> np.ndarray:
-    scale = np.sqrt(np.mean(z * z, axis=1, keepdims=True) + 1e-12)
-    return z / scale
+    # np.mean(z * z, axis=1, keepdims=True) in its own operation order
+    # (row sums, then one division), without its dispatch.
+    scale = np.add.reduce(z * z, axis=1, keepdims=True)
+    scale /= z.shape[1]
+    scale += 1e-12
+    return z / np.sqrt(scale, out=scale)
 
 
 def _softmax_rows_f64(logits: np.ndarray) -> np.ndarray:
@@ -248,23 +265,31 @@ class StreamSimulator:
         self.dtype = np.dtype(config.attn_dtype)
         self.session = CacheSession(config=config)
         self.policy = make_policy(config)
+        self.kind_codes = kind_codes(frame_kind_layout(config))
         d, seed = config.dim, config.seed
         anchor = anchor_direction(config)
-        self.w_q = [
-            self._aligned(self._weights(seed, _TAG_Q, i, d), anchor, self._anchor_image(i))
+        # Each layer's q/k/v projections are the column blocks of one
+        # (d, 3d) matrix, so one matmul projects all three; w_q, w_k and
+        # w_v are views of it. The frame-wise stage does the same for q/v.
+        self.w_qkv = [
+            np.concatenate([
+                self._aligned(self._weights(seed, _TAG_Q, i, d), anchor, self._anchor_image(i)),
+                self._aligned(self._weights(seed, _TAG_K, i, d), anchor, self._anchor_image(i)),
+                self._weights(seed, _TAG_V, i, d),
+            ], axis=1)
             for i in range(config.layers)
         ]
-        self.w_k = [
-            self._aligned(self._weights(seed, _TAG_K, i, d), anchor, self._anchor_image(i))
-            for i in range(config.layers)
-        ]
-        self.w_v = [self._weights(seed, _TAG_V, i, d) for i in range(config.layers)]
+        self.w_q = [w[:, :d] for w in self.w_qkv]
+        self.w_k = [w[:, d:2 * d] for w in self.w_qkv]
+        self.w_v = [w[:, 2 * d:] for w in self.w_qkv]
         self.w_out = [
             self._anchor_free(self._weights(seed, _TAG_OUT, i, d), anchor)
             for i in range(config.layers)
         ]
-        self.fw_qk = self._weights(seed, _TAG_FRAMEWISE, 0, d)
-        self.fw_v = self._weights(seed, _TAG_FRAMEWISE, 1, d)
+        self.fw_qv = np.concatenate([self._weights(seed, _TAG_FRAMEWISE, 0, d),
+                                     self._weights(seed, _TAG_FRAMEWISE, 1, d)], axis=1)
+        self.fw_qk = self.fw_qv[:, :d]
+        self.fw_v = self.fw_qv[:, d:]
         self.fw_out = self._anchor_free(self._weights(seed, _TAG_FRAMEWISE, 2, d), anchor)
         self.sharpness = sharpness_profile(config)
         if not self.session.unbounded:
@@ -301,11 +326,11 @@ class StreamSimulator:
         return (w - np.outer(w @ anchor, anchor)).astype(self.dtype)
 
     def _framewise(self, z: np.ndarray) -> np.ndarray:
-        zin = _rms_rows(z)
-        q = zin @ self.fw_qk
-        v = zin @ self.fw_v
-        ctx, _ = _multihead_attention(q, q, v, self.config.heads, 1.0)
-        return z + ctx.astype(self.dtype) @ self.fw_out
+        d = self.config.dim
+        qv = _rms_rows(z) @ self.fw_qv
+        q = qv[:, :d]
+        ctx, _ = _multihead_attention(q, q, qv[:, d:], self.config.heads, 1.0)
+        return z + ctx.astype(self.dtype, copy=False) @ self.fw_out
 
     def step(self, frame: FrameTokens) -> tuple[np.ndarray, StepReport]:
         """Process one frame; returns its output embeddings and telemetry."""
@@ -323,19 +348,17 @@ class StreamSimulator:
         z = frame.embeddings.astype(self.dtype)
         z = self._framewise(z)
 
+        d = cfg.dim
         records: list[TraceRecord] = []
         for li, layer in enumerate(session.layers):
-            zin = _rms_rows(z)
-            q = zin @ self.w_q[li]
-            k = zin @ self.w_k[li]
-            v = zin @ self.w_v[li]
+            qkv = _rms_rows(z) @ self.w_qkv[li]
             ids = session.issue_token_ids(cfg.tokens_per_frame)
-            admit(session, li, ids, k, v, frame.frame_index, frame.kinds)
+            admit(session, li, ids, qkv[:, d:2 * d], qkv[:, 2 * d:], frame.frame_index, self.kind_codes)
 
             keys = layer.keys_matrix()
             values = layer.values_matrix()
-            ctx, maps = _multihead_attention(q, keys, values, cfg.heads, self.sharpness[li])
-            z = z + ctx.astype(self.dtype) @ self.w_out[li]
+            ctx, maps = _multihead_attention(qkv[:, :d], keys, values, cfg.heads, self.sharpness[li])
+            z = z + ctx.astype(self.dtype, copy=False) @ self.w_out[li]
 
             raw, headmean = stats_from_maps(maps)
             n_keys = layer.occupancy()
@@ -351,8 +374,8 @@ class StreamSimulator:
                 protected_count=layer.protected_count,
                 clamped=clamped[li],
                 reason=plan.reason if plan else None,
-                evicted_ids=plan.victim_ids if plan else [],
-                evicted_importances=plan.importances_at_eviction if plan else [],
+                evicted_ids=plan.victim_ids if plan else np.empty(0, dtype=np.int64),
+                evicted_importances=plan.importances_at_eviction if plan else np.empty(0, dtype=np.float64),
                 multiplies=2 * cfg.tokens_per_frame * n_keys * cfg.dim,
                 footprint_bytes=n_keys * 2 * cfg.dim * cfg.scalar_bytes,
                 key_ids=layer.token_id[:n_keys].copy(),

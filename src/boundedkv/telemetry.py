@@ -43,6 +43,8 @@ def records_from_run(run: RunSummary) -> list[TraceRecord]:
         replace(
             rec,
             key_ids=rec.key_ids.tolist(),
+            evicted_ids=rec.evicted_ids.tolist(),
+            evicted_importances=rec.evicted_importances.tolist(),
             col_sums_raw=rec.col_sums_raw.tolist(),
             col_sums_headmean=rec.col_sums_headmean.tolist(),
             maps=None if rec.maps is None else rec.maps.tolist(),
@@ -56,13 +58,17 @@ _PAIRED = ("evicted_ids", "evicted_importances")
 _JSON_FIELDS = {f.name for f in fields(TraceRecord)} - set(_PAIRED) | {"evicted"}
 
 
+def _as_list(values) -> list:
+    return values.tolist() if isinstance(values, np.ndarray) else values
+
+
 def _record_to_json(rec: TraceRecord) -> str:
     payload = {}
     for f in fields(TraceRecord):
         if f.name == "evicted_ids":
             payload["evicted"] = [
                 {"token_id": tid, "importance": imp}
-                for tid, imp in zip(rec.evicted_ids, rec.evicted_importances)
+                for tid, imp in zip(_as_list(rec.evicted_ids), _as_list(rec.evicted_importances))
             ]
         elif f.name not in _PAIRED:
             payload[f.name] = getattr(rec, f.name)

@@ -224,7 +224,7 @@ def test_a7_compute_scaling():
     assert base_counts == [per_frame_unit * (t + 1) for t in range(cfg.frames)]
 
     warmup = next(t for t, rep in enumerate(run.reports)
-                  if any(lr.evicted_ids for lr in rep.layers))
+                  if any(len(lr.evicted_ids) for lr in rep.layers))
     quantum = 2 * m * d * (layers * m)  # one frame of keys in every layer
     flat_dev = max(abs(c - counts[-1]) for c in counts[warmup:])
     assert flat_dev <= quantum

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from boundedkv.cache import CacheSession, admit, remove
+from boundedkv.cache import CacheSession, admit, kind_codes, remove
 from boundedkv.config import StreamConfig
 from boundedkv.errors import AdmissionOverflow, ProtectedEviction, UnknownLayer, UnknownToken
 
@@ -13,7 +13,7 @@ def admit_tokens(session, layer, frame_index, count=1, kinds=None, ids=None):
     kinds = kinds or ["patch"] * count
     ids = list(session.issue_token_ids(len(kinds)) if ids is None else ids)
     zeros = np.zeros((len(ids), session.config.dim))
-    admit(session, layer, ids, zeros, zeros, frame_index, kinds)
+    admit(session, layer, ids, zeros, zeros, frame_index, kind_codes(kinds))
     return ids
 
 

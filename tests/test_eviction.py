@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from boundedkv.cache import CacheSession, admit, remove
+from boundedkv.cache import CacheSession, admit, kind_codes, remove
 from boundedkv.config import StreamConfig
 from boundedkv.errors import InsufficientUnprotected
 from boundedkv.eviction import (
@@ -28,7 +28,7 @@ def build_layer(importances, protected_flags=None, frames=None):
     frames = frames or [1] * n
     zeros = np.zeros((1, cfg.dim))
     for i, tid in enumerate(session.issue_token_ids(n)):
-        admit(session, 0, [tid], zeros, zeros, 0 if protected_flags[i] else frames[i], ["patch"])
+        admit(session, 0, [tid], zeros, zeros, 0 if protected_flags[i] else frames[i], kind_codes(["patch"]))
     layer = session.layers[0]
     layer.cum_score[:n] = importances  # exposure is 1, so score = importance
     return session, layer.records
@@ -45,14 +45,14 @@ def test_lowest_importance_evicted_exactly():
     plan = AttentionPolicy().plan(layer, slots)
     chosen = {recs[2 + imps.index(v)].token_id for v in (0.02, 0.05, 0.07)}
     assert set(plan.victim_ids) == chosen
-    assert plan.importances_at_eviction == sorted(plan.importances_at_eviction)
+    assert plan.importances_at_eviction.tolist() == sorted(plan.importances_at_eviction)
 
 
 def test_zero_slots_empty_plan_for_all_policies():
     session, _ = build_layer([0.5, 0.1])
     for policy in (AttentionPolicy(), RandomPolicy(seed=3), NonePolicy()):
         plan = policy.plan(session.layers[0], 0)
-        assert plan.victim_ids == []
+        assert plan.victim_ids.tolist() == []
 
 
 def test_full_sort_oracle_matches_selection():
@@ -77,14 +77,14 @@ def test_full_sort_oracle_matches_selection():
                     best = cand
             expected.append(best.token_id)
             remaining.remove(best)
-        assert plan.victim_ids == expected
+        assert plan.victim_ids.tolist() == expected
 
 
 def test_tiebreak_prefers_newer_then_higher_id():
     session, recs = build_layer([0.2, 0.2, 0.2], frames=[1, 3, 3])
     plan = AttentionPolicy().plan(session.layers[0], 2)
     # Same importance: frame 3 beats frame 1; within frame 3, higher id first.
-    assert plan.victim_ids == [recs[2].token_id, recs[1].token_id]
+    assert plan.victim_ids.tolist() == [recs[2].token_id, recs[1].token_id]
 
 
 def test_protected_never_planned():
@@ -114,7 +114,7 @@ def test_random_policy_deterministic_per_seed():
         out = []
         for slots in (3, 2, 4):
             plan = policy.plan(session.layers[0], slots)
-            out.append(list(plan.victim_ids))
+            out.append(plan.victim_ids.tolist())
             remove(session, 0, plan.victim_ids)
         return json.dumps(out)
 
@@ -125,7 +125,7 @@ def test_random_policy_deterministic_per_seed():
 def test_none_policy_never_names_victims():
     session, _ = build_layer([0.1, 0.2, 0.3])
     plan = NonePolicy().plan(session.layers[0], 2)
-    assert plan.victim_ids == []
+    assert plan.victim_ids.tolist() == []
 
 
 def test_make_policy_uniform_budget_shares_attention_selection():
@@ -154,7 +154,7 @@ def test_maintain_respects_budget_and_admission_room():
             ids = list(session.issue_token_ids(4))
             kinds = ["patch" if (tid % 4) else "camera" for tid in ids]
             zeros = np.zeros((4, cfg.dim))
-            admit(session, li, ids, zeros, zeros, t, kinds)
+            admit(session, li, ids, zeros, zeros, t, kind_codes(kinds))
             assert layer.occupancy() <= max(layer.budget, layer.protected_count + 4)
         session.step_counter += 1
 

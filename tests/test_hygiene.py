@@ -15,6 +15,11 @@ call, or passes the field's class to ``fields(...)``.
 
 The column scan checks that a new ``LayerCache`` and ``EvictionLog``
 hold no ``object``-dtype array.
+
+The round-trip scan fails on ``np.array(list(...))`` (or ``np.asarray``)
+in the package: ids and kind codes travel the step path as arrays, and
+turning an iterable into a list only to build an array from it is the
+per-layer cost the array form removed.
 """
 
 import ast
@@ -104,6 +109,33 @@ def test_scanner_flags_a_write_only_field():
 def test_no_write_only_fields(path):
     readers = [p.read_text() for p in READERS]
     assert write_only_fields(path.read_text(), readers) == []
+
+
+def list_round_trips(source: str) -> list[int]:
+    """Lines of every ``np.array(list(...))`` or ``np.asarray(list(...))``."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute) and node.func.attr in ("array", "asarray")
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+        and node.args and isinstance(node.args[0], ast.Call)
+        and isinstance(node.args[0].func, ast.Name) and node.args[0].func.id == "list"
+    )
+
+
+def test_scanner_flags_a_list_round_trip():
+    source = (
+        "a = np.array(list(ids), dtype=np.int64)\n"
+        "b = np.asarray(ids)\n"
+        "c = np.asarray(\n    list(range(3)))\n"
+        "d = np.array([list(x)])\n"
+    )
+    assert list_round_trips(source) == [1, 3]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_list_round_trips(path):
+    assert list_round_trips(path.read_text()) == []
 
 
 @pytest.mark.parametrize("make", [lambda: LayerCache(0, 8), EvictionLog], ids=["LayerCache", "EvictionLog"])

@@ -68,7 +68,7 @@ def test_brute_force_matches_incremental_under_eviction():
 def test_live_records_and_trace_give_same_brute_force_scores(tmp_path):
     cfg = StreamConfig(**DESK, frames=12, beta=0.2, keep_maps=True)
     run = run_stream(cfg)
-    assert any(rec.evicted_ids for rec in run.records)
+    assert any(len(rec.evicted_ids) for rec in run.records)
     path = tmp_path / "trace.jsonl"
     write_trace(run, path)
     read = read_trace(path).records

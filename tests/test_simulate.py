@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boundedkv.config import StreamConfig
 from boundedkv.errors import AdmissionOverflow, ConfigError
@@ -92,6 +94,45 @@ def test_kernel_matches_slow_reference():
     slow_ctx, slow_maps = slow_attention(q, keys, values, heads=2, scale_mult=sim.sharpness[0])
     assert np.max(np.abs(slow_ctx - ctx)) <= 1e-12
     assert np.max(np.abs(slow_maps - maps)) <= 1e-12
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("d", [8, 32, 64, 128])
+@pytest.mark.parametrize("m", [1, 4, 32])
+def test_fused_projection_equals_separate_products(dtype, d, m):
+    # A layer projects q/k/v with one product against the (d, 3d) block
+    # matrix, the frame-wise stage q/v against a (d, 2d) one. Each column
+    # slice must equal the separate product, and attention over a sliced
+    # (strided) q must equal attention over a contiguous copy.
+    rng = np.random.default_rng([d, m])
+    z = rng.standard_normal((m, d)).astype(dtype)
+    w = [rng.standard_normal((d, d)).astype(dtype) for _ in range(3)]
+    for blocks in (2, 3):
+        fused = z @ np.concatenate(w[:blocks], axis=1)
+        for i in range(blocks):
+            assert np.array_equal(fused[:, i * d:(i + 1) * d], z @ w[i])
+    q, k = fused[:, :d], fused[:, d:2 * d]
+    for a, b in zip(_multihead_attention(q, k, k, 2, 1.3), _multihead_attention(z @ w[0], k, k, 2, 1.3)):
+        assert np.array_equal(a, b)
+
+
+def test_projection_weights_are_views_of_the_fused_matrix():
+    sim = StreamSimulator(StreamConfig(**SMALL))
+    d = sim.config.dim
+    for li, w in enumerate(sim.w_qkv):
+        assert w.shape == (d, 3 * d)
+        assert all(np.shares_memory(view, w) for view in (sim.w_q[li], sim.w_k[li], sim.w_v[li]))
+    assert np.shares_memory(sim.fw_qk, sim.fw_qv) and np.shares_memory(sim.fw_v, sim.fw_qv)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(1, 4), n=st.integers(1, 2100), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-6, 1e-3, 1.0, 1e3]), dtype=st.sampled_from([np.float32, np.float64]))
+def test_rms_rows_equals_np_mean_form_bit_for_bit(rows, n, seed, scale, dtype):
+    z = (np.random.default_rng(seed).standard_normal((rows, n)) * scale).astype(dtype)
+    expected = z / np.sqrt(np.mean(z * z, axis=1, keepdims=True) + 1e-12)
+    result = _rms_rows(z)
+    assert result.dtype == expected.dtype and np.array_equal(result, expected)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])

@@ -38,6 +38,28 @@ def test_round_trip_records_and_bytes(tmp_path):
     assert second.read_bytes() == path.read_bytes()
 
 
+def test_run_payloads_are_arrays_and_trace_payloads_lists(tmp_path):
+    # In a run every per-token payload of a record is an ndarray;
+    # records_from_run and the trace file give lists, and a layer that
+    # evicted nothing writes an empty "evicted" list.
+    run = run_stream(StreamConfig(**SMALL, beta=0.3, keep_maps=True))
+    payloads = ("key_ids", "col_sums_raw", "col_sums_headmean", "evicted_ids", "evicted_importances", "maps")
+    for rec in run.records:
+        assert all(isinstance(getattr(rec, name), np.ndarray) for name in payloads)
+        assert rec.evicted_ids.dtype == np.int64 and rec.evicted_importances.dtype == np.float64
+    listed = records_from_run(run)
+    for rec in listed:
+        assert all(type(getattr(rec, name)) is list for name in payloads)
+    lines = write_trace(run, tmp_path / "trace.jsonl").read_text().splitlines()[1:]
+    evicted = [json.loads(line)["evicted"] for line in lines]
+    assert [len(e) for e in evicted] == [len(rec.evicted_ids) for rec in run.records]
+    assert any(evicted) and not all(evicted)
+    for rec, line in zip(run.records, lines):
+        if not len(rec.evicted_ids):
+            assert '"evicted":[]' in line
+    assert read_trace(tmp_path / "trace.jsonl").records == listed
+
+
 def test_read_trace_holds_only_its_result(tmp_path):
     # The reader parses line by line: beyond the records it returns it
     # holds about one line, never the whole text or a list of its lines.
