@@ -63,8 +63,6 @@ def _plan_rows(layer: LayerCache, rows: np.ndarray, values: np.ndarray) -> Evict
 class AttentionPolicy:
     """Evict the lowest-importance unprotected tokens, deterministically."""
 
-    name = "attention"
-
     def plan(self, layer: LayerCache, slots_needed: int) -> EvictionPlan:
         if slots_needed <= 0:
             return EvictionPlan(layer_index=layer.layer_index)
@@ -76,8 +74,6 @@ class AttentionPolicy:
 
 class RandomPolicy:
     """Uniform sample of unprotected tokens from a seeded generator."""
-
-    name = "random"
 
     def __init__(self, seed: int):
         self._rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, _POLICY_STREAM_TAG])))
@@ -92,8 +88,6 @@ class RandomPolicy:
 
 class NonePolicy:
     """Never evicts; an overflowing admit then faults, by design."""
-
-    name = "none"
 
     def plan(self, layer: LayerCache, slots_needed: int) -> EvictionPlan:
         return EvictionPlan(layer_index=layer.layer_index)

@@ -98,8 +98,8 @@ def brute_force_scores(map_log: list[TraceRecord]) -> dict[int, TokenScores]:
             )
         col_sums = maps.sum(axis=(0, 1))
         inv_n = 1.0 / len(entry.key_ids)
-        for tid, c in zip(entry.key_ids, col_sums):
-            scores[tid] = scores.get(tid, 0.0) + float(c) * inv_n
+        for tid, c in zip(entry.key_ids.tolist(), col_sums.tolist()):
+            scores[tid] = scores.get(tid, 0.0) + c * inv_n
             exposures[tid] = exposures.get(tid, 0) + 1
     return {
         tid: TokenScores(cum_score=scores[tid], exposure=exposures[tid], importance=scores[tid] / exposures[tid])
@@ -132,7 +132,7 @@ def compare_runs(bounded: RunSummary, baseline: RunSummary) -> DivergenceReport:
         total = 0.0
         for report_b, report_a in zip(baseline.reports, bounded.reports):
             base = report_b.layers[layer]
-            mass = np.asarray(base.col_sums_headmean, dtype=np.float64)
+            mass = base.col_sums_headmean
             total += float(mass.sum())
             kept += float(mass[np.isin(base.key_ids, report_a.layers[layer].key_ids)].sum())
         retained.append(kept / total if total > 0 else 1.0)
@@ -150,7 +150,7 @@ def landmark_token_ids(run: RunSummary, layer: int) -> set[int]:
     ids: set[int] = set()
     for report, mask in zip(run.reports[1:], run.landmark_masks[1:]):
         # Landmarks are planted on patch slots only.
-        ids.update(np.asarray(report.layers[layer].key_ids[-m:])[mask].tolist())
+        ids.update(report.layers[layer].key_ids[-m:][mask].tolist())
     return ids
 
 
@@ -164,6 +164,6 @@ def landmark_retention(run: RunSummary) -> list[float]:
         if not planted:
             out.append(float("nan"))
             continue
-        final_ids = set(np.asarray(run.reports[-1].layers[layer].key_ids).tolist())
+        final_ids = set(run.reports[-1].layers[layer].key_ids.tolist())
         out.append(len(planted & final_ids) / len(planted))
     return out

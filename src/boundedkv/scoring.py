@@ -58,7 +58,7 @@ def accumulate(cache_layer: LayerCache, record: TraceRecord) -> None:
             f"for {record.n_keys} keys"
         )
     inv_n = 1.0 / n
-    cache_layer.cum_score[:n] += np.asarray(record.col_sums_raw, dtype=np.float64) * inv_n
+    cache_layer.cum_score[:n] += record.col_sums_raw * inv_n
     cache_layer.exposure[:n] += cache_layer.birth_step[:n] < record.step
 
 
@@ -88,7 +88,7 @@ def layer_sparsity(record: TraceRecord) -> float:
     """
     # np.var's own operation order (sum, divide, subtract, square, sum,
     # divide), without its dispatch: the value is bit-identical.
-    x = np.asarray(record.col_sums_headmean, dtype=np.float64)
+    x = record.col_sums_headmean
     deviation = x - np.add.reduce(x) / len(x)
     deviation *= deviation
     return -float(np.add.reduce(deviation) / len(x))

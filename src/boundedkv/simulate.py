@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -71,18 +71,27 @@ class FrameTokens:
     """One synthetic frame: embeddings plus ground-truth landmark mask.
 
     The mask is generator truth for retention analysis and is never
-    visible to eviction policies. ``kinds`` is ``frame_kind_layout`` of
-    the config, the same for every frame of a stream; the simulator
-    admits the kind codes it built from that layout once.
+    visible to eviction policies.
     """
 
     frame_index: int
     embeddings: np.ndarray
-    kinds: list[str]
     landmark_mask: np.ndarray
 
 
-@dataclass
+# Dtype and rank of every per-token TraceRecord payload, in a run and
+# after read_trace alike; record equality compares payloads exactly.
+PAYLOADS = {
+    "evicted_ids": (np.int64, 1),
+    "evicted_importances": (np.float64, 1),
+    "key_ids": (np.int64, 1),
+    "col_sums_raw": (np.float64, 1),
+    "col_sums_headmean": (np.float64, 1),
+    "maps": (np.float64, 3),
+}
+
+
+@dataclass(eq=False)
 class TraceRecord:
     """Telemetry of one (step, layer) cell, in memory and in the trace.
 
@@ -94,12 +103,11 @@ class TraceRecord:
     file writes them as one ``evicted`` list of objects.
 
     This is the one carrier of a step's attention data: scoring reads
-    its key ids and column sums, and it holds the attention maps when
-    ``keep_maps`` is set. In a run, every per-token payload is an
-    ndarray: ``key_ids`` is an int64 copy of the layer's id column and
-    the evicted ids and importances are the eviction plan's int64 and
-    float64 arrays. ``telemetry.records_from_run`` gives the list form
-    that a trace reads back as.
+    its key ids and column sums, and it holds the (H, M, N) attention
+    maps when ``keep_maps`` is set (otherwise ``maps`` is None). Every
+    payload is an ndarray of the dtype and rank in ``PAYLOADS``, in a run
+    and after ``read_trace`` alike. Two records are equal when their
+    payloads are exactly equal and every other field compares equal.
     """
 
     step: int
@@ -112,16 +120,23 @@ class TraceRecord:
     protected_count: int
     clamped: bool
     reason: str | None
-    evicted_ids: list[int] | np.ndarray = field(default_factory=list)
-    evicted_importances: list[float] | np.ndarray = field(default_factory=list)
+    evicted_ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    evicted_importances: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.float64))
     sigma: float = 0.0
     pi: float | None = None
     multiplies: int = 0
     footprint_bytes: int = 0
-    key_ids: list[int] | np.ndarray = field(default_factory=list)
-    col_sums_raw: list[float] | np.ndarray = field(default_factory=list)
-    col_sums_headmean: list[float] | np.ndarray = field(default_factory=list)
-    maps: list | np.ndarray | None = None
+    key_ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    col_sums_raw: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.float64))
+    col_sums_headmean: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.float64))
+    maps: np.ndarray | None = None
+
+    def __eq__(self, other):
+        if not isinstance(other, TraceRecord):
+            return NotImplemented
+        pairs = ((f.name, getattr(self, f.name), getattr(other, f.name)) for f in fields(TraceRecord))
+        return all(a is b if a is None or b is None else np.array_equal(a, b) if name in PAYLOADS else a == b
+                   for name, a, b in pairs)
 
 
 @dataclass
@@ -187,7 +202,6 @@ def generate_frame(config: StreamConfig, frame_index: int) -> FrameTokens:
     ``landmark_gain`` multiple of the anchor on top.
     """
     m, d = config.tokens_per_frame, config.dim
-    kinds = frame_kind_layout(config)
     u = anchor_direction(config)
     emb = _rng(config.seed, _TAG_FRAME, frame_index).standard_normal((m, d))
     emb += u
@@ -201,7 +215,7 @@ def generate_frame(config: StreamConfig, frame_index: int) -> FrameTokens:
         )
         mask[patch_offset + np.sort(slots)] = True
         emb[mask] += config.landmark_gain * u
-    return FrameTokens(frame_index=frame_index, embeddings=emb, kinds=kinds, landmark_mask=mask)
+    return FrameTokens(frame_index=frame_index, embeddings=emb, landmark_mask=mask)
 
 
 def sharpness_profile(config: StreamConfig) -> list[float]:
@@ -269,8 +283,8 @@ class StreamSimulator:
         d, seed = config.dim, config.seed
         anchor = anchor_direction(config)
         # Each layer's q/k/v projections are the column blocks of one
-        # (d, 3d) matrix, so one matmul projects all three; w_q, w_k and
-        # w_v are views of it. The frame-wise stage does the same for q/v.
+        # (d, 3d) matrix, so one matmul projects all three. The frame-wise
+        # stage does the same for q/v.
         self.w_qkv = [
             np.concatenate([
                 self._aligned(self._weights(seed, _TAG_Q, i, d), anchor, self._anchor_image(i)),
@@ -279,17 +293,12 @@ class StreamSimulator:
             ], axis=1)
             for i in range(config.layers)
         ]
-        self.w_q = [w[:, :d] for w in self.w_qkv]
-        self.w_k = [w[:, d:2 * d] for w in self.w_qkv]
-        self.w_v = [w[:, 2 * d:] for w in self.w_qkv]
         self.w_out = [
             self._anchor_free(self._weights(seed, _TAG_OUT, i, d), anchor)
             for i in range(config.layers)
         ]
         self.fw_qv = np.concatenate([self._weights(seed, _TAG_FRAMEWISE, 0, d),
                                      self._weights(seed, _TAG_FRAMEWISE, 1, d)], axis=1)
-        self.fw_qk = self.fw_qv[:, :d]
-        self.fw_v = self.fw_qv[:, d:]
         self.fw_out = self._anchor_free(self._weights(seed, _TAG_FRAMEWISE, 2, d), anchor)
         self.sharpness = sharpness_profile(config)
         if not self.session.unbounded:

@@ -17,13 +17,13 @@ import io
 import json
 import math
 from collections import defaultdict
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import MalformedTrace, UnknownLayer
-from .simulate import RunSummary, TraceRecord
+from .simulate import PAYLOADS, RunSummary, TraceRecord
 
 TRACE_FORMAT = "boundedkv-trace"
 TRACE_VERSION = 1
@@ -38,28 +38,14 @@ class Trace:
 
 
 def records_from_run(run: RunSummary) -> list[TraceRecord]:
-    """The run's records with arrays turned into lists, as a trace reads back."""
-    return [
-        replace(
-            rec,
-            key_ids=rec.key_ids.tolist(),
-            evicted_ids=rec.evicted_ids.tolist(),
-            evicted_importances=rec.evicted_importances.tolist(),
-            col_sums_raw=rec.col_sums_raw.tolist(),
-            col_sums_headmean=rec.col_sums_headmean.tolist(),
-            maps=None if rec.maps is None else rec.maps.tolist(),
-        )
-        for rec in run.records
-    ]
+    """The run's records, unchanged: they equal what a trace reads back.
+    Only ``bench/worker.py``'s ``check_audit`` calls this; ROADMAP.md item 2 deletes it."""
+    return run.records
 
 
-# In-memory parallel lists that the trace writes as one "evicted" list.
+# In-memory parallel arrays that the trace writes as one "evicted" list.
 _PAIRED = ("evicted_ids", "evicted_importances")
 _JSON_FIELDS = {f.name for f in fields(TraceRecord)} - set(_PAIRED) | {"evicted"}
-
-
-def _as_list(values) -> list:
-    return values.tolist() if isinstance(values, np.ndarray) else values
 
 
 def _record_to_json(rec: TraceRecord) -> str:
@@ -68,12 +54,11 @@ def _record_to_json(rec: TraceRecord) -> str:
         if f.name == "evicted_ids":
             payload["evicted"] = [
                 {"token_id": tid, "importance": imp}
-                for tid, imp in zip(_as_list(rec.evicted_ids), _as_list(rec.evicted_importances))
+                for tid, imp in zip(rec.evicted_ids.tolist(), rec.evicted_importances.tolist())
             ]
         elif f.name not in _PAIRED:
             payload[f.name] = getattr(rec, f.name)
-    # A run's records hold numpy arrays; they are written as the same lists
-    # that records_from_run gives.
+    # Payload arrays are written as nested lists.
     return json.dumps(payload, separators=(",", ":"), default=np.ndarray.tolist)
 
 
@@ -90,6 +75,18 @@ def _record_from_json(payload, lineno: int) -> TraceRecord:
         values["evicted_importances"] = [entry["importance"] for entry in evicted]
     except (TypeError, KeyError) as exc:
         raise MalformedTrace("evicted entries need token_id and importance", line=lineno) from exc
+    for name, (dtype, rank) in PAYLOADS.items():
+        if name not in values or (name == "maps" and values[name] is None):
+            continue
+        try:
+            array = np.array(values[name])
+        except ValueError as exc:
+            raise MalformedTrace(f"{name} is ragged", line=lineno) from exc
+        # JSON ints read as int64 and floats as float64; an empty list
+        # reads as float64 and takes either dtype.
+        if array.ndim != rank or (array.size and not (array.dtype.kind in "if" and np.can_cast(array.dtype, dtype))):
+            raise MalformedTrace(f"{name} is not a rank-{rank} {np.dtype(dtype).name} array", line=lineno)
+        values[name] = array.astype(dtype, copy=False)
     try:
         return TraceRecord(**values)
     except TypeError as exc:
@@ -157,23 +154,23 @@ def heatmap_grid(records: list[TraceRecord], layer: int, reweight: bool = False)
     layer_recs = sorted((r for r in records if r.layer == layer), key=lambda r: r.step)
     if not layer_recs:
         raise UnknownLayer(f"no records for layer {layer}")
-    first_seen: dict[int, int] = {}
-    for rec in layer_recs:
-        for tid in rec.key_ids:
-            first_seen.setdefault(tid, rec.step)
-    col_ids = sorted(first_seen)
-    col_index = {tid: i for i, tid in enumerate(col_ids)}
-    grid = np.zeros((len(layer_recs), len(col_ids)), dtype=np.float64)
-    for row, rec in enumerate(layer_recs):
-        for tid, val in zip(rec.key_ids, rec.col_sums_headmean):
-            grid[row, col_index[tid]] = val
-        if reweight:
-            grid[row] *= rec.step + 1
-    boundaries = []
-    for f in range(len(layer_recs)):
-        starts = [col_index[tid] for tid, s in first_seen.items() if s == f]
-        boundaries.append(min(starts) if starts else len(col_ids))
-    return grid, col_ids, boundaries
+    n_rows = len(layer_recs)
+    steps = np.array([rec.step for rec in layer_recs], dtype=np.int64)
+    rows = np.repeat(np.arange(n_rows), [len(rec.key_ids) for rec in layer_recs])
+    # Unique ids come sorted, and each one's first occurrence lies in the
+    # earliest step that holds it.
+    col_ids, first, cols = np.unique(np.concatenate([rec.key_ids for rec in layer_recs]),
+                                     return_index=True, return_inverse=True)
+    grid = np.zeros((n_rows, len(col_ids)), dtype=np.float64)
+    grid[rows, cols] = np.concatenate([rec.col_sums_headmean for rec in layer_recs])
+    if reweight:
+        grid *= steps[:, None] + 1
+    # Frame f starts at the lowest column first seen at step f.
+    first_step = steps[rows[first]]
+    framed = (first_step >= 0) & (first_step < n_rows)
+    boundaries = np.full(n_rows, len(col_ids))
+    np.minimum.at(boundaries, first_step[framed], np.flatnonzero(framed))
+    return grid, col_ids.tolist(), boundaries.tolist()
 
 
 def export_heatmap(records: list[TraceRecord], layer: int, path, reweight: bool = False) -> np.ndarray:
@@ -195,8 +192,7 @@ def export_heatmap(records: list[TraceRecord], layer: int, path, reweight: bool 
     path.with_suffix(".pgm").write_text("".join(pgm_lines), encoding="utf-8")
 
     sidecar = {"layer": layer, "column_ids": col_ids, "frame_boundaries": boundaries}
-    # A run's records hold key ids as numpy ints.
-    sidecar_text = json.dumps(sidecar, separators=(",", ":"), default=int)
+    sidecar_text = json.dumps(sidecar, separators=(",", ":"))
     path.with_suffix(".frames.json").write_text(sidecar_text + "\n", encoding="utf-8")
     return grid
 

@@ -10,12 +10,15 @@ bench/.
 
 import importlib.util
 import json
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from boundedkv import oracle, simulate, telemetry
 from boundedkv.config import StreamConfig
+from boundedkv.simulate import PAYLOADS
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 MODULES = {"simulate": simulate, "telemetry": telemetry, "oracle": oracle}
@@ -65,3 +68,40 @@ def test_traced_pass_finds_every_entry_point(tmp_path):
     counts = worker.counts_of(run, oracle)
     for count, metric in worker.spec.TRACED_COUNTS.items():
         assert layers[metric] == counts[count], metric
+
+
+@pytest.fixture(scope="module")
+def audit(tmp_path_factory):
+    return _pass("trace_audit", tmp_path_factory.mktemp("audit"))
+
+
+@pytest.mark.parametrize("name", sorted(PAYLOADS))
+def test_audit_flags_one_changed_payload_value(name, audit):
+    # The trace gate compares read-back records exactly: one ulp on a
+    # float payload or +1 on an id makes the records unequal, and
+    # check_audit names the step.
+    _, run, stage = audit
+    read = stage["read"].records
+    index = next(i for i, rec in enumerate(read) if getattr(rec, name).size)
+    rec, original = read[index], getattr(read[index], name)
+    nudged = original.copy()
+    flat = nudged.reshape(-1)
+    flat[-1] = flat[-1] + 1 if nudged.dtype == np.int64 else np.nextafter(flat[-1], np.inf)
+    assert worker.check_audit(run, stage, telemetry) == []
+    setattr(rec, name, nudged)
+    try:
+        assert rec != run.records[index]
+        problems = worker.check_audit(run, stage, telemetry)
+    finally:
+        setattr(rec, name, original)
+    assert problems == [f"step {rec.step}: trace records read back differ from those written"]
+    assert rec == run.records[index]
+
+
+def test_record_without_maps_differs_from_one_with_maps(audit):
+    _, run, _ = audit
+    rec = run.records[-1]
+    assert rec.maps is not None
+    bare = replace(rec, maps=None)
+    assert bare != rec and rec != bare
+    assert bare == replace(rec, maps=None)

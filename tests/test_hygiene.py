@@ -16,6 +16,11 @@ call, or passes the field's class to ``fields(...)``.
 The column scan checks that a new ``LayerCache`` and ``EvictionLog``
 hold no ``object``-dtype array.
 
+The payload scan checks that the ``PAYLOADS`` table in ``simulate.py``
+names exactly the ``TraceRecord`` fields annotated ``np.ndarray``, so a
+new payload field cannot skip the trace reader's conversion or the
+record's exact equality.
+
 The round-trip scan fails on ``np.array(list(...))`` (or ``np.asarray``)
 in the package: ids and kind codes travel the step path as arrays, and
 turning an iterable into a list only to build an array from it is the
@@ -136,6 +141,35 @@ def test_scanner_flags_a_list_round_trip():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_list_round_trips(path):
     assert list_round_trips(path.read_text()) == []
+
+
+def untabled_payloads(source: str) -> list[str]:
+    """Fields of ``TraceRecord`` annotated ``np.ndarray`` that ``PAYLOADS``
+    does not name, and names in ``PAYLOADS`` that are no such field."""
+    annotated: set[str] = set()
+    tabled: set[str] = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and node.name == "TraceRecord":
+            annotated = {
+                stmt.target.id for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign) and "np.ndarray" in ast.unparse(stmt.annotation)
+            }
+        elif isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "PAYLOADS" for t in node.targets):
+            tabled = {ast.literal_eval(key) for key in node.value.keys}
+    return sorted(annotated ^ tabled)
+
+
+def test_scanner_flags_an_untabled_payload():
+    source = (
+        "PAYLOADS = {'a': (np.int64, 1), 'c': (np.float64, 1)}\n"
+        "class TraceRecord:\n    a: np.ndarray\n    b: np.ndarray | None = None\n"
+        "    c: int = 0\n    d: list[int] = field(default_factory=list)\n"
+    )
+    assert untabled_payloads(source) == ["b", "c"]
+
+
+def test_payload_table_names_every_array_field():
+    assert untabled_payloads((ROOT / "src" / "boundedkv" / "simulate.py").read_text()) == []
 
 
 @pytest.mark.parametrize("make", [lambda: LayerCache(0, 8), EvictionLog], ids=["LayerCache", "EvictionLog"])

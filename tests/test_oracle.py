@@ -28,7 +28,7 @@ def map_record(step, key_ids, maps):
     return TraceRecord(
         step=step, layer=0, n_keys=len(key_ids), budget_pre=None, budget_post=None,
         occupancy_pre=0, occupancy_post=len(key_ids), protected_count=0, clamped=False,
-        reason=None, key_ids=key_ids, maps=maps,
+        reason=None, key_ids=np.array(key_ids, dtype=np.int64), maps=maps,
     )
 
 

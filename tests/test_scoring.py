@@ -32,12 +32,13 @@ def session_with(n_tokens, frame_index=1, kinds=None):
 
 
 def make_record(step, key_ids, raw, headmean=None):
-    """A layer-0 record carrying one step's column sums."""
+    """A layer-0 record carrying one step's column sums, as float64 arrays."""
     raw = np.asarray(raw, dtype=np.float64)
     return TraceRecord(
         step=step, layer=0, n_keys=len(key_ids), budget_pre=None, budget_post=None,
         occupancy_pre=0, occupancy_post=len(key_ids), protected_count=0, clamped=False, reason=None,
-        key_ids=list(key_ids), col_sums_raw=raw, col_sums_headmean=raw if headmean is None else headmean,
+        key_ids=np.array(key_ids, dtype=np.int64), col_sums_raw=raw,
+        col_sums_headmean=raw if headmean is None else np.asarray(headmean, dtype=np.float64),
     )
 
 
@@ -173,7 +174,8 @@ ROWS = st.builds(
 @settings(max_examples=200, deadline=None)
 @given(x=ROWS)
 def test_sparsity_equals_np_var_bit_for_bit(x):
-    # layer_sparsity follows np.var's operation order on a float64 copy.
+    # layer_sparsity follows np.var's operation order on the record's
+    # float64 column sums (make_record widens float32 draws).
     record = make_record(0, range(len(x)), x, headmean=x)
     assert layer_sparsity(record) == -float(np.var(np.asarray(x, dtype=np.float64)))
 

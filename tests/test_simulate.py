@@ -16,6 +16,7 @@ from boundedkv.simulate import (
     _multihead_attention,
     _rms_rows,
     anchor_direction,
+    frame_kind_layout,
     generate_frame,
     run_stream,
     sharpness_profile,
@@ -47,7 +48,7 @@ def test_generate_frame_deterministic():
 def test_frame_layout():
     cfg = StreamConfig(layers=2, tokens_per_frame=8, registers=2, frames=2)
     frame = generate_frame(cfg, 0)
-    assert frame.kinds == ["camera", "register", "register"] + ["patch"] * 5
+    assert frame_kind_layout(cfg) == ["camera", "register", "register"] + ["patch"] * 5
     assert frame.landmark_mask[:3].sum() == 0  # mask covers patches only
     assert frame.embeddings.shape == (8, cfg.dim)
 
@@ -78,7 +79,8 @@ def test_kernel_matches_slow_reference():
     z = frame.embeddings.astype(sim.dtype)
     # The frame-wise stage attends the frame to itself (q is k).
     zin = _rms_rows(z)
-    q, v = zin @ sim.fw_qk, zin @ sim.fw_v
+    d = cfg.dim
+    q, v = zin @ sim.fw_qv[:, :d], zin @ sim.fw_qv[:, d:]
     ctx, maps = _multihead_attention(q, q, v, 2, 1.0)
     slow_ctx, slow_maps = slow_attention(q, q, v, heads=2, scale_mult=1.0)
     assert np.max(np.abs(slow_ctx - ctx)) <= 1e-12
@@ -88,7 +90,7 @@ def test_kernel_matches_slow_reference():
     layer = sim.session.layers[0]
     keys = layer.keys_matrix()
     values = layer.values_matrix()
-    q = _rms_rows(sim._framewise(z)) @ sim.w_q[0]
+    q = _rms_rows(sim._framewise(z)) @ sim.w_qkv[0][:, :d]
     ctx, maps = _multihead_attention(q, keys, values, 2, sim.sharpness[0])
     assert np.array_equal(maps, report.layers[0].maps)
     slow_ctx, slow_maps = slow_attention(q, keys, values, heads=2, scale_mult=sim.sharpness[0])
@@ -114,15 +116,6 @@ def test_fused_projection_equals_separate_products(dtype, d, m):
     q, k = fused[:, :d], fused[:, d:2 * d]
     for a, b in zip(_multihead_attention(q, k, k, 2, 1.3), _multihead_attention(z @ w[0], k, k, 2, 1.3)):
         assert np.array_equal(a, b)
-
-
-def test_projection_weights_are_views_of_the_fused_matrix():
-    sim = StreamSimulator(StreamConfig(**SMALL))
-    d = sim.config.dim
-    for li, w in enumerate(sim.w_qkv):
-        assert w.shape == (d, 3 * d)
-        assert all(np.shares_memory(view, w) for view in (sim.w_q[li], sim.w_k[li], sim.w_v[li]))
-    assert np.shares_memory(sim.fw_qk, sim.fw_qv) and np.shares_memory(sim.fw_v, sim.fw_qv)
 
 
 @settings(max_examples=200, deadline=None)

@@ -9,13 +9,12 @@ import pytest
 from boundedkv.config import StreamConfig
 from boundedkv.errors import MalformedTrace, UnknownLayer
 from boundedkv.oracle import baseline_run, brute_force_scores, map_log_from_records
-from boundedkv.simulate import run_stream
+from boundedkv.simulate import PAYLOADS, run_stream
 from boundedkv.telemetry import (
     TraceRecord,
     export_heatmap,
     heatmap_grid,
     read_trace,
-    records_from_run,
     summarize,
     summary_row,
     write_trace,
@@ -31,25 +30,26 @@ def test_round_trip_records_and_bytes(tmp_path):
     trace = read_trace(path)
     assert trace.version == 1
     assert trace.config["frames"] == 6
-    assert trace.records == records_from_run(run)
+    assert trace.records == run.records
     # Writing what was read reproduces the file byte for byte.
     second = tmp_path / "copy.jsonl"
     write_trace(trace, second)
     assert second.read_bytes() == path.read_bytes()
 
 
-def test_run_payloads_are_arrays_and_trace_payloads_lists(tmp_path):
-    # In a run every per-token payload of a record is an ndarray;
-    # records_from_run and the trace file give lists, and a layer that
-    # evicted nothing writes an empty "evicted" list.
+def assert_typed_payloads(records):
+    for rec in records:
+        for name, (dtype, rank) in PAYLOADS.items():
+            value = getattr(rec, name)
+            assert type(value) is np.ndarray and value.dtype == dtype and value.ndim == rank, name
+
+
+def test_run_and_trace_payloads_are_typed_arrays(tmp_path):
+    # A run's records and the records a trace reads back hold every
+    # payload as an ndarray of its PAYLOADS dtype and rank, and a layer
+    # that evicted nothing writes an empty "evicted" list.
     run = run_stream(StreamConfig(**SMALL, beta=0.3, keep_maps=True))
-    payloads = ("key_ids", "col_sums_raw", "col_sums_headmean", "evicted_ids", "evicted_importances", "maps")
-    for rec in run.records:
-        assert all(isinstance(getattr(rec, name), np.ndarray) for name in payloads)
-        assert rec.evicted_ids.dtype == np.int64 and rec.evicted_importances.dtype == np.float64
-    listed = records_from_run(run)
-    for rec in listed:
-        assert all(type(getattr(rec, name)) is list for name in payloads)
+    assert_typed_payloads(run.records)
     lines = write_trace(run, tmp_path / "trace.jsonl").read_text().splitlines()[1:]
     evicted = [json.loads(line)["evicted"] for line in lines]
     assert [len(e) for e in evicted] == [len(rec.evicted_ids) for rec in run.records]
@@ -57,7 +57,35 @@ def test_run_payloads_are_arrays_and_trace_payloads_lists(tmp_path):
     for rec, line in zip(run.records, lines):
         if not len(rec.evicted_ids):
             assert '"evicted":[]' in line
-    assert read_trace(tmp_path / "trace.jsonl").records == listed
+    read = read_trace(tmp_path / "trace.jsonl").records
+    assert_typed_payloads(read)
+    assert read == run.records
+
+
+@pytest.mark.parametrize("field, value", [
+    ("maps", [[[0.5, 0.5], [1.0]]]),
+    ("key_ids", ["a", "b"]),
+    ("key_ids", ["1", "2"]),
+    ("key_ids", [1.5, 2.0]),
+    ("col_sums_raw", 0.5),
+    ("col_sums_headmean", [[0.5, 0.5]]),
+    ("evicted", [{"token_id": "3", "importance": 0.1}]),
+    ("evicted", [{"token_id": 3, "importance": None}]),
+], ids=["ragged_maps", "string_key_ids", "numeral_key_ids", "float_key_ids", "scalar_col_sums_raw",
+        "rank2_col_sums_headmean", "string_evicted_id", "null_importance"])
+def test_malformed_payload_reports_line(tmp_path, field, value):
+    # A payload that is ragged, non-numeric or of the wrong rank fails
+    # on its own line instead of reading back as something else.
+    run = run_stream(StreamConfig(**SMALL, beta=0.3, keep_maps=True))
+    lines = write_trace(run, tmp_path / "trace.jsonl").read_text().splitlines()
+    record = json.loads(lines[3])
+    record[field] = value
+    lines[3] = json.dumps(record)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MalformedTrace) as err:
+        read_trace(bad)
+    assert err.value.line == 4
 
 
 def test_read_trace_holds_only_its_result(tmp_path):
@@ -72,7 +100,7 @@ def test_read_trace_holds_only_its_result(tmp_path):
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert trace.records == records_from_run(run)
+    assert trace.records == run.records
     assert peak - kept < size / 2
 
 
@@ -148,12 +176,11 @@ def test_trace_feeds_brute_force(tmp_path):
 def synthetic_records(col_sums_by_step, layer=0):
     records = []
     for step, sums in enumerate(col_sums_by_step):
-        ids = list(range(len(sums)))
+        sums = np.array(sums, dtype=np.float64)
         records.append(TraceRecord(
             step=step, layer=layer, n_keys=len(sums), budget_pre=None, budget_post=None,
-            occupancy_pre=0, occupancy_post=len(sums), protected_count=0, clamped=False,
-            reason=None, evicted_ids=[], evicted_importances=[], sigma=0.0, pi=None, multiplies=0, footprint_bytes=0,
-            key_ids=ids, col_sums_raw=[2 * s for s in sums], col_sums_headmean=list(sums),
+            occupancy_pre=0, occupancy_post=len(sums), protected_count=0, clamped=False, reason=None,
+            key_ids=np.arange(len(sums)), col_sums_raw=2 * sums, col_sums_headmean=sums,
         ))
     return records
 
@@ -182,7 +209,7 @@ def test_heatmap_unknown_layer():
 def test_heatmap_files_and_boundaries(tmp_path):
     cfg = StreamConfig(**SMALL)
     run = baseline_run(cfg)
-    records = records_from_run(run)
+    records = run.records
     grid_path = tmp_path / "heatmap.txt"
     grid = export_heatmap(records, 1, grid_path)
     assert grid_path.exists()
@@ -203,7 +230,7 @@ def test_heatmap_files_and_boundaries(tmp_path):
 def test_heatmap_from_run_records_matches_trace_records(tmp_path):
     run = run_stream(StreamConfig(**SMALL, beta=0.5))
     export_heatmap(run.records, 1, tmp_path / "run.txt")
-    export_heatmap(records_from_run(run), 1, tmp_path / "trace.txt")
+    export_heatmap(read_trace(write_trace(run, tmp_path / "trace.jsonl")).records, 1, tmp_path / "trace.txt")
     for suffix in (".txt", ".pgm", ".frames.json"):
         written = [(tmp_path / name).with_suffix(suffix).read_bytes() for name in ("run", "trace")]
         assert written[0] == written[1]
@@ -216,7 +243,7 @@ def test_exported_variance_ordering_matches_sparsity(tmp_path):
     cfg = StreamConfig(layers=2, heads=2, dim=16, tokens_per_frame=6, registers=0,
                        frames=8, seed=3, sharpness_profile=[1.0, 4.0])
     run = baseline_run(cfg)
-    records = records_from_run(run)
+    records = run.records
     variances = []
     for layer in (0, 1):
         grid, _, _ = heatmap_grid(records, layer)
