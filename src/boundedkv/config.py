@@ -98,8 +98,8 @@ class StreamConfig:
             raise ConfigError(f"budget_mode must be one of {BUDGET_MODES}")
         if self.ref_frames is not None and self.ref_frames < 1:
             raise ConfigError("ref_frames must be >= 1")
-        if self.tau <= 0.0:
-            raise ConfigError("tau must be > 0")
+        if not (math.isfinite(self.tau) and self.tau > 0.0):
+            raise ConfigError("tau must be finite and > 0")
         if self.policy not in POLICIES:
             raise ConfigError(f"policy must be one of {POLICIES}")
         if self.policy == "none" and self.bounded and self.frames >= 3 and (
@@ -114,12 +114,15 @@ class StreamConfig:
             )
         if not 0.0 <= self.landmark_frac <= 1.0:
             raise ConfigError("landmark_frac must be in [0, 1]")
-        if self.landmark_gain < 0.0:
-            raise ConfigError("landmark_gain must be >= 0")
-        if self.sharpness < 0.0:
-            raise ConfigError("sharpness must be >= 0")
-        if self.sharpness_profile is not None and len(self.sharpness_profile) != self.layers:
-            raise ConfigError("sharpness_profile must have one entry per layer")
+        if not (math.isfinite(self.landmark_gain) and self.landmark_gain >= 0.0):
+            raise ConfigError("landmark_gain must be finite and >= 0")
+        if not (math.isfinite(self.sharpness) and self.sharpness >= 0.0):
+            raise ConfigError("sharpness must be finite and >= 0")
+        if self.sharpness_profile is not None:
+            if len(self.sharpness_profile) != self.layers:
+                raise ConfigError("sharpness_profile must have one entry per layer")
+            if not all(math.isfinite(s) for s in self.sharpness_profile):
+                raise ConfigError("sharpness_profile entries must be finite")
         if self.attn_dtype not in ATTN_DTYPES:
             raise ConfigError(f"attn_dtype must be one of {ATTN_DTYPES}")
 

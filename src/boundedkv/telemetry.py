@@ -46,6 +46,17 @@ def records_from_run(run: RunSummary) -> list[TraceRecord]:
 # In-memory parallel arrays that the trace writes as one "evicted" list.
 _PAIRED = ("evicted_ids", "evicted_importances")
 _JSON_FIELDS = {f.name for f in fields(TraceRecord)} - set(_PAIRED) | {"evicted"}
+# The JSON types write_trace gives each scalar field, by its annotation.
+# A bool is no int here; JSON has one number type, so a float takes an int.
+_JSON_TYPES = {
+    "int": (int,),
+    "int | None": (int, type(None)),
+    "float": (int, float),
+    "float | None": (int, float, type(None)),
+    "bool": (bool,),
+    "str | None": (str, type(None)),
+}
+_SCALARS = {f.name: _JSON_TYPES[f.type] for f in fields(TraceRecord) if f.name not in PAYLOADS}
 
 
 def _record_to_json(rec: TraceRecord) -> str:
@@ -68,6 +79,9 @@ def _record_from_json(payload, lineno: int) -> TraceRecord:
     unknown = set(payload) - _JSON_FIELDS
     if unknown:
         raise MalformedTrace(f"unknown fields {sorted(unknown)}", line=lineno)
+    for name, types in _SCALARS.items():
+        if name in payload and type(payload[name]) not in types:
+            raise MalformedTrace(f"{name} must be {' or '.join(t.__name__ for t in types)}", line=lineno)
     values = dict(payload)
     evicted = values.pop("evicted", [])
     try:
@@ -111,35 +125,41 @@ def read_trace(path) -> Trace:
     Only the current line is held besides the records, so reading takes
     little more memory than the records it returns. A last line without
     its newline that does not parse is reported as a truncated record:
-    the writer stopped part-way through it.
+    the writer stopped part-way through it. Values are decoded as strict
+    JSON, so a ``NaN`` or ``Infinity`` literal is malformed.
     """
+    # Imported here so that importing the package does not load the decoder.
+    import orjson
+
     with Path(path).open(encoding="utf-8") as fh:
         first = fh.readline()
         if not first:
             raise MalformedTrace("empty trace file", line=1)
         try:
-            header = json.loads(first)
-        except json.JSONDecodeError as exc:
+            header = orjson.loads(first)
+        except orjson.JSONDecodeError as exc:
             raise MalformedTrace(f"header is not valid JSON ({exc.msg})", line=1) from exc
         if not isinstance(header, dict) or header.get("format") != TRACE_FORMAT:
             raise MalformedTrace("missing trace format tag", line=1)
         if header.get("version") != TRACE_VERSION:
             raise MalformedTrace(f"unsupported trace version {header.get('version')!r}", line=1)
+        config, budget = header.get("config", {}), header.get("budget", {})
+        if not isinstance(config, dict) or not isinstance(budget, dict):
+            raise MalformedTrace("header config and budget must be objects", line=1)
 
         records = []
         for lineno, raw in enumerate(fh, start=2):
             if not raw.strip():
                 continue
             try:
-                payload = json.loads(raw)
-            except json.JSONDecodeError as exc:
+                payload = orjson.loads(raw)
+            except orjson.JSONDecodeError as exc:
                 # Only the last line can lack its newline.
                 if not raw.endswith("\n"):
                     raise MalformedTrace("truncated last record", line=lineno) from exc
                 raise MalformedTrace(f"record is not valid JSON ({exc.msg})", line=lineno) from exc
             records.append(_record_from_json(payload, lineno))
-    return Trace(version=header["version"], config=header.get("config", {}),
-                 budget=header.get("budget", {}), records=records)
+    return Trace(version=header["version"], config=config, budget=budget, records=records)
 
 
 def heatmap_grid(records: list[TraceRecord], layer: int, reweight: bool = False):

@@ -21,6 +21,11 @@ names exactly the ``TraceRecord`` fields annotated ``np.ndarray``, so a
 new payload field cannot skip the trace reader's conversion or the
 record's exact equality.
 
+The dependency scan fails when a package module imports, at module
+level or inside a function, a top-level package that is neither in the
+standard library nor listed in ``pyproject.toml``'s
+``[project].dependencies``.
+
 The round-trip scan fails on ``np.array(list(...))`` (or ``np.asarray``)
 in the package: ids and kind codes travel the step path as arrays, and
 turning an iterable into a list only to build an array from it is the
@@ -28,6 +33,8 @@ per-layer cost the array form removed.
 """
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +121,41 @@ def test_scanner_flags_a_write_only_field():
 def test_no_write_only_fields(path):
     readers = [p.read_text() for p in READERS]
     assert write_only_fields(path.read_text(), readers) == []
+
+
+def undeclared_imports(source: str, declared: set[str]) -> list[tuple[int, str]]:
+    """(line, package) of every absolute import of a top-level package
+    that is neither in the standard library nor in ``declared``."""
+    imported = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.append((node.lineno, node.module))
+    return sorted(
+        (line, top) for line, name in imported
+        if (top := name.split(".")[0]) not in sys.stdlib_module_names and top not in declared
+    )
+
+
+def declared_dependencies() -> set[str]:
+    """Package names in ``[project].dependencies``, without version specifiers."""
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    return {re.split(r"[\s\[<>=!~;]", spec, maxsplit=1)[0] for spec in project["dependencies"]}
+
+
+def test_scanner_flags_an_undeclared_import():
+    source = (
+        "import json, numpy as np\nfrom . import config\nfrom .errors import X\n"
+        "import yaml.loader\n\ndef f():\n    from scipy import linalg\n    import orjson\n"
+    )
+    assert undeclared_imports(source, {"numpy", "orjson"}) == [(4, "yaml"), (7, "scipy")]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_undeclared_imports(path):
+    assert undeclared_imports(path.read_text(), declared_dependencies()) == []
 
 
 def list_round_trips(source: str) -> list[int]:

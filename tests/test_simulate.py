@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boundedkv.config import StreamConfig
-from boundedkv.errors import AdmissionOverflow, ConfigError
+from boundedkv.errors import AdmissionOverflow, BadTemperature, ConfigError
 from boundedkv.oracle import baseline_run, compare_runs
 from boundedkv.simulate import (
     StreamSimulator,
@@ -240,6 +240,28 @@ def test_none_policy_budget_boundary():
     two = StreamConfig(**{**SMALL, "frames": 2}, policy="none", budget_tokens=0)
     two.validate()
     assert len(run_stream(two).outputs) == 2
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tau", float("nan")),
+    ("tau", float("inf")),
+    ("landmark_gain", float("nan")),
+    ("landmark_gain", float("inf")),
+    ("sharpness", float("nan")),
+    ("sharpness", float("inf")),
+    ("sharpness_profile", [2.0, float("nan")]),
+    ("sharpness_profile", [float("-inf"), 2.0]),
+], ids=["nan_tau", "inf_tau", "nan_landmark_gain", "inf_landmark_gain", "nan_sharpness", "inf_sharpness",
+        "nan_profile_entry", "inf_profile_entry"])
+def test_non_finite_config_is_rejected(field, value):
+    # Each of these passed validate() once and then faulted part-way
+    # through the run (BadTemperature, or "sigmas must be finite").
+    cfg = StreamConfig(**SMALL, beta=0.5, **{field: value})
+    with pytest.raises(ConfigError):
+        cfg.validate()
+    cfg.validate = lambda: None
+    with np.errstate(invalid="ignore"), pytest.raises((BadTemperature, ValueError)):
+        run_stream(cfg)
 
 
 def test_none_policy_with_budget_below_stream_faults_without_validation():

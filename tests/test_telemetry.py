@@ -5,12 +5,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from boundedkv.config import StreamConfig
 from boundedkv.errors import MalformedTrace, UnknownLayer
 from boundedkv.oracle import baseline_run, brute_force_scores, map_log_from_records
 from boundedkv.simulate import PAYLOADS, run_stream
 from boundedkv.telemetry import (
+    Trace,
     TraceRecord,
     export_heatmap,
     heatmap_grid,
@@ -35,6 +39,52 @@ def test_round_trip_records_and_bytes(tmp_path):
     second = tmp_path / "copy.jsonl"
     write_trace(trace, second)
     assert second.read_bytes() == path.read_bytes()
+
+
+# Doubles whose decoding is easy to get wrong: subnormals, signed zeros,
+# the largest finite value and 17 significant digits.
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+                     0.0, -0.0, 1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(lambda digits, exp: float(f"{digits}e{exp}"), st.integers(10**16, 10**17 - 1), st.integers(-340, 291)),
+)
+IDS = st.integers(-2**63, 2**63 - 1)
+
+
+@st.composite
+def trace_records(draw):
+    n_evicted = draw(st.integers(0, 4))
+    return TraceRecord(
+        step=draw(IDS), layer=draw(IDS), n_keys=draw(IDS),
+        budget_pre=draw(st.none() | IDS), budget_post=draw(st.none() | IDS),
+        occupancy_pre=draw(IDS), occupancy_post=draw(IDS), protected_count=draw(IDS),
+        clamped=draw(st.booleans()), reason=draw(st.none() | st.text(max_size=8)),
+        evicted_ids=draw(arrays(np.int64, n_evicted, elements=IDS)),
+        evicted_importances=draw(arrays(np.float64, n_evicted, elements=EDGE_FLOATS)),
+        sigma=draw(EDGE_FLOATS), pi=draw(st.none() | EDGE_FLOATS),
+        multiplies=draw(IDS), footprint_bytes=draw(IDS),
+        key_ids=draw(arrays(np.int64, st.integers(0, 5), elements=IDS)),
+        col_sums_raw=draw(arrays(np.float64, st.integers(0, 5), elements=EDGE_FLOATS)),
+        col_sums_headmean=draw(arrays(np.float64, st.integers(0, 5), elements=EDGE_FLOATS)),
+        maps=draw(st.none() | arrays(np.float64, array_shapes(min_dims=3, max_dims=3, max_side=3),
+                                     elements=EDGE_FLOATS)),
+    )
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(records=st.lists(trace_records(), max_size=3), tau=EDGE_FLOATS)
+def test_edge_values_read_back_exactly(tmp_path, records, tau):
+    # Every finite double and int64 reads back as the value written.
+    # Rewriting what was read must give the same bytes, which also
+    # catches a lost -0.0 sign that record equality cannot see.
+    trace = Trace(version=1, config={"tau": tau}, budget={"budget_tokens": None}, records=records)
+    first = write_trace(trace, tmp_path / "first.jsonl")
+    read = read_trace(first)
+    assert read.records == records
+    assert read.config == trace.config and read.budget == trace.budget
+    second = write_trace(read, tmp_path / "second.jsonl")
+    assert second.read_bytes() == first.read_bytes()
 
 
 def assert_typed_payloads(records):
@@ -71,11 +121,28 @@ def test_run_and_trace_payloads_are_typed_arrays(tmp_path):
     ("col_sums_headmean", [[0.5, 0.5]]),
     ("evicted", [{"token_id": "3", "importance": 0.1}]),
     ("evicted", [{"token_id": 3, "importance": None}]),
+    ("step", "0"),
+    ("step", True),
+    ("layer", 1.0),
+    ("n_keys", 2**64),
+    ("occupancy_pre", None),
+    ("clamped", 3),
+    ("reason", 5),
+    ("sigma", "0.5"),
+    ("pi", False),
+    ("budget_post", 1.5),
+    ("sigma", float("nan")),
+    ("pi", float("-inf")),
+    ("col_sums_raw", [0.5, float("inf")]),
 ], ids=["ragged_maps", "string_key_ids", "numeral_key_ids", "float_key_ids", "scalar_col_sums_raw",
-        "rank2_col_sums_headmean", "string_evicted_id", "null_importance"])
+        "rank2_col_sums_headmean", "string_evicted_id", "null_importance", "string_step", "bool_step",
+        "float_layer", "n_keys_past_2_64", "null_occupancy", "int_clamped", "int_reason", "string_sigma",
+        "bool_pi", "float_budget", "nan_sigma", "infinite_pi", "infinite_col_sum"])
 def test_malformed_payload_reports_line(tmp_path, field, value):
-    # A payload that is ragged, non-numeric or of the wrong rank fails
-    # on its own line instead of reading back as something else.
+    # A payload that is ragged, non-numeric or of the wrong rank, a scalar
+    # of another JSON type than the writer gives it, and a NaN or
+    # Infinity literal (not JSON) fail on their own line instead of
+    # reading back as something else.
     run = run_stream(StreamConfig(**SMALL, beta=0.3, keep_maps=True))
     lines = write_trace(run, tmp_path / "trace.jsonl").read_text().splitlines()
     record = json.loads(lines[3])
@@ -129,6 +196,15 @@ def test_malformed_trace_reports_line(tmp_path):
     with pytest.raises(MalformedTrace) as err:
         read_trace(nohdr)
     assert err.value.line == 1
+
+    # The header's config and budget must be objects.
+    header = json.loads(lines[0])
+    for key in ("config", "budget"):
+        listed = tmp_path / f"listed_{key}.jsonl"
+        listed.write_text("\n".join([json.dumps({**header, key: [1]}), *lines[1:]]) + "\n")
+        with pytest.raises(MalformedTrace) as err:
+            read_trace(listed)
+        assert err.value.line == 1
 
 
 def test_truncated_last_record_is_reported(tmp_path):
