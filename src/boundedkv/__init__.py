@@ -31,7 +31,7 @@ from .oracle import (
     compare_runs,
     landmark_retention,
 )
-from .scoring import accumulate, importance, importances, layer_sparsity
+from .scoring import accumulate, importances, layer_sparsity
 from .simulate import (
     FrameTokens,
     RunSummary,

@@ -35,13 +35,9 @@ _META = ("token_id", "frame_index", "kind", "birth_step", "exposure", "cum_score
 _MIN_ROWS = 64
 
 
-def is_protected(frame_index: int, token_kind: str) -> bool:
-    """First-frame tokens plus camera/register tokens of every frame."""
-    return frame_index == 0 or token_kind in (KIND_CAMERA, KIND_REGISTER)
-
-
-# Whether a token of each kind code is protected outside the first frame.
-_PROTECTED_KIND = np.array([is_protected(1, kind) for kind in _KINDS])
+# Whether a token of each kind code is protected outside the first frame
+# (every first-frame token is: see ``admit``).
+_PROTECTED_KIND = np.array([kind != KIND_PATCH for kind in _KINDS])
 
 
 @dataclass(frozen=True)
@@ -61,10 +57,6 @@ class TokenRow:
     exposure: int = 1
     cum_score: float = 0.0
     eviction_step: int | None = None
-
-    @property
-    def protected(self) -> bool:
-        return is_protected(self.frame_index, self.token_kind)
 
 
 class _Columns:

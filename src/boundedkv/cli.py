@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import filecmp
 import json
+import math
 import os
 import sys
 import tempfile
@@ -23,10 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from .allocation import allocate
-from .config import ATTN_DTYPES, BUDGET_MODES, POLICIES, StreamConfig, config_from_dict
+from .config import ATTN_DTYPES, BUDGET_MODES, KIND_PATCH, POLICIES, StreamConfig, config_from_dict
 from .errors import BoundedKVError, ConfigError
 from .oracle import baseline_run, brute_force_scores, compare_runs, landmark_retention, map_log_from_records
-from .scoring import importance
+from .scoring import importances
 from .simulate import run_stream
 from .telemetry import (
     SummaryRow,
@@ -248,6 +249,13 @@ def _check(name: str, passed: bool, detail: str, failures: list) -> None:
         failures.append(name)
 
 
+def _rel_err(value: float, ref: float) -> float:
+    """Relative error of ``value`` against ``ref``; inf when it is NaN,
+    which would otherwise compare below every bound."""
+    err = abs(value - ref) / max(abs(ref), 1e-300)
+    return math.inf if math.isnan(err) else err
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     out = _out_dir(args)
@@ -279,16 +287,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
     score_run = run_stream(score_cfg)
     worst_rel = 0.0
     for layer in range(score_cfg.layers):
-        expected = brute_force_scores(map_log_from_records(score_run.records, layer))
+        log = map_log_from_records(score_run.records, layer)
+        expected = brute_force_scores(log)
         lc = score_run.session.layers[layer]
         for rec in list(lc.records) + list(lc.evicted):
             ref = expected[rec.token_id]
-            denom = max(abs(ref.cum_score), 1e-300)
-            worst_rel = max(worst_rel, abs(rec.cum_score - ref.cum_score) / denom)
+            worst_rel = max(worst_rel, _rel_err(rec.cum_score, ref.cum_score))
             if rec.exposure != ref.exposure:
-                worst_rel = float("inf")
-            if not rec.protected:
-                worst_rel = max(worst_rel, abs(importance(rec) - ref.importance) / max(abs(ref.importance), 1e-300))
+                worst_rel = math.inf
+        # Importances as eviction ranks on them: the resident candidates'
+        # now, and each victim's as recorded when it was chosen.
+        candidates = (~lc.protected[: lc.n]).nonzero()[0]
+        ranked = [(lc.token_id[candidates], importances(lc, candidates))]
+        ranked += [(rec.evicted_ids, rec.evicted_importances) for rec in log]
+        for ids, values in ranked:
+            for tid, value in zip(ids.tolist(), values.tolist()):
+                worst_rel = max(worst_rel, _rel_err(value, expected[tid].importance))
     _check("scoring-oracle", worst_rel <= 1e-9, f"max_rel_err={worst_rel:.3e}", failures)
     rows.append(summary_row(score_run, label="verify-scoring"))
 
@@ -320,7 +334,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     persists = True
     for lc in bounded_run.session.layers:
-        if any(rec.protected for rec in lc.evicted):
+        # The protection rule, restated here apart from the cache's.
+        if any(rec.frame_index == 0 or rec.token_kind != KIND_PATCH for rec in lc.evicted):
             persists = False
         expected_protected = bounded_cfg.tokens_per_frame + (bounded_cfg.frames - 1) * (1 + bounded_cfg.registers)
         if bounded_cfg.frames > 0 and lc.protected_count != expected_protected:

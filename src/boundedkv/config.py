@@ -121,8 +121,8 @@ class StreamConfig:
         if self.sharpness_profile is not None:
             if len(self.sharpness_profile) != self.layers:
                 raise ConfigError("sharpness_profile must have one entry per layer")
-            if not all(math.isfinite(s) for s in self.sharpness_profile):
-                raise ConfigError("sharpness_profile entries must be finite")
+            if not all(math.isfinite(s) and s >= 0.0 for s in self.sharpness_profile):
+                raise ConfigError("sharpness_profile entries must be finite and >= 0")
         if self.attn_dtype not in ATTN_DTYPES:
             raise ConfigError(f"attn_dtype must be one of {ATTN_DTYPES}")
 

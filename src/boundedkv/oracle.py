@@ -40,7 +40,6 @@ class DivergenceReport:
 
     max_abs: list[float]
     rms: list[float]
-    cosine: list[float]
     retained_mass: list[float]
 
     @property
@@ -117,14 +116,11 @@ def compare_runs(bounded: RunSummary, baseline: RunSummary) -> DivergenceReport:
     if len(bounded.outputs) != len(baseline.outputs):
         raise ConfigMismatch("runs cover different frame counts")
 
-    max_abs, rms, cosine = [], [], []
+    max_abs, rms = [], []
     for a, b in zip(bounded.outputs, baseline.outputs):
         delta = a.astype(np.float64) - b.astype(np.float64)
         max_abs.append(float(np.max(np.abs(delta))) if delta.size else 0.0)
         rms.append(float(np.sqrt(np.mean(delta * delta))) if delta.size else 0.0)
-        fa, fb = a.ravel().astype(np.float64), b.ravel().astype(np.float64)
-        denom = np.linalg.norm(fa) * np.linalg.norm(fb)
-        cosine.append(float(fa @ fb / denom) if denom > 0 else 1.0)
 
     retained = []
     for layer in range(baseline.config.layers):
@@ -137,7 +133,7 @@ def compare_runs(bounded: RunSummary, baseline: RunSummary) -> DivergenceReport:
             kept += float(mass[np.isin(base.key_ids, report_a.layers[layer].key_ids)].sum())
         retained.append(kept / total if total > 0 else 1.0)
 
-    return DivergenceReport(max_abs=max_abs, rms=rms, cosine=cosine, retained_mass=retained)
+    return DivergenceReport(max_abs=max_abs, rms=rms, retained_mass=retained)
 
 
 def landmark_token_ids(run: RunSummary, layer: int) -> set[int]:

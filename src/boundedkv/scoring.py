@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .cache import LayerCache, TokenRow
+from .cache import LayerCache
 from .errors import StaleStats
 
 if TYPE_CHECKING:
@@ -62,18 +62,12 @@ def accumulate(cache_layer: LayerCache, record: TraceRecord) -> None:
     cache_layer.exposure[:n] += cache_layer.birth_step[:n] < record.step
 
 
-def importance(token: TokenRow) -> float:
-    """Final importance: cumulative score discounted by exposure.
-
-    Protected tokens map to +inf and are thereby exempt from eviction.
-    """
-    if token.protected:
-        return math.inf
-    return token.cum_score / token.exposure
-
-
 def importances(cache_layer: LayerCache, rows: np.ndarray) -> np.ndarray:
-    """``importance`` of the given rows of a layer, as one array."""
+    """Final importance of the given rows of a layer, as one array.
+
+    Each row's cumulative score discounted by its exposure; protected
+    rows map to +inf and are thereby exempt from eviction.
+    """
     values = cache_layer.cum_score[rows] / cache_layer.exposure[rows]
     values[cache_layer.protected[rows]] = math.inf
     return values

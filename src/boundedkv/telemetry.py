@@ -141,8 +141,10 @@ def read_trace(path) -> Trace:
             raise MalformedTrace(f"header is not valid JSON ({exc.msg})", line=1) from exc
         if not isinstance(header, dict) or header.get("format") != TRACE_FORMAT:
             raise MalformedTrace("missing trace format tag", line=1)
-        if header.get("version") != TRACE_VERSION:
-            raise MalformedTrace(f"unsupported trace version {header.get('version')!r}", line=1)
+        version = header.get("version")
+        # An exact type check: True and 1.0 compare equal to 1.
+        if type(version) is not int or version != TRACE_VERSION:
+            raise MalformedTrace(f"unsupported trace version {version!r}", line=1)
         config, budget = header.get("config", {}), header.get("budget", {})
         if not isinstance(config, dict) or not isinstance(budget, dict):
             raise MalformedTrace("header config and budget must be objects", line=1)
@@ -159,7 +161,7 @@ def read_trace(path) -> Trace:
                     raise MalformedTrace("truncated last record", line=lineno) from exc
                 raise MalformedTrace(f"record is not valid JSON ({exc.msg})", line=lineno) from exc
             records.append(_record_from_json(payload, lineno))
-    return Trace(version=header["version"], config=config, budget=budget, records=records)
+    return Trace(version=version, config=config, budget=budget, records=records)
 
 
 def heatmap_grid(records: list[TraceRecord], layer: int, reweight: bool = False):

@@ -80,7 +80,7 @@ def test_remove_frame0_token_is_protected():
 def test_camera_and_register_always_protected(kind):
     session = make_session()
     ids = admit_tokens(session, 0, 9, kinds=[kind])
-    assert session.layers[0].records[0].protected
+    assert session.layers[0].protected[0]
     with pytest.raises(ProtectedEviction):
         remove(session, 0, ids)
 

@@ -2,10 +2,13 @@
 
 import hashlib
 import json
+import math
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
+from boundedkv import eviction
 from boundedkv.cli import _merge_config, build_parser, main
 from boundedkv.config import StreamConfig
 from boundedkv.errors import ConfigError
@@ -134,9 +137,30 @@ def test_ablate_orders_policies(tmp_path, capsys):
 def test_verify_default_config_passes(tmp_path, capsys):
     code, out, _ = run_cli(["verify", "--out", str(tmp_path)], capsys)
     assert code == 0
-    assert "FAIL" not in out
+    assert [line.split(" (")[0] for line in out.splitlines()[:7]] == [
+        "ok: " + name for name in ("beta1-equivalence", "conservation", "scoring-oracle", "allocation-example",
+                                   "occupancy-bound", "protected-persistence", "determinism")
+    ]
     assert sha256(tmp_path / "verify_trace.jsonl") == GOLDEN_SHA256["verify/verify_trace.jsonl"]
     assert sha256(tmp_path / "verify_summary.csv") == GOLDEN_SHA256["verify/verify_summary.csv"]
+
+
+@pytest.mark.parametrize("fault", [
+    lambda score, exposure: score / (exposure + 1),
+    lambda score, exposure: score * np.nan,
+], ids=["exposure_off_by_one", "nan"])
+def test_verify_fails_when_eviction_ranks_on_wrong_importances(fault, tmp_path, capsys, monkeypatch):
+    # A planted fault in the importances eviction ranks on must fail the
+    # scoring oracle, not only the output pins.
+    def faulty(cache_layer, rows):
+        values = fault(cache_layer.cum_score[rows], cache_layer.exposure[rows])
+        values[cache_layer.protected[rows]] = math.inf
+        return values
+
+    monkeypatch.setattr(eviction, "importances", faulty)
+    code, out, _ = run_cli(["verify", "--out", str(tmp_path)], capsys)
+    assert code == 3
+    assert "FAIL: scoring-oracle" in out
 
 
 def test_verify_reruns_byte_identical(tmp_path, capsys):

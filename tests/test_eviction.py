@@ -15,7 +15,6 @@ from boundedkv.eviction import (
     maintain_step,
     make_policy,
 )
-from boundedkv.scoring import importance
 from boundedkv.simulate import run_stream
 
 
@@ -56,24 +55,28 @@ def test_zero_slots_empty_plan_for_all_policies():
 
 
 def test_full_sort_oracle_matches_selection():
+    # Oracle: exhaustive repeated minimum extraction with an explicit
+    # comparator, on importance = cum_score / exposure.
+    def key(rec):
+        return (rec.cum_score / rec.exposure, -rec.frame_index, -rec.token_id)
+
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([17, 3])))
     for trial in range(30):
         n = int(rng.integers(4, 40))
-        imps = np.round(rng.uniform(0.0, 1.0, size=n), 2).tolist()  # rounding forces ties
+        scores = np.round(rng.uniform(0.0, 1.0, size=n), 2).tolist()  # rounding forces ties
         frames = rng.integers(1, 6, size=n).tolist()
-        session, recs = build_layer(imps, frames=frames)
+        session, _ = build_layer(scores, frames=frames)
+        layer = session.layers[0]
+        layer.exposure[:n] = rng.integers(1, 4, size=n)
         slots = int(rng.integers(1, n + 1))
-        plan = AttentionPolicy().plan(session.layers[0], slots)
+        plan = AttentionPolicy().plan(layer, slots)
 
-        # Oracle: exhaustive repeated minimum extraction with explicit comparator.
-        remaining = list(session.layers[0].records)
+        remaining = list(layer.records)
         expected = []
         for _ in range(slots):
             best = remaining[0]
             for cand in remaining[1:]:
-                key_b = (importance(best), -best.frame_index, -best.token_id)
-                key_c = (importance(cand), -cand.frame_index, -cand.token_id)
-                if key_c < key_b:
+                if key(cand) < key(best):
                     best = cand
             expected.append(best.token_id)
             remaining.remove(best)

@@ -1,5 +1,6 @@
-"""Source hygiene: no module imports a name it never uses, and no
-package class has a field that nothing reads.
+"""Source hygiene: no module imports a name it never uses, no package
+class has a field that nothing reads, and no package function or class
+exists only for the tests.
 
 The repository configures no linter, so these standard-library AST scans
 stand in for the unused-import and write-only-field rules.
@@ -12,6 +13,13 @@ The field scan covers every annotated field of a class in the package.
 A field counts as read when some module under ``src/``, ``tests/`` or
 ``bench/`` loads an attribute of that name, names it in a ``getattr``
 call, or passes the field's class to ``fields(...)``.
+
+The reference scan covers every top-level function and class of the
+package modules (except ``__init__.py``). Each must be named, as a
+loaded name or attribute, by some module under ``src/`` or ``bench/``;
+an import alone is no reference, so a re-export does not count. A twin
+of an engine rule that only tests call, which can drift from the rule
+it copies while the checks still pass, fails here.
 
 The column scan checks that a new ``LayerCache`` and ``EvictionLog``
 hold no ``object``-dtype array.
@@ -49,6 +57,7 @@ SCANNED = sorted(
     if p.name != "__init__.py"
 )
 READERS = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
+USERS = sorted(p for d in ("src", "bench") for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -121,6 +130,38 @@ def test_scanner_flags_a_write_only_field():
 def test_no_write_only_fields(path):
     readers = [p.read_text() for p in READERS]
     assert write_only_fields(path.read_text(), readers) == []
+
+
+def unreferenced_definitions(defining: str, users: list[str]) -> list[str]:
+    """Top-level functions and classes in ``defining`` that no module in
+    ``users`` loads by name or as an attribute."""
+    defined = [
+        node.name for node in ast.parse(defining).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+    named: set[str] = set()
+    for source in users:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                named.add(node.attr)
+    return [name for name in defined if name not in named]
+
+
+def test_scanner_flags_an_unreferenced_definition():
+    defining = (
+        "def f():\n    return g()\n\ndef g():\n    pass\n\n"
+        "class A:\n    pass\n\nclass B:\n    pass\n\nasync def h():\n    pass\n"
+    )
+    user = "from m import B, f\nm.h()\nx = 'A'\n"
+    assert unreferenced_definitions(defining, [defining, user]) == ["f", "A", "B"]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "__init__.py"], ids=lambda p: p.name)
+def test_no_test_only_definitions(path):
+    users = [p.read_text() for p in USERS]
+    assert unreferenced_definitions(path.read_text(), users) == []
 
 
 def undeclared_imports(source: str, declared: set[str]) -> list[tuple[int, str]]:

@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boundedkv.cache import CacheSession, TokenRow, admit, kind_codes
+from boundedkv.cache import CacheSession, admit, kind_codes
 from boundedkv.config import StreamConfig
 from boundedkv.errors import StaleStats
 from boundedkv.scoring import (
     accumulate,
-    importance,
     importances,
     layer_sparsity,
     stats_from_maps,
@@ -102,25 +101,22 @@ def test_two_step_accumulation_matches_bruteforce():
         assert rec.exposure == e_ref
 
 
-def test_importance_division():
-    rec = TokenRow(token_id=0, frame_index=2, token_kind="patch", birth_step=2,
-                   exposure=1, cum_score=0.125)
-    assert importance(rec) == pytest.approx(0.125)
-
-
-def test_importance_protected_is_infinite():
-    cam = TokenRow(token_id=1, frame_index=7, token_kind="camera", birth_step=7,
-                   cum_score=0.001)
-    assert importance(cam) == math.inf
-    first_frame = TokenRow(token_id=2, frame_index=0, token_kind="patch", birth_step=0)
-    assert importance(first_frame) == math.inf
-
-
-def test_importance_discounts_tenure():
-    a = TokenRow(token_id=1, frame_index=3, token_kind="patch", birth_step=3, cum_score=0.4, exposure=2)
-    b = TokenRow(token_id=2, frame_index=3, token_kind="patch", birth_step=3, cum_score=0.4, exposure=4)
-    assert importance(a) == pytest.approx(0.2)
-    assert importance(b) == pytest.approx(0.1)
+@pytest.mark.parametrize("frame_index, kind, cum_score, exposure, expected", [
+    (2, "patch", 0.125, 1, 0.125),
+    (2, "patch", 0.75, 3, 0.25),
+    (3, "patch", 0.4, 2, 0.2),
+    (3, "patch", 0.4, 4, 0.1),
+    (7, "camera", 0.001, 1, math.inf),
+    (0, "patch", 0.0, 1, math.inf),
+], ids=["division", "division_exposure3", "tenure2", "tenure4", "camera", "frame0_patch"])
+def test_importances_hand_computed(frame_index, kind, cum_score, exposure, expected):
+    # Score over exposure, so tenure alone earns nothing; protected rows
+    # (camera, any first-frame token) are +inf.
+    session, _ = session_with(1, frame_index=frame_index, kinds=[kind])
+    layer = session.layers[0]
+    layer.cum_score[0] = cum_score
+    layer.exposure[0] = exposure
+    assert importances(layer, np.arange(1)).tolist() == [expected]
 
 
 def test_vector_importances_match_rows():
@@ -130,9 +126,12 @@ def test_vector_importances_match_rows():
         session.step_counter = step
         accumulate(session.layers[0], make_record(step, ids, [0.4, 0.1, 1.2]))
     layer = session.layers[0]
-    expected = [importance(r) for r in layer.records]
-    assert importances(layer, np.arange(3)).tolist() == expected
-    assert expected[0] == math.inf
+    # Three steps of raw / 3 each, over an exposure of 3.
+    assert layer.exposure[:3].tolist() == [3, 3, 3]
+    values = importances(layer, np.arange(3))
+    assert values[0] == math.inf
+    assert values[1:].tolist() == pytest.approx([0.1 / 3, 1.2 / 3], rel=1e-12)
+    assert importances(layer, np.array([2, 0])).tolist() == [values[2], math.inf]
 
 
 def test_sparsity_zero_for_uniform_columns():
@@ -211,8 +210,8 @@ def test_score_scaling_preserves_ordering(sums, scale):
         for step, row in enumerate(sums):
             session.step_counter = step
             accumulate(session.layers[0], make_record(step, ids, [multiplier * x for x in row]))
-        recs = session.layers[0].records
-        return [r.cum_score for r in recs], [importance(r) for r in recs]
+        layer = session.layers[0]
+        return layer.cum_score[:3].tolist(), importances(layer, np.arange(3)).tolist()
 
     base_scores, base_imp = run(1.0)
     scaled_scores, scaled_imp = run(scale)

@@ -264,6 +264,12 @@ def test_non_finite_config_is_rejected(field, value):
         run_stream(cfg)
 
 
+def test_negative_sharpness_profile_entry_is_rejected():
+    # Like a negative sharpness, it would invert that layer's logits.
+    with pytest.raises(ConfigError, match="sharpness_profile"):
+        StreamConfig(**SMALL, sharpness_profile=[1.0, -1.0]).validate()
+
+
 def test_none_policy_with_budget_below_stream_faults_without_validation():
     # The rule validate() enforces: past two frames, a short budget faults.
     cfg = StreamConfig(**{**SMALL, "frames": 3}, policy="none", budget_tokens=0)

@@ -197,13 +197,14 @@ def test_malformed_trace_reports_line(tmp_path):
         read_trace(nohdr)
     assert err.value.line == 1
 
-    # The header's config and budget must be objects.
+    # The header's config and budget must be objects, and its version an
+    # int (True and 1.0 compare equal to 1).
     header = json.loads(lines[0])
-    for key in ("config", "budget"):
-        listed = tmp_path / f"listed_{key}.jsonl"
-        listed.write_text("\n".join([json.dumps({**header, key: [1]}), *lines[1:]]) + "\n")
+    for i, (key, value) in enumerate([("config", [1]), ("budget", [1]), ("version", True), ("version", 1.0)]):
+        bad_header = tmp_path / f"header{i}.jsonl"
+        bad_header.write_text("\n".join([json.dumps({**header, key: value}), *lines[1:]]) + "\n")
         with pytest.raises(MalformedTrace) as err:
-            read_trace(listed)
+            read_trace(bad_header)
         assert err.value.line == 1
 
 
