@@ -48,12 +48,12 @@ def _floor_largest_remainder(weights: list[float], total: int) -> list[int]:
     return base
 
 
-def allocate(sigmas, tau: float, total: int, cap: int | None = None) -> AllocationResult:
+def allocate(sigmas, tau: float, total: int, cap: float = math.inf) -> AllocationResult:
     """Split ``total`` tokens across layers by softmax(sigmas / tau).
 
-    ``cap`` bounds each layer's budget; capped-off share is redistributed
-    over the remaining layers, preserving the exact total whenever
-    ``total <= layers * cap``.
+    ``cap`` bounds each layer's budget (no bound by default); capped-off
+    share is redistributed over the remaining layers, preserving the
+    exact total whenever ``total <= layers * cap``.
     """
     if tau <= 0.0 or not math.isfinite(tau):
         raise BadTemperature(f"temperature must be > 0, got {tau}")
@@ -69,9 +69,6 @@ def allocate(sigmas, tau: float, total: int, cap: int | None = None) -> Allocati
     # runs on Python floats, whose IEEE arithmetic gives the same values.
     shares = _softmax(sig, tau)
     weights = shares.tolist()
-
-    if cap is None:
-        return AllocationResult(shares=weights, budgets=_floor_largest_remainder(weights, total))
 
     budgets = [0] * sig.size
     active = list(range(sig.size))

@@ -19,7 +19,7 @@ flag; correctness wins over strict budgets at pathological settings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,9 +54,9 @@ class TokenRow:
     frame_index: int
     token_kind: str
     birth_step: int
-    exposure: int = 1
-    cum_score: float = 0.0
-    eviction_step: int | None = None
+    exposure: int
+    cum_score: float
+    eviction_step: int | None
 
 
 class _Columns:
@@ -135,7 +135,7 @@ class LayerCache(_Columns):
     Token ids increase down the rows (admission order is id order).
     """
 
-    def __init__(self, layer_index: int, dim: int, dtype=np.float64):
+    def __init__(self, layer_index: int, dim: int, dtype):
         super().__init__(_META, (
             ("protected", np.bool_, ()),
             ("K", dtype, (dim,)),
@@ -194,7 +194,6 @@ class LayerCache(_Columns):
         return len(rows)
 
 
-@dataclass
 class CacheSession:
     """All layer caches plus allocation state for one stream.
 
@@ -204,18 +203,13 @@ class CacheSession:
     whenever the total is attainable within the stream horizon.
     """
 
-    config: StreamConfig
-    layers: list[LayerCache] = field(default_factory=list)
-    step_counter: int = 0
-    budgets_total: int | None = None
-    _next_token_id: int = 0
-
-    def __post_init__(self):
-        if not self.layers:
-            dtype = np.dtype(self.config.attn_dtype)
-            self.layers = [LayerCache(i, self.config.dim, dtype) for i in range(self.config.layers)]
-        if self.budgets_total is None:
-            self.budgets_total = self.config.total_budget_tokens()
+    def __init__(self, config: StreamConfig):
+        self.config = config
+        dtype = np.dtype(config.attn_dtype)
+        self.layers = [LayerCache(i, config.dim, dtype) for i in range(config.layers)]
+        self.step_counter = 0
+        self.budgets_total = config.total_budget_tokens()
+        self._next_token_id = 0
 
     @property
     def unbounded(self) -> bool:

@@ -107,17 +107,17 @@ def _add_stream_flags(parser: argparse.ArgumentParser) -> None:
 
 def _merge_config(args: argparse.Namespace) -> StreamConfig:
     values: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         values.update(_read_config_file(args.config))
     for name in _FIELD_TYPES:
-        flag_value = getattr(args, name, None)
+        flag_value = getattr(args, name)
         if flag_value is not None:
             values[name] = flag_value
     return config_from_dict(values)
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
-    out = getattr(args, "out", None) or os.environ.get("BOUNDEDKV_OUT") or "out"
+    out = args.out or os.environ.get("BOUNDEDKV_OUT") or "out"
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path

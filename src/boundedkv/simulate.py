@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -120,16 +120,16 @@ class TraceRecord:
     protected_count: int
     clamped: bool
     reason: str | None
-    evicted_ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    evicted_importances: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.float64))
-    sigma: float = 0.0
-    pi: float | None = None
-    multiplies: int = 0
-    footprint_bytes: int = 0
-    key_ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    col_sums_raw: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.float64))
-    col_sums_headmean: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.float64))
-    maps: np.ndarray | None = None
+    evicted_ids: np.ndarray
+    evicted_importances: np.ndarray
+    sigma: float
+    pi: float | None
+    multiplies: int
+    footprint_bytes: int
+    key_ids: np.ndarray
+    col_sums_raw: np.ndarray
+    col_sums_headmean: np.ndarray
+    maps: np.ndarray | None
 
     def __eq__(self, other):
         if not isinstance(other, TraceRecord):
@@ -282,17 +282,18 @@ class StreamSimulator:
         self.kind_codes = kind_codes(frame_kind_layout(config))
         d, seed = config.dim, config.seed
         anchor = anchor_direction(config)
+        self.sharpness = sharpness_profile(config)
         # Each layer's q/k/v projections are the column blocks of one
         # (d, 3d) matrix, so one matmul projects all three. The frame-wise
         # stage does the same for q/v.
-        self.w_qkv = [
-            np.concatenate([
-                self._aligned(self._weights(seed, _TAG_Q, i, d), anchor, self._anchor_image(i)),
-                self._aligned(self._weights(seed, _TAG_K, i, d), anchor, self._anchor_image(i)),
+        self.w_qkv = []
+        for i in range(config.layers):
+            image = self._anchor_image(i)
+            self.w_qkv.append(np.concatenate([
+                self._aligned(self._weights(seed, _TAG_Q, i, d), anchor, image),
+                self._aligned(self._weights(seed, _TAG_K, i, d), anchor, image),
                 self._weights(seed, _TAG_V, i, d),
-            ], axis=1)
-            for i in range(config.layers)
-        ]
+            ], axis=1))
         self.w_out = [
             self._anchor_free(self._weights(seed, _TAG_OUT, i, d), anchor)
             for i in range(config.layers)
@@ -300,7 +301,6 @@ class StreamSimulator:
         self.fw_qv = np.concatenate([self._weights(seed, _TAG_FRAMEWISE, 0, d),
                                      self._weights(seed, _TAG_FRAMEWISE, 1, d)], axis=1)
         self.fw_out = self._anchor_free(self._weights(seed, _TAG_FRAMEWISE, 2, d), anchor)
-        self.sharpness = sharpness_profile(config)
         if not self.session.unbounded:
             bootstrap_budgets(self.session)
 
@@ -315,7 +315,7 @@ class StreamSimulator:
         a = _rng(cfg.seed, _TAG_ANCHOR_IMAGE, layer).standard_normal(cfg.dim)
         heads = a.reshape(cfg.heads, cfg.dim // cfg.heads)
         heads /= np.linalg.norm(heads, axis=1, keepdims=True)
-        profile = sharpness_profile(cfg)
+        profile = self.sharpness
         lo, peak = min(profile), max(profile)
         # Flat profile: no layer differentiation, full coupling everywhere.
         denseness = 1.0 if peak <= lo else (peak - profile[layer]) / (peak - lo)
@@ -385,6 +385,8 @@ class StreamSimulator:
                 reason=plan.reason if plan else None,
                 evicted_ids=plan.victim_ids if plan else np.empty(0, dtype=np.int64),
                 evicted_importances=plan.importances_at_eviction if plan else np.empty(0, dtype=np.float64),
+                sigma=0.0,
+                pi=None,
                 multiplies=2 * cfg.tokens_per_frame * n_keys * cfg.dim,
                 footprint_bytes=n_keys * 2 * cfg.dim * cfg.scalar_bytes,
                 key_ids=layer.token_id[:n_keys].copy(),
@@ -423,7 +425,7 @@ def run_stream(config: StreamConfig) -> RunSummary:
         out, report = sim.step(frame)
         reports.append(report)
         outputs.append(out)
-        masks.append(frame.landmark_mask.copy())
+        masks.append(frame.landmark_mask)
     return RunSummary(
         config=config,
         budget=config.budget_metadata(),

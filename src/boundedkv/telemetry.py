@@ -31,7 +31,6 @@ TRACE_VERSION = 1
 
 @dataclass
 class Trace:
-    version: int
     config: dict
     budget: dict
     records: list[TraceRecord]
@@ -57,6 +56,8 @@ _JSON_TYPES = {
     "str | None": (str, type(None)),
 }
 _SCALARS = {f.name: _JSON_TYPES[f.type] for f in fields(TraceRecord) if f.name not in PAYLOADS}
+# Payloads with one entry per resident key; maps hold them on axis 2.
+_PER_KEY = ("key_ids", "col_sums_raw", "col_sums_headmean")
 
 
 def _record_to_json(rec: TraceRecord) -> str:
@@ -76,21 +77,21 @@ def _record_to_json(rec: TraceRecord) -> str:
 def _record_from_json(payload, lineno: int) -> TraceRecord:
     if not isinstance(payload, dict):
         raise MalformedTrace("record is not an object", line=lineno)
-    unknown = set(payload) - _JSON_FIELDS
-    if unknown:
-        raise MalformedTrace(f"unknown fields {sorted(unknown)}", line=lineno)
+    if payload.keys() != _JSON_FIELDS:
+        missing, unknown = _JSON_FIELDS - payload.keys(), payload.keys() - _JSON_FIELDS
+        raise MalformedTrace(f"missing fields {sorted(missing)}, unknown fields {sorted(unknown)}", line=lineno)
     for name, types in _SCALARS.items():
-        if name in payload and type(payload[name]) not in types:
+        if type(payload[name]) not in types:
             raise MalformedTrace(f"{name} must be {' or '.join(t.__name__ for t in types)}", line=lineno)
     values = dict(payload)
-    evicted = values.pop("evicted", [])
+    evicted = values.pop("evicted")
     try:
         values["evicted_ids"] = [entry["token_id"] for entry in evicted]
         values["evicted_importances"] = [entry["importance"] for entry in evicted]
     except (TypeError, KeyError) as exc:
         raise MalformedTrace("evicted entries need token_id and importance", line=lineno) from exc
     for name, (dtype, rank) in PAYLOADS.items():
-        if name not in values or (name == "maps" and values[name] is None):
+        if name == "maps" and values[name] is None:
             continue
         try:
             array = np.array(values[name])
@@ -101,10 +102,10 @@ def _record_from_json(payload, lineno: int) -> TraceRecord:
         if array.ndim != rank or (array.size and not (array.dtype.kind in "if" and np.can_cast(array.dtype, dtype))):
             raise MalformedTrace(f"{name} is not a rank-{rank} {np.dtype(dtype).name} array", line=lineno)
         values[name] = array.astype(dtype, copy=False)
-    try:
-        return TraceRecord(**values)
-    except TypeError as exc:
-        raise MalformedTrace(str(exc), line=lineno) from exc
+    n_keys, maps = values["n_keys"], values["maps"]
+    if any(len(values[name]) != n_keys for name in _PER_KEY) or (maps is not None and maps.shape[2] != n_keys):
+        raise MalformedTrace(f"per-key payloads must hold n_keys = {n_keys} entries", line=lineno)
+    return TraceRecord(**values)
 
 
 def write_trace(source: RunSummary | Trace, path) -> Path:
@@ -121,6 +122,10 @@ def write_trace(source: RunSummary | Trace, path) -> Path:
 
 def read_trace(path) -> Trace:
     """Parse a trace file, one line at a time.
+
+    A record must carry exactly the fields ``write_trace`` writes, with
+    ``n_keys`` entries in each per-key payload; any other line, a blank
+    one included, raises ``MalformedTrace`` naming its line number.
 
     Only the current line is held besides the records, so reading takes
     little more memory than the records it returns. A last line without
@@ -145,14 +150,12 @@ def read_trace(path) -> Trace:
         # An exact type check: True and 1.0 compare equal to 1.
         if type(version) is not int or version != TRACE_VERSION:
             raise MalformedTrace(f"unsupported trace version {version!r}", line=1)
-        config, budget = header.get("config", {}), header.get("budget", {})
+        config, budget = header.get("config"), header.get("budget")
         if not isinstance(config, dict) or not isinstance(budget, dict):
             raise MalformedTrace("header config and budget must be objects", line=1)
 
         records = []
         for lineno, raw in enumerate(fh, start=2):
-            if not raw.strip():
-                continue
             try:
                 payload = orjson.loads(raw)
             except orjson.JSONDecodeError as exc:
@@ -161,7 +164,7 @@ def read_trace(path) -> Trace:
                     raise MalformedTrace("truncated last record", line=lineno) from exc
                 raise MalformedTrace(f"record is not valid JSON ({exc.msg})", line=lineno) from exc
             records.append(_record_from_json(payload, lineno))
-    return Trace(version=version, config=config, budget=budget, records=records)
+    return Trace(config=config, budget=budget, records=records)
 
 
 def heatmap_grid(records: list[TraceRecord], layer: int, reweight: bool = False):
@@ -238,8 +241,8 @@ class SummaryRow:
     peak_footprint_bytes: int
     mean_step_multiplies: float
     total_evictions: int
-    mean_divergence: float | None = None
-    landmark_retention: float | None = None
+    mean_divergence: float | None
+    landmark_retention: float | None
 
 
 def summary_row(run: RunSummary | Trace, label: str, divergence=None, retention=None) -> SummaryRow:

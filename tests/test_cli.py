@@ -218,6 +218,19 @@ def test_export_malformed_trace_exit_code(tmp_path, capsys):
     assert code == 2
     assert "line 1" in err
 
+    # A record whose col_sums_headmean lacks an entry fails on its line
+    # instead of reaching the heatmap.
+    run_dir = tmp_path / "run"
+    assert run_cli(["run", *SMALL_FLAGS, "--frames", "3", "--beta", "0.5", "--out", str(run_dir)], capsys)[0] == 0
+    lines = (run_dir / "trace.jsonl").read_text().splitlines()
+    record = json.loads(lines[2])
+    record["col_sums_headmean"].pop()
+    lines[2] = json.dumps(record)
+    bad.write_text("\n".join(lines) + "\n")
+    code, _, err = run_cli(["export", "--trace", str(bad), "--out", str(tmp_path / "export")], capsys)
+    assert code == 2
+    assert "line 3" in err
+
 
 def test_env_var_output_dir(tmp_path, capsys, monkeypatch):
     target = tmp_path / "env_out"

@@ -255,7 +255,7 @@ def test_payload_table_names_every_array_field():
     assert untabled_payloads((ROOT / "src" / "boundedkv" / "simulate.py").read_text()) == []
 
 
-@pytest.mark.parametrize("make", [lambda: LayerCache(0, 8), EvictionLog], ids=["LayerCache", "EvictionLog"])
+@pytest.mark.parametrize("make", [lambda: LayerCache(0, 8, np.float64), EvictionLog], ids=["LayerCache", "EvictionLog"])
 def test_no_object_columns(make):
     # North star: the cache is arrays, not per-token Python objects.
     columns = {name: value.dtype for name, value in vars(make()).items() if isinstance(value, np.ndarray)}

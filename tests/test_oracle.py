@@ -15,21 +15,13 @@ from boundedkv.oracle import (
     map_log_from_records,
 )
 from boundedkv.scoring import importances
-from boundedkv.simulate import TraceRecord, run_stream
+from boundedkv.simulate import run_stream
 from boundedkv.telemetry import read_trace, write_trace
 
+from builders import layer_record
 from refimpl import cumulative_scores, landmark_retention_by_id, retained_mass_by_id
 
 DESK = dict(layers=4, heads=2, dim=32, tokens_per_frame=8, registers=1, seed=7)
-
-
-def map_record(step, key_ids, maps):
-    """A layer-0 record carrying only what brute force reads."""
-    return TraceRecord(
-        step=step, layer=0, n_keys=len(key_ids), budget_pre=None, budget_post=None,
-        occupancy_pre=0, occupancy_post=len(key_ids), protected_count=0, clamped=False,
-        reason=None, key_ids=np.array(key_ids, dtype=np.int64), maps=maps,
-    )
 
 
 def test_baseline_occupancy_and_quadratic_totals():
@@ -91,7 +83,7 @@ def test_map_log_needs_maps():
 
 def test_single_step_log_reduces_to_column_sums():
     maps = np.array([[[0.2, 0.8], [0.5, 0.5]]])  # (H=1, M=2, N=2)
-    scores = brute_force_scores([map_record(0, [10, 11], maps)])
+    scores = brute_force_scores([layer_record(0, [10, 11], maps=maps)])
     assert scores[10].cum_score == pytest.approx(0.7 / 2)
     assert scores[11].cum_score == pytest.approx(1.3 / 2)
     assert scores[10].exposure == 1
@@ -128,11 +120,11 @@ def test_incomplete_log_rejected():
         brute_force_scores([])
     with pytest.raises(IncompleteLog):
         brute_force_scores([
-            map_record(0, [0, 1], maps),
-            map_record(2, [0, 1], maps),
+            layer_record(0, [0, 1], maps=maps),
+            layer_record(2, [0, 1], maps=maps),
         ])
     with pytest.raises(IncompleteLog):
-        brute_force_scores([map_record(0, [0, 1, 2], maps)])
+        brute_force_scores([layer_record(0, [0, 1, 2], maps=maps)])
 
 
 def test_baseline_keeps_no_maps_and_compares_the_same():

@@ -16,8 +16,8 @@ from boundedkv.scoring import (
     layer_sparsity,
     stats_from_maps,
 )
-from boundedkv.simulate import TraceRecord
 
+from builders import layer_record as make_record
 from refimpl import cumulative_scores, population_variance
 
 
@@ -28,17 +28,6 @@ def session_with(n_tokens, frame_index=1, kinds=None):
     zeros = np.zeros((n_tokens, cfg.dim))
     admit(session, 0, session.issue_token_ids(n_tokens), zeros, zeros, frame_index, kind_codes(kinds))
     return session, session.layers[0].records
-
-
-def make_record(step, key_ids, raw, headmean=None):
-    """A layer-0 record carrying one step's column sums, as float64 arrays."""
-    raw = np.asarray(raw, dtype=np.float64)
-    return TraceRecord(
-        step=step, layer=0, n_keys=len(key_ids), budget_pre=None, budget_post=None,
-        occupancy_pre=0, occupancy_post=len(key_ids), protected_count=0, clamped=False, reason=None,
-        key_ids=np.array(key_ids, dtype=np.int64), col_sums_raw=raw,
-        col_sums_headmean=raw if headmean is None else np.asarray(headmean, dtype=np.float64),
-    )
 
 
 def record_from_maps(step, maps, key_ids):
@@ -175,7 +164,7 @@ ROWS = st.builds(
 def test_sparsity_equals_np_var_bit_for_bit(x):
     # layer_sparsity follows np.var's operation order on the record's
     # float64 column sums (make_record widens float32 draws).
-    record = make_record(0, range(len(x)), x, headmean=x)
+    record = make_record(0, range(len(x)), x, x)
     assert layer_sparsity(record) == -float(np.var(np.asarray(x, dtype=np.float64)))
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import array_shapes, arrays
+from hypothesis.extra.numpy import arrays
 
 from boundedkv.config import StreamConfig
 from boundedkv.errors import MalformedTrace, UnknownLayer
@@ -16,6 +16,7 @@ from boundedkv.simulate import PAYLOADS, run_stream
 from boundedkv.telemetry import (
     Trace,
     TraceRecord,
+    _JSON_FIELDS,
     export_heatmap,
     heatmap_grid,
     read_trace,
@@ -23,6 +24,8 @@ from boundedkv.telemetry import (
     summary_row,
     write_trace,
 )
+
+from builders import layer_record
 
 SMALL = dict(layers=2, heads=2, dim=16, tokens_per_frame=4, registers=0, frames=6, seed=21)
 
@@ -32,7 +35,6 @@ def test_round_trip_records_and_bytes(tmp_path):
     path = tmp_path / "trace.jsonl"
     write_trace(run, path)
     trace = read_trace(path)
-    assert trace.version == 1
     assert trace.config["frames"] == 6
     assert trace.records == run.records
     # Writing what was read reproduces the file byte for byte.
@@ -54,9 +56,11 @@ IDS = st.integers(-2**63, 2**63 - 1)
 
 @st.composite
 def trace_records(draw):
-    n_evicted = draw(st.integers(0, 4))
+    # Only records the writer can produce: every per-key payload holds
+    # n_keys entries, and maps hold them on their last axis.
+    n_evicted, n_keys = draw(st.integers(0, 4)), draw(st.integers(0, 5))
     return TraceRecord(
-        step=draw(IDS), layer=draw(IDS), n_keys=draw(IDS),
+        step=draw(IDS), layer=draw(IDS), n_keys=n_keys,
         budget_pre=draw(st.none() | IDS), budget_post=draw(st.none() | IDS),
         occupancy_pre=draw(IDS), occupancy_post=draw(IDS), protected_count=draw(IDS),
         clamped=draw(st.booleans()), reason=draw(st.none() | st.text(max_size=8)),
@@ -64,10 +68,10 @@ def trace_records(draw):
         evicted_importances=draw(arrays(np.float64, n_evicted, elements=EDGE_FLOATS)),
         sigma=draw(EDGE_FLOATS), pi=draw(st.none() | EDGE_FLOATS),
         multiplies=draw(IDS), footprint_bytes=draw(IDS),
-        key_ids=draw(arrays(np.int64, st.integers(0, 5), elements=IDS)),
-        col_sums_raw=draw(arrays(np.float64, st.integers(0, 5), elements=EDGE_FLOATS)),
-        col_sums_headmean=draw(arrays(np.float64, st.integers(0, 5), elements=EDGE_FLOATS)),
-        maps=draw(st.none() | arrays(np.float64, array_shapes(min_dims=3, max_dims=3, max_side=3),
+        key_ids=draw(arrays(np.int64, n_keys, elements=IDS)),
+        col_sums_raw=draw(arrays(np.float64, n_keys, elements=EDGE_FLOATS)),
+        col_sums_headmean=draw(arrays(np.float64, n_keys, elements=EDGE_FLOATS)),
+        maps=draw(st.none() | arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 3), st.just(n_keys)),
                                      elements=EDGE_FLOATS)),
     )
 
@@ -78,7 +82,7 @@ def test_edge_values_read_back_exactly(tmp_path, records, tau):
     # Every finite double and int64 reads back as the value written.
     # Rewriting what was read must give the same bytes, which also
     # catches a lost -0.0 sign that record equality cannot see.
-    trace = Trace(version=1, config={"tau": tau}, budget={"budget_tokens": None}, records=records)
+    trace = Trace(config={"tau": tau}, budget={"budget_tokens": None}, records=records)
     first = write_trace(trace, tmp_path / "first.jsonl")
     read = read_trace(first)
     assert read.records == records
@@ -112,6 +116,9 @@ def test_run_and_trace_payloads_are_typed_arrays(tmp_path):
     assert read == run.records
 
 
+MISSING = object()
+
+
 @pytest.mark.parametrize("field, value", [
     ("maps", [[[0.5, 0.5], [1.0]]]),
     ("key_ids", ["a", "b"]),
@@ -134,25 +141,49 @@ def test_run_and_trace_payloads_are_typed_arrays(tmp_path):
     ("sigma", float("nan")),
     ("pi", float("-inf")),
     ("col_sums_raw", [0.5, float("inf")]),
+    ("multiplies", MISSING),
+    ("key_ids", MISSING),
+    ("evicted", MISSING),
+    ("extra", 1),
+    ("n_keys", 10**6),
+    ("key_ids", [1]),
+    ("col_sums_raw", [0.5]),
+    ("col_sums_headmean", [0.5]),
+    ("maps", [[[0.5]]]),
 ], ids=["ragged_maps", "string_key_ids", "numeral_key_ids", "float_key_ids", "scalar_col_sums_raw",
         "rank2_col_sums_headmean", "string_evicted_id", "null_importance", "string_step", "bool_step",
         "float_layer", "n_keys_past_2_64", "null_occupancy", "int_clamped", "int_reason", "string_sigma",
-        "bool_pi", "float_budget", "nan_sigma", "infinite_pi", "infinite_col_sum"])
+        "bool_pi", "float_budget", "nan_sigma", "infinite_pi", "infinite_col_sum", "no_multiplies",
+        "no_key_ids", "no_evicted", "unknown_field", "wrong_n_keys", "short_key_ids", "short_col_sums_raw",
+        "short_col_sums_headmean", "short_maps_key_axis"])
 def test_malformed_payload_reports_line(tmp_path, field, value):
     # A payload that is ragged, non-numeric or of the wrong rank, a scalar
-    # of another JSON type than the writer gives it, and a NaN or
-    # Infinity literal (not JSON) fail on their own line instead of
-    # reading back as something else.
+    # of another JSON type than the writer gives it, a NaN or Infinity
+    # literal (not JSON), a missing or unknown field, and per-key payloads
+    # that do not all hold n_keys entries fail on their own line instead
+    # of reading back as something else.
     run = run_stream(StreamConfig(**SMALL, beta=0.3, keep_maps=True))
     lines = write_trace(run, tmp_path / "trace.jsonl").read_text().splitlines()
     record = json.loads(lines[3])
-    record[field] = value
+    if value is MISSING:
+        del record[field]
+    else:
+        record[field] = value
     lines[3] = json.dumps(record)
     bad = tmp_path / "bad.jsonl"
     bad.write_text("\n".join(lines) + "\n")
     with pytest.raises(MalformedTrace) as err:
         read_trace(bad)
     assert err.value.line == 4
+
+
+def test_writer_keys_are_the_reader_schema(tmp_path):
+    # Every record line write_trace writes carries exactly the fields
+    # read_trace requires, so the two cannot drift apart.
+    for keep_maps in (True, False):
+        run = run_stream(StreamConfig(**SMALL, beta=0.3, keep_maps=keep_maps))
+        lines = write_trace(run, tmp_path / "trace.jsonl").read_text().splitlines()[1:]
+        assert lines and all(json.loads(line).keys() == _JSON_FIELDS for line in lines)
 
 
 def test_read_trace_holds_only_its_result(tmp_path):
@@ -207,6 +238,16 @@ def test_malformed_trace_reports_line(tmp_path):
             read_trace(bad_header)
         assert err.value.line == 1
 
+    # A header without config, and a blank line between two records.
+    no_config = {key: value for key, value in header.items() if key != "config"}
+    for i, (text, line) in enumerate([("\n".join([json.dumps(no_config), *lines[1:]]), 1),
+                                      ("\n".join([*lines[:3], "", *lines[3:]]), 4)]):
+        bad_layout = tmp_path / f"layout{i}.jsonl"
+        bad_layout.write_text(text + "\n")
+        with pytest.raises(MalformedTrace) as err:
+            read_trace(bad_layout)
+        assert err.value.line == line
+
 
 def test_truncated_last_record_is_reported(tmp_path):
     # A writer that stopped part-way leaves a last line without its
@@ -251,15 +292,8 @@ def test_trace_feeds_brute_force(tmp_path):
 
 
 def synthetic_records(col_sums_by_step, layer=0):
-    records = []
-    for step, sums in enumerate(col_sums_by_step):
-        sums = np.array(sums, dtype=np.float64)
-        records.append(TraceRecord(
-            step=step, layer=layer, n_keys=len(sums), budget_pre=None, budget_post=None,
-            occupancy_pre=0, occupancy_post=len(sums), protected_count=0, clamped=False, reason=None,
-            key_ids=np.arange(len(sums)), col_sums_raw=2 * sums, col_sums_headmean=sums,
-        ))
-    return records
+    return [layer_record(step, range(len(sums)), 2 * np.array(sums), sums, layer=layer)
+            for step, sums in enumerate(col_sums_by_step)]
 
 
 def test_heatmap_constant_for_uniform_attention():
