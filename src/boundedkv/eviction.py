@@ -35,10 +35,9 @@ class EvictionPlan:
     parallel arrays, in the order the policy chose the victims.
     """
 
-    layer_index: int
     victim_ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    reason: str = REASON_ADMIT
     importances_at_eviction: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.float64))
+    reason: str | None = None
 
 
 def _candidate_rows(layer: LayerCache, slots_needed: int) -> np.ndarray:
@@ -52,24 +51,16 @@ def _candidate_rows(layer: LayerCache, slots_needed: int) -> np.ndarray:
     return rows
 
 
-def _plan_rows(layer: LayerCache, rows: np.ndarray, values: np.ndarray) -> EvictionPlan:
-    return EvictionPlan(
-        layer_index=layer.layer_index,
-        victim_ids=layer.token_id[rows],
-        importances_at_eviction=values,
-    )
-
-
 class AttentionPolicy:
     """Evict the lowest-importance unprotected tokens, deterministically."""
 
     def plan(self, layer: LayerCache, slots_needed: int) -> EvictionPlan:
         if slots_needed <= 0:
-            return EvictionPlan(layer_index=layer.layer_index)
+            return EvictionPlan()
         rows = _candidate_rows(layer, slots_needed)
         values = importances(layer, rows)
         order = np.lexsort((-layer.token_id[rows], -layer.frame_index[rows], values))[:slots_needed]
-        return _plan_rows(layer, rows[order], values[order])
+        return EvictionPlan(layer.token_id[rows[order]], values[order])
 
 
 class RandomPolicy:
@@ -80,17 +71,17 @@ class RandomPolicy:
 
     def plan(self, layer: LayerCache, slots_needed: int) -> EvictionPlan:
         if slots_needed <= 0:
-            return EvictionPlan(layer_index=layer.layer_index)
+            return EvictionPlan()
         rows = _candidate_rows(layer, slots_needed)
         victims = rows[self._rng.choice(len(rows), size=slots_needed, replace=False)]
-        return _plan_rows(layer, victims, importances(layer, victims))
+        return EvictionPlan(layer.token_id[victims], importances(layer, victims))
 
 
 class NonePolicy:
     """Never evicts; an overflowing admit then faults, by design."""
 
     def plan(self, layer: LayerCache, slots_needed: int) -> EvictionPlan:
-        return EvictionPlan(layer_index=layer.layer_index)
+        return EvictionPlan()
 
 
 def make_policy(config: StreamConfig):
@@ -112,22 +103,17 @@ def maintain_step(session: CacheSession, policy) -> list[EvictionPlan]:
     """Free room for the incoming frame in every layer.
 
     Runs once per frame, before admission, against the budgets in force
-    (previous step's reallocation). Returns one plan per layer that
-    evicted. Empty in unbounded mode.
+    (previous step's reallocation). Returns one plan per layer, in order; a
+    layer that evicts nothing, as in unbounded mode, gets an empty one with reason None.
     """
-    if session.unbounded:
-        return []
     per_frame = session.config.tokens_per_frame
     plans = []
     for layer in session.layers:
         effective = layer.effective_budget(per_frame)
-        slots = layer.occupancy() + per_frame - effective
-        if slots <= 0:
-            continue
-        plan = policy.plan(layer, slots)
-        if not len(plan.victim_ids):
-            continue
-        plan.reason = REASON_SHRINK if layer.occupancy() > effective else REASON_ADMIT
-        remove(session, layer.layer_index, plan.victim_ids)
+        slots = 0 if session.unbounded else layer.occupancy() + per_frame - effective
+        plan = policy.plan(layer, slots) if slots > 0 else EvictionPlan()
+        if len(plan.victim_ids):
+            plan.reason = REASON_SHRINK if layer.occupancy() > effective else REASON_ADMIT
+            remove(session, layer.layer_index, plan.victim_ids)
         plans.append(plan)
     return plans

@@ -16,7 +16,8 @@ import numpy as np
 
 from .config import StreamConfig
 from .errors import ConfigMismatch, IncompleteLog
-from .simulate import RunSummary, TraceRecord, run_stream
+from .simulate import RunSummary, run_stream
+from .telemetry import TraceRecord
 
 # Config fields allowed to differ between compared runs.
 _NONSTRUCTURAL = {"beta", "budget_tokens", "budget_mode", "ref_frames", "policy", "keep_maps"}

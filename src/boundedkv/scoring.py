@@ -15,15 +15,11 @@ Protected tokens short-circuit to +inf importance.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from .cache import LayerCache
 from .errors import StaleStats
-
-if TYPE_CHECKING:
-    from .simulate import TraceRecord
+from .telemetry import TraceRecord
 
 
 def stats_from_maps(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .cache import CacheSession, admit, kind_codes
 from .config import KIND_CAMERA, KIND_PATCH, KIND_REGISTER, StreamConfig
 from .eviction import maintain_step, make_policy
 from .scoring import accumulate, layer_sparsity, stats_from_maps
+from .telemetry import TraceRecord
 
 _TAG_FRAME = 11
 _TAG_LANDMARK = 12
@@ -77,66 +78,6 @@ class FrameTokens:
     frame_index: int
     embeddings: np.ndarray
     landmark_mask: np.ndarray
-
-
-# Dtype and rank of every per-token TraceRecord payload, in a run and
-# after read_trace alike; record equality compares payloads exactly.
-PAYLOADS = {
-    "evicted_ids": (np.int64, 1),
-    "evicted_importances": (np.float64, 1),
-    "key_ids": (np.int64, 1),
-    "col_sums_raw": (np.float64, 1),
-    "col_sums_headmean": (np.float64, 1),
-    "maps": (np.float64, 3),
-}
-
-
-@dataclass(eq=False)
-class TraceRecord:
-    """Telemetry of one (step, layer) cell, in memory and in the trace.
-
-    ``occupancy_pre`` is taken before eviction, ``occupancy_post`` after
-    eviction and admission, so ``post = pre - evicted + tokens_per_frame``.
-    ``budget_pre`` is the budget in force during the step and
-    ``budget_post`` the value after this step's reallocation.
-    ``evicted_ids`` and ``evicted_importances`` are parallel; the trace
-    file writes them as one ``evicted`` list of objects.
-
-    This is the one carrier of a step's attention data: scoring reads
-    its key ids and column sums, and it holds the (H, M, N) attention
-    maps when ``keep_maps`` is set (otherwise ``maps`` is None). Every
-    payload is an ndarray of the dtype and rank in ``PAYLOADS``, in a run
-    and after ``read_trace`` alike. Two records are equal when their
-    payloads are exactly equal and every other field compares equal.
-    """
-
-    step: int
-    layer: int
-    n_keys: int
-    budget_pre: int | None
-    budget_post: int | None
-    occupancy_pre: int
-    occupancy_post: int
-    protected_count: int
-    clamped: bool
-    reason: str | None
-    evicted_ids: np.ndarray
-    evicted_importances: np.ndarray
-    sigma: float
-    pi: float | None
-    multiplies: int
-    footprint_bytes: int
-    key_ids: np.ndarray
-    col_sums_raw: np.ndarray
-    col_sums_headmean: np.ndarray
-    maps: np.ndarray | None
-
-    def __eq__(self, other):
-        if not isinstance(other, TraceRecord):
-            return NotImplemented
-        pairs = ((f.name, getattr(self, f.name), getattr(other, f.name)) for f in fields(TraceRecord))
-        return all(a is b if a is None or b is None else np.array_equal(a, b) if name in PAYLOADS else a == b
-                   for name, a, b in pairs)
 
 
 @dataclass
@@ -352,7 +293,7 @@ class StreamSimulator:
         budgets_pre = [layer.budget for layer in session.layers]
         occupancy_pre = [layer.occupancy() for layer in session.layers]
         clamped = [layer.effective_budget(cfg.tokens_per_frame) != layer.budget for layer in session.layers]
-        plans = {p.layer_index: p for p in maintain_step(session, self.policy)}
+        plans = maintain_step(session, self.policy)
 
         z = frame.embeddings.astype(self.dtype)
         z = self._framewise(z)
@@ -371,7 +312,7 @@ class StreamSimulator:
 
             raw, headmean = stats_from_maps(maps)
             n_keys = layer.occupancy()
-            plan = plans.get(li)
+            plan = plans[li]
             record = TraceRecord(
                 step=t,
                 layer=li,
@@ -382,9 +323,9 @@ class StreamSimulator:
                 occupancy_post=n_keys,
                 protected_count=layer.protected_count,
                 clamped=clamped[li],
-                reason=plan.reason if plan else None,
-                evicted_ids=plan.victim_ids if plan else np.empty(0, dtype=np.int64),
-                evicted_importances=plan.importances_at_eviction if plan else np.empty(0, dtype=np.float64),
+                reason=plan.reason,
+                evicted_ids=plan.victim_ids,
+                evicted_importances=plan.importances_at_eviction,
                 sigma=0.0,
                 pi=None,
                 multiplies=2 * cfg.tokens_per_frame * n_keys * cfg.dim,

@@ -22,11 +22,71 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MalformedTrace, UnknownLayer
-from .simulate import PAYLOADS, RunSummary, TraceRecord
+from .config import StreamConfig, config_from_dict
+from .errors import ConfigError, MalformedTrace, UnknownLayer
 
 TRACE_FORMAT = "boundedkv-trace"
 TRACE_VERSION = 1
+
+
+# Dtype and rank of every per-token TraceRecord payload, in a run and
+# after read_trace alike; record equality compares payloads exactly.
+PAYLOADS = {
+    "evicted_ids": (np.int64, 1),
+    "evicted_importances": (np.float64, 1),
+    "key_ids": (np.int64, 1),
+    "col_sums_raw": (np.float64, 1),
+    "col_sums_headmean": (np.float64, 1),
+    "maps": (np.float64, 3),
+}
+
+
+@dataclass(eq=False)
+class TraceRecord:
+    """Telemetry of one (step, layer) cell, in memory and in the trace.
+
+    ``occupancy_pre`` is taken before eviction, ``occupancy_post`` after
+    eviction and admission, so ``post = pre - evicted + tokens_per_frame``.
+    ``budget_pre`` is the budget in force during the step and
+    ``budget_post`` the value after this step's reallocation.
+    ``evicted_ids`` and ``evicted_importances`` are parallel; the trace
+    file writes them as one ``evicted`` list of objects.
+
+    This is the one carrier of a step's attention data: scoring reads
+    its key ids and column sums, and it holds the (H, M, N) attention
+    maps when ``keep_maps`` is set (otherwise ``maps`` is None). Every
+    payload is an ndarray of the dtype and rank in ``PAYLOADS``, in a run
+    and after ``read_trace`` alike. Two records are equal when their
+    payloads are exactly equal and every other field compares equal.
+    """
+
+    step: int
+    layer: int
+    n_keys: int
+    budget_pre: int | None
+    budget_post: int | None
+    occupancy_pre: int
+    occupancy_post: int
+    protected_count: int
+    clamped: bool
+    reason: str | None
+    evicted_ids: np.ndarray
+    evicted_importances: np.ndarray
+    sigma: float
+    pi: float | None
+    multiplies: int
+    footprint_bytes: int
+    key_ids: np.ndarray
+    col_sums_raw: np.ndarray
+    col_sums_headmean: np.ndarray
+    maps: np.ndarray | None
+
+    def __eq__(self, other):
+        if not isinstance(other, TraceRecord):
+            return NotImplemented
+        pairs = ((f.name, getattr(self, f.name), getattr(other, f.name)) for f in fields(TraceRecord))
+        return all(a is b if a is None or b is None else np.array_equal(a, b) if name in PAYLOADS else a == b
+                   for name, a, b in pairs)
 
 
 @dataclass
@@ -36,8 +96,8 @@ class Trace:
     records: list[TraceRecord]
 
 
-def records_from_run(run: RunSummary) -> list[TraceRecord]:
-    """The run's records, unchanged: they equal what a trace reads back.
+def records_from_run(run) -> list[TraceRecord]:
+    """A run's records, unchanged: they equal what a trace reads back.
     Only ``bench/worker.py``'s ``check_audit`` calls this; ROADMAP.md item 2 deletes it."""
     return run.records
 
@@ -45,17 +105,20 @@ def records_from_run(run: RunSummary) -> list[TraceRecord]:
 # In-memory parallel arrays that the trace writes as one "evicted" list.
 _PAIRED = ("evicted_ids", "evicted_importances")
 _JSON_FIELDS = {f.name for f in fields(TraceRecord)} - set(_PAIRED) | {"evicted"}
-# The JSON types write_trace gives each scalar field, by its annotation.
-# A bool is no int here; JSON has one number type, so a float takes an int.
+# The JSON types write_trace gives each scalar record and config field, by
+# its annotation. A bool is no int here; JSON has one number type, so a float takes an int.
 _JSON_TYPES = {
     "int": (int,),
     "int | None": (int, type(None)),
     "float": (int, float),
     "float | None": (int, float, type(None)),
     "bool": (bool,),
+    "str": (str,),
     "str | None": (str, type(None)),
+    "list[float] | None": (list, type(None)),
 }
 _SCALARS = {f.name: _JSON_TYPES[f.type] for f in fields(TraceRecord) if f.name not in PAYLOADS}
+_CONFIG_TYPES = {f.name: _JSON_TYPES[f.type] for f in fields(StreamConfig)}
 # Payloads with one entry per resident key; maps hold them on axis 2.
 _PER_KEY = ("key_ids", "col_sums_raw", "col_sums_headmean")
 
@@ -74,15 +137,20 @@ def _record_to_json(rec: TraceRecord) -> str:
     return json.dumps(payload, separators=(",", ":"), default=np.ndarray.tolist)
 
 
+def _check_fields(values, names, types: dict, lineno: int, what: str) -> None:
+    """Raise unless ``values`` is an object keyed by ``names`` whose ``types`` keys hold those types."""
+    if not isinstance(values, dict):
+        raise MalformedTrace(f"{what} is not an object", line=lineno)
+    if values.keys() != names:
+        missing, unknown = names - values.keys(), values.keys() - names
+        raise MalformedTrace(f"{what} missing fields {sorted(missing)}, unknown fields {sorted(unknown)}", line=lineno)
+    for name, allowed in types.items():
+        if type(values[name]) not in allowed:
+            raise MalformedTrace(f"{what} {name} must be {' or '.join(t.__name__ for t in allowed)}", line=lineno)
+
+
 def _record_from_json(payload, lineno: int) -> TraceRecord:
-    if not isinstance(payload, dict):
-        raise MalformedTrace("record is not an object", line=lineno)
-    if payload.keys() != _JSON_FIELDS:
-        missing, unknown = _JSON_FIELDS - payload.keys(), payload.keys() - _JSON_FIELDS
-        raise MalformedTrace(f"missing fields {sorted(missing)}, unknown fields {sorted(unknown)}", line=lineno)
-    for name, types in _SCALARS.items():
-        if type(payload[name]) not in types:
-            raise MalformedTrace(f"{name} must be {' or '.join(t.__name__ for t in types)}", line=lineno)
+    _check_fields(payload, _JSON_FIELDS, _SCALARS, lineno, "record")
     values = dict(payload)
     evicted = values.pop("evicted")
     try:
@@ -108,9 +176,9 @@ def _record_from_json(payload, lineno: int) -> TraceRecord:
     return TraceRecord(**values)
 
 
-def write_trace(source: RunSummary | Trace, path) -> Path:
-    """Write a trace file from a finished run or from a trace read back."""
-    config = source.config.to_dict() if isinstance(source, RunSummary) else source.config
+def write_trace(source, path) -> Path:
+    """Write a trace file from a finished run (``RunSummary``) or a ``Trace`` read back."""
+    config = source.config if isinstance(source, Trace) else source.config.to_dict()
     header = {"format": TRACE_FORMAT, "version": TRACE_VERSION, "config": config, "budget": source.budget}
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
@@ -123,6 +191,8 @@ def write_trace(source: RunSummary | Trace, path) -> Path:
 def read_trace(path) -> Trace:
     """Parse a trace file, one line at a time.
 
+    The header's ``config`` must be what ``StreamConfig.to_dict`` writes
+    for a valid config and its ``budget`` that config's ``budget_metadata()``.
     A record must carry exactly the fields ``write_trace`` writes, with
     ``n_keys`` entries in each per-key payload; any other line, a blank
     one included, raises ``MalformedTrace`` naming its line number.
@@ -151,8 +221,13 @@ def read_trace(path) -> Trace:
         if type(version) is not int or version != TRACE_VERSION:
             raise MalformedTrace(f"unsupported trace version {version!r}", line=1)
         config, budget = header.get("config"), header.get("budget")
-        if not isinstance(config, dict) or not isinstance(budget, dict):
-            raise MalformedTrace("header config and budget must be objects", line=1)
+        _check_fields(config, _CONFIG_TYPES.keys(), _CONFIG_TYPES, 1, "config")
+        try:
+            valid = config_from_dict(config)
+        except (ConfigError, TypeError) as exc:
+            raise MalformedTrace(f"invalid config ({exc})", line=1) from exc
+        if budget != valid.budget_metadata():
+            raise MalformedTrace("budget disagrees with its config", line=1)
 
         records = []
         for lineno, raw in enumerate(fh, start=2):
@@ -245,13 +320,13 @@ class SummaryRow:
     landmark_retention: float | None
 
 
-def summary_row(run: RunSummary | Trace, label: str, divergence=None, retention=None) -> SummaryRow:
-    """One summary row from a finished run or from a trace read back.
+def summary_row(run, label: str, divergence=None, retention=None) -> SummaryRow:
+    """One summary row from a finished run (``RunSummary``) or a ``Trace`` read back.
 
     Both give the same row for the same stream; ``divergence`` and
     ``retention`` need the run's outputs and cache, so only a run has them.
     """
-    cfg = run.config.to_dict() if isinstance(run, RunSummary) else run.config
+    cfg = run.config if isinstance(run, Trace) else run.config.to_dict()
     footprints: dict[int, int] = defaultdict(int)
     multiplies: dict[int, int] = defaultdict(int)
     evictions = 0
@@ -266,17 +341,17 @@ def summary_row(run: RunSummary | Trace, label: str, divergence=None, retention=
         mean_ret = float(np.mean(finite)) if finite else None
     return SummaryRow(
         label=label,
-        policy=cfg.get("policy", ""),
-        budget_mode=run.budget.get("budget_mode"),
-        beta=cfg.get("beta"),
-        budget_tokens=run.budget.get("budget_tokens"),
-        tau=cfg.get("tau", 0.0),
-        seed=cfg.get("seed", 0),
-        frames=cfg.get("frames", 0),
-        layers=cfg.get("layers", 0),
-        heads=cfg.get("heads", 0),
-        dim=cfg.get("dim", 0),
-        tokens_per_frame=cfg.get("tokens_per_frame", 0),
+        policy=cfg["policy"],
+        budget_mode=run.budget["budget_mode"],
+        beta=cfg["beta"],
+        budget_tokens=run.budget["budget_tokens"],
+        tau=cfg["tau"],
+        seed=cfg["seed"],
+        frames=cfg["frames"],
+        layers=cfg["layers"],
+        heads=cfg["heads"],
+        dim=cfg["dim"],
+        tokens_per_frame=cfg["tokens_per_frame"],
         peak_footprint_bytes=max(footprints.values(), default=0),
         mean_step_multiplies=float(np.mean(list(multiplies.values()))) if multiplies else 0.0,
         total_evictions=evictions,

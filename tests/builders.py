@@ -7,7 +7,7 @@ zero counts around them.
 
 import numpy as np
 
-from boundedkv.simulate import TraceRecord
+from boundedkv.telemetry import TraceRecord
 
 
 def layer_record(step, key_ids, col_sums_raw=None, col_sums_headmean=None, maps=None, layer=0):

@@ -18,7 +18,7 @@ import pytest
 
 from boundedkv import oracle, simulate, telemetry
 from boundedkv.config import StreamConfig
-from boundedkv.simulate import PAYLOADS
+from boundedkv.telemetry import PAYLOADS
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 MODULES = {"simulate": simulate, "telemetry": telemetry, "oracle": oracle}

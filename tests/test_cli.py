@@ -231,6 +231,17 @@ def test_export_malformed_trace_exit_code(tmp_path, capsys):
     assert code == 2
     assert "line 3" in err
 
+    # A header whose config lost frames and policy and gained an unknown
+    # key fails on line 1 instead of exporting a summary row of defaults.
+    lines = (run_dir / "trace.jsonl").read_text().splitlines()
+    header = json.loads(lines[0])
+    del header["config"]["frames"], header["config"]["policy"]
+    header["config"]["junk"] = 1
+    bad.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+    code, _, err = run_cli(["export", "--trace", str(bad), "--out", str(tmp_path / "export")], capsys)
+    assert code == 2
+    assert "line 1" in err
+
 
 def test_env_var_output_dir(tmp_path, capsys, monkeypatch):
     target = tmp_path / "env_out"

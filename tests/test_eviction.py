@@ -9,6 +9,8 @@ from boundedkv.cache import CacheSession, admit, kind_codes, remove
 from boundedkv.config import StreamConfig
 from boundedkv.errors import InsufficientUnprotected
 from boundedkv.eviction import (
+    REASON_ADMIT,
+    REASON_SHRINK,
     AttentionPolicy,
     NonePolicy,
     RandomPolicy,
@@ -141,7 +143,47 @@ def test_make_policy_uniform_budget_shares_attention_selection():
 def test_maintain_unbounded_no_plans():
     cfg = StreamConfig(frames=4)
     session = CacheSession(config=cfg)
-    assert maintain_step(session, AttentionPolicy()) == []
+    plans = maintain_step(session, AttentionPolicy())
+    assert len(plans) == cfg.layers
+    assert all(plan.reason is None and not len(plan.victim_ids) and not len(plan.importances_at_eviction)
+               for plan in plans)
+
+
+def test_maintain_returns_one_plan_per_layer_in_order():
+    # Three frames per layer, then budgets that make layers 0 and 2
+    # evict (4 and 6 tokens) and layer 1 not: each plan names only its
+    # own layer's residents, and the idle layer's plan is empty.
+    cfg = StreamConfig(layers=3, tokens_per_frame=4, registers=0, budget_tokens=60, frames=10)
+    session = CacheSession(config=cfg)
+    for layer in session.layers:
+        layer.budget = 20
+    zeros = np.zeros((4, cfg.dim))
+    for t in range(3):
+        for li in range(3):
+            ids = session.issue_token_ids(4)
+            admit(session, li, ids, zeros, zeros, t, kind_codes(["camera", "patch", "patch", "patch"]))
+        session.step_counter += 1
+    resident = [set(layer.token_id[:layer.n].tolist()) for layer in session.layers]
+    for layer, budget in zip(session.layers, [12, 40, 8]):
+        layer.budget = budget
+    plans = maintain_step(session, AttentionPolicy())
+    assert [len(plan.victim_ids) for plan in plans] == [4, 0, 6]
+    assert [plan.reason for plan in plans] == [REASON_ADMIT, None, REASON_SHRINK]
+    for li, plan in enumerate(plans):
+        assert set(plan.victim_ids.tolist()) <= resident[li]
+
+
+def test_eviction_reasons():
+    # A record names a reason exactly when its layer evicted: shrink
+    # when the layer held more than its budget before the frame came,
+    # admit when it only made room for the frame.
+    records = run_stream(StreamConfig(beta=0.3)).records
+    assert all((rec.reason is None) == (len(rec.evicted_ids) == 0) for rec in records)
+    assert {REASON_ADMIT, REASON_SHRINK} <= {rec.reason for rec in records}
+    unclamped = [rec for rec in records if not rec.clamped]
+    assert any(rec.reason == REASON_SHRINK for rec in unclamped)
+    for rec in unclamped:
+        assert (rec.reason == REASON_SHRINK) == (rec.occupancy_pre > rec.budget_pre)
 
 
 def test_maintain_respects_budget_and_admission_room():

@@ -24,7 +24,7 @@ it copies while the checks still pass, fails here.
 The column scan checks that a new ``LayerCache`` and ``EvictionLog``
 hold no ``object``-dtype array.
 
-The payload scan checks that the ``PAYLOADS`` table in ``simulate.py``
+The payload scan checks that the ``PAYLOADS`` table in ``telemetry.py``
 names exactly the ``TraceRecord`` fields annotated ``np.ndarray``, so a
 new payload field cannot skip the trace reader's conversion or the
 record's exact equality.
@@ -33,6 +33,12 @@ The dependency scan fails when a package module imports, at module
 level or inside a function, a top-level package that is neither in the
 standard library nor listed in ``pyproject.toml``'s
 ``[project].dependencies``.
+
+The direction scan fails on any import under ``if TYPE_CHECKING:`` in
+the package, which hides an import cycle instead of removing it, and on
+``telemetry.py`` importing a package module other than ``config`` and
+``errors``: telemetry owns the record schema, so the step path imports
+it and it imports nothing of the step path.
 
 The round-trip scan fails on ``np.array(list(...))`` (or ``np.asarray``)
 in the package: ids and kind codes travel the step path as arrays, and
@@ -252,7 +258,51 @@ def test_scanner_flags_an_untabled_payload():
 
 
 def test_payload_table_names_every_array_field():
-    assert untabled_payloads((ROOT / "src" / "boundedkv" / "simulate.py").read_text()) == []
+    assert untabled_payloads((ROOT / "src" / "boundedkv" / "telemetry.py").read_text()) == []
+
+
+def package_imports(node: ast.Import | ast.ImportFrom) -> list[str]:
+    """Package modules (``config``, ``simulate``, ...) that one import statement names."""
+    if isinstance(node, ast.Import):
+        paths = [alias.name for alias in node.names]
+    else:
+        base = ".".join(filter(None, ["boundedkv" if node.level else "", node.module]))
+        paths = [f"{base}.{alias.name}" if base == "boundedkv" else base for alias in node.names]
+    return [path.split(".")[1] for path in paths if path.startswith("boundedkv.")]
+
+
+def direction_faults(source: str, allowed: set[str] | None = None) -> list[tuple[int, str]]:
+    """(line, name) of every import inside ``if TYPE_CHECKING:`` and, when
+    ``allowed`` is given, of every package module imported but not in it."""
+    faults = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.If) and "TYPE_CHECKING" in ast.unparse(node.test):
+            faults += [(n.lineno, "TYPE_CHECKING") for n in ast.walk(node) if isinstance(n, (ast.Import, ast.ImportFrom))]
+        elif allowed is not None and isinstance(node, (ast.Import, ast.ImportFrom)):
+            faults += [(node.lineno, name) for name in package_imports(node) if name not in allowed]
+    return sorted(faults)
+
+
+def test_scanner_flags_a_direction_fault():
+    source = (
+        "import typing\nimport numpy as np\nfrom .config import StreamConfig\n"
+        "from . import errors, cache\nimport boundedkv.simulate\nfrom boundedkv.scoring import f\n"
+        "from boundedkv import oracle\n\ndef g():\n    from .errors import E\n"
+        "if typing.TYPE_CHECKING:\n    from .config import C\n"
+    )
+    assert direction_faults(source) == [(12, "TYPE_CHECKING")]
+    assert direction_faults(source, {"config", "errors"}) == [
+        (4, "cache"), (5, "simulate"), (6, "scoring"), (7, "oracle"), (12, "TYPE_CHECKING"),
+    ]
+
+
+# Package modules a module may import, where it is restricted.
+ALLOWED_IMPORTS = {"telemetry.py": {"config", "errors"}}
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_module_direction(path):
+    assert direction_faults(path.read_text(), ALLOWED_IMPORTS.get(path.name)) == []
 
 
 @pytest.mark.parametrize("make", [lambda: LayerCache(0, 8, np.float64), EvictionLog], ids=["LayerCache", "EvictionLog"])

@@ -12,8 +12,9 @@ from hypothesis.extra.numpy import arrays
 from boundedkv.config import StreamConfig
 from boundedkv.errors import MalformedTrace, UnknownLayer
 from boundedkv.oracle import baseline_run, brute_force_scores, map_log_from_records
-from boundedkv.simulate import PAYLOADS, run_stream
+from boundedkv.simulate import run_stream
 from boundedkv.telemetry import (
+    PAYLOADS,
     Trace,
     TraceRecord,
     _JSON_FIELDS,
@@ -77,12 +78,13 @@ def trace_records(draw):
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(records=st.lists(trace_records(), max_size=3), tau=EDGE_FLOATS)
+@given(records=st.lists(trace_records(), max_size=3), tau=EDGE_FLOATS.filter(lambda tau: tau > 0))
 def test_edge_values_read_back_exactly(tmp_path, records, tau):
     # Every finite double and int64 reads back as the value written.
     # Rewriting what was read must give the same bytes, which also
     # catches a lost -0.0 sign that record equality cannot see.
-    trace = Trace(config={"tau": tau}, budget={"budget_tokens": None}, records=records)
+    config = StreamConfig(tau=tau)
+    trace = Trace(config=config.to_dict(), budget=config.budget_metadata(), records=records)
     first = write_trace(trace, tmp_path / "first.jsonl")
     read = read_trace(first)
     assert read.records == records
@@ -229,9 +231,18 @@ def test_malformed_trace_reports_line(tmp_path):
     assert err.value.line == 1
 
     # The header's config and budget must be objects, and its version an
-    # int (True and 1.0 compare equal to 1).
+    # int (True and 1.0 compare equal to 1). Its config must hold every
+    # field, each of the JSON type to_dict writes, and no other; its
+    # budget must be the one that config resolves to.
     header = json.loads(lines[0])
-    for i, (key, value) in enumerate([("config", [1]), ("budget", [1]), ("version", True), ("version", 1.0)]):
+    config = header["config"]
+    no_frames = {key: value for key, value in config.items() if key != "frames"}
+    for i, (key, value) in enumerate([
+        ("config", [1]), ("budget", [1]), ("version", True), ("version", 1.0),
+        ("config", no_frames), ("config", {**config, "junk": 1}), ("config", {**config, "frames": 3.0}),
+        ("config", {**config, "keep_maps": 1}), ("config", {**config, "beta": 0.5}),
+        ("budget", {**header["budget"], "budget_tokens": 12}),
+    ]):
         bad_header = tmp_path / f"header{i}.jsonl"
         bad_header.write_text("\n".join([json.dumps({**header, key: value}), *lines[1:]]) + "\n")
         with pytest.raises(MalformedTrace) as err:
