@@ -277,7 +277,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     worst_mean = 0.0
     for rec in full_run.records:
         worst_raw = max(worst_raw, abs(float(np.sum(rec.col_sums_raw)) - cfg.heads * cfg.tokens_per_frame))
-        worst_mean = max(worst_mean, abs(float(np.sum(rec.col_sums_headmean)) - cfg.tokens_per_frame))
+        worst_mean = max(worst_mean, abs(float(np.sum(rec.col_sums_raw / cfg.heads)) - cfg.tokens_per_frame))
     _check("conservation", worst_raw <= 1e-6 and worst_mean <= 1e-6,
            f"max_raw_err={worst_raw:.3e} max_mean_err={worst_mean:.3e}", failures)
 
@@ -364,7 +364,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     layers = args.layer if args.layer else sorted({r.layer for r in trace.records})
     for layer in layers:
         grid_path = out / f"heatmap_layer{layer}.txt"
-        export_heatmap(trace.records, layer, grid_path, reweight=args.reweight)
+        export_heatmap(trace, layer, grid_path, reweight=args.reweight)
         print(f"layer {layer}: {grid_path}")
     row = summary_row(trace, label=Path(args.trace).stem)
     (out / "summary.csv").write_text(summarize([row]), encoding="utf-8")

@@ -129,7 +129,7 @@ def compare_runs(bounded: RunSummary, baseline: RunSummary) -> DivergenceReport:
         total = 0.0
         for report_b, report_a in zip(baseline.reports, bounded.reports):
             base = report_b.layers[layer]
-            mass = base.col_sums_headmean
+            mass = base.col_sums_raw / baseline.config.heads
             total += float(mass.sum())
             kept += float(mass[np.isin(base.key_ids, report_a.layers[layer].key_ids)].sum())
         retained.append(kept / total if total > 0 else 1.0)

@@ -22,15 +22,13 @@ from .errors import StaleStats
 from .telemetry import TraceRecord
 
 
-def stats_from_maps(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column sums of an (H, M, N) stack of attention maps.
+def stats_from_maps(maps: np.ndarray) -> np.ndarray:
+    """Column sums of an (H, M, N) stack of float64 attention maps.
 
-    Returns ``(col_sums_raw, col_sums_headmean)``: the first sums weights
-    over all heads and queries (totals H*M), the second is the column sum
-    of the head-averaged map (totals M).
+    Sums weights over all heads and queries (totals H*M). The column sums
+    of the head-averaged map (totals M) are these divided by H.
     """
-    raw = maps.sum(axis=(0, 1)).astype(np.float64, copy=False)
-    return raw, raw / maps.shape[0]
+    return maps.sum(axis=(0, 1))
 
 
 def accumulate(cache_layer: LayerCache, record: TraceRecord) -> None:
@@ -69,8 +67,9 @@ def importances(cache_layer: LayerCache, rows: np.ndarray) -> np.ndarray:
     return values
 
 
-def layer_sparsity(record: TraceRecord) -> float:
-    """Negative population variance of the head-mean column sums.
+def layer_sparsity(headmean: np.ndarray) -> float:
+    """Negative population variance of a layer's head-mean column sums,
+    ``col_sums_raw / heads``.
 
     Near-uniform (dense) attention gives a value near zero; concentrated
     attention gives a strictly more negative value. Defined for a single
@@ -78,7 +77,6 @@ def layer_sparsity(record: TraceRecord) -> float:
     """
     # np.var's own operation order (sum, divide, subtract, square, sum,
     # divide), without its dispatch: the value is bit-identical.
-    x = record.col_sums_headmean
-    deviation = x - np.add.reduce(x) / len(x)
+    deviation = headmean - np.add.reduce(headmean) / len(headmean)
     deviation *= deviation
-    return -float(np.add.reduce(deviation) / len(x))
+    return -float(np.add.reduce(deviation) / len(headmean))

@@ -310,7 +310,6 @@ class StreamSimulator:
             ctx, maps = _multihead_attention(qkv[:, :d], keys, values, cfg.heads, self.sharpness[li])
             z = z + ctx.astype(self.dtype, copy=False) @ self.w_out[li]
 
-            raw, headmean = stats_from_maps(maps)
             n_keys = layer.occupancy()
             plan = plans[li]
             record = TraceRecord(
@@ -331,12 +330,11 @@ class StreamSimulator:
                 multiplies=2 * cfg.tokens_per_frame * n_keys * cfg.dim,
                 footprint_bytes=n_keys * 2 * cfg.dim * cfg.scalar_bytes,
                 key_ids=layer.token_id[:n_keys].copy(),
-                col_sums_raw=raw,
-                col_sums_headmean=headmean,
+                col_sums_raw=stats_from_maps(maps),
                 maps=maps if cfg.keep_maps else None,
             )
             accumulate(layer, record)
-            record.sigma = layer_sparsity(record)
+            record.sigma = layer_sparsity(record.col_sums_raw / cfg.heads)
             records.append(record)
 
         allocation = reallocate_step(session, [r.sigma for r in records])

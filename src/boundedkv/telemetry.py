@@ -2,7 +2,9 @@
 
 Traces are line-delimited JSON: a version-tagged header object on line
 1, then one self-describing record per (step, layer). Default traces
-carry the per-key column sums (which fully determine scoring); full
+carry the per-key column sums (which fully determine scoring), raw and
+head-mean; a record keeps only the raw ones, and the head-mean sums are
+always ``col_sums_raw / heads``. Full
 per-head attention maps are an opt-in payload (``keep_maps``) because
 they grow as M x N per layer per step.
 
@@ -36,7 +38,6 @@ PAYLOADS = {
     "evicted_importances": (np.float64, 1),
     "key_ids": (np.int64, 1),
     "col_sums_raw": (np.float64, 1),
-    "col_sums_headmean": (np.float64, 1),
     "maps": (np.float64, 3),
 }
 
@@ -54,7 +55,9 @@ class TraceRecord:
 
     This is the one carrier of a step's attention data: scoring reads
     its key ids and column sums, and it holds the (H, M, N) attention
-    maps when ``keep_maps`` is set (otherwise ``maps`` is None). Every
+    maps when ``keep_maps`` is set (otherwise ``maps`` is None). It keeps
+    one per-key float array, ``col_sums_raw``; readers that want the
+    head-mean sums divide it by the config's ``heads``. Every
     payload is an ndarray of the dtype and rank in ``PAYLOADS``, in a run
     and after ``read_trace`` alike. Two records are equal when their
     payloads are exactly equal and every other field compares equal.
@@ -78,7 +81,6 @@ class TraceRecord:
     footprint_bytes: int
     key_ids: np.ndarray
     col_sums_raw: np.ndarray
-    col_sums_headmean: np.ndarray
     maps: np.ndarray | None
 
     def __eq__(self, other):
@@ -104,9 +106,12 @@ def records_from_run(run) -> list[TraceRecord]:
 
 # In-memory parallel arrays that the trace writes as one "evicted" list.
 _PAIRED = ("evicted_ids", "evicted_importances")
-_JSON_FIELDS = {f.name for f in fields(TraceRecord)} - set(_PAIRED) | {"evicted"}
-# The JSON types write_trace gives each scalar record and config field, by
-# its annotation. A bool is no int here; JSON has one number type, so a float takes an int.
+# Written after col_sums_raw as col_sums_raw / heads; the reader checks it and drops it.
+_DERIVED = "col_sums_headmean"
+_JSON_FIELDS = {f.name for f in fields(TraceRecord)} - set(_PAIRED) | {"evicted", _DERIVED}
+# The JSON types write_trace gives each scalar record, config and budget
+# field, by its annotation, and those of a list's entries. A bool is no
+# int here; JSON has one number type, so a float takes an int.
 _JSON_TYPES = {
     "int": (int,),
     "int | None": (int, type(None)),
@@ -117,13 +122,19 @@ _JSON_TYPES = {
     "str | None": (str, type(None)),
     "list[float] | None": (list, type(None)),
 }
-_SCALARS = {f.name: _JSON_TYPES[f.type] for f in fields(TraceRecord) if f.name not in PAYLOADS}
-_CONFIG_TYPES = {f.name: _JSON_TYPES[f.type] for f in fields(StreamConfig)}
+_ENTRY_TYPES = {"list[float] | None": _JSON_TYPES["float"]}
+_SCALARS = {f.name: f.type for f in fields(TraceRecord) if f.name not in PAYLOADS}
+_CONFIG_TYPES = {f.name: f.type for f in fields(StreamConfig)}
+# The annotations of StreamConfig.budget_metadata()'s values.
+_BUDGET_TYPES = {"bounded": "bool", "beta": "float | None", "budget_mode": "str | None",
+                 "ref_frames": "int | None", "budget_tokens": "int | None"}
 # Payloads with one entry per resident key; maps hold them on axis 2.
-_PER_KEY = ("key_ids", "col_sums_raw", "col_sums_headmean")
+_PER_KEY = ("key_ids", "col_sums_raw")
+# What the reader parses: every payload, and the derived sums as col_sums_raw.
+_READ_ARRAYS = {**PAYLOADS, _DERIVED: PAYLOADS["col_sums_raw"]}
 
 
-def _record_to_json(rec: TraceRecord) -> str:
+def _record_to_json(rec: TraceRecord, heads: int) -> str:
     payload = {}
     for f in fields(TraceRecord):
         if f.name == "evicted_ids":
@@ -133,23 +144,28 @@ def _record_to_json(rec: TraceRecord) -> str:
             ]
         elif f.name not in _PAIRED:
             payload[f.name] = getattr(rec, f.name)
+        if f.name == "col_sums_raw":
+            payload[_DERIVED] = rec.col_sums_raw / heads
     # Payload arrays are written as nested lists.
     return json.dumps(payload, separators=(",", ":"), default=np.ndarray.tolist)
 
 
 def _check_fields(values, names, types: dict, lineno: int, what: str) -> None:
-    """Raise unless ``values`` is an object keyed by ``names`` whose ``types`` keys hold those types."""
+    """Raise unless ``values`` is an object keyed by ``names`` whose ``types``
+    keys hold values, and list entries, of the JSON types of those annotations."""
     if not isinstance(values, dict):
         raise MalformedTrace(f"{what} is not an object", line=lineno)
     if values.keys() != names:
         missing, unknown = names - values.keys(), values.keys() - names
         raise MalformedTrace(f"{what} missing fields {sorted(missing)}, unknown fields {sorted(unknown)}", line=lineno)
-    for name, allowed in types.items():
-        if type(values[name]) not in allowed:
-            raise MalformedTrace(f"{what} {name} must be {' or '.join(t.__name__ for t in allowed)}", line=lineno)
+    for name, annotation in types.items():
+        value = values[name]
+        if type(value) not in _JSON_TYPES[annotation] or (
+                type(value) is list and any(type(entry) not in _ENTRY_TYPES[annotation] for entry in value)):
+            raise MalformedTrace(f"{what} {name} must be {annotation}", line=lineno)
 
 
-def _record_from_json(payload, lineno: int) -> TraceRecord:
+def _record_from_json(payload, lineno: int, heads: int) -> TraceRecord:
     _check_fields(payload, _JSON_FIELDS, _SCALARS, lineno, "record")
     values = dict(payload)
     evicted = values.pop("evicted")
@@ -158,7 +174,7 @@ def _record_from_json(payload, lineno: int) -> TraceRecord:
         values["evicted_importances"] = [entry["importance"] for entry in evicted]
     except (TypeError, KeyError) as exc:
         raise MalformedTrace("evicted entries need token_id and importance", line=lineno) from exc
-    for name, (dtype, rank) in PAYLOADS.items():
+    for name, (dtype, rank) in _READ_ARRAYS.items():
         if name == "maps" and values[name] is None:
             continue
         try:
@@ -173,18 +189,29 @@ def _record_from_json(payload, lineno: int) -> TraceRecord:
     n_keys, maps = values["n_keys"], values["maps"]
     if any(len(values[name]) != n_keys for name in _PER_KEY) or (maps is not None and maps.shape[2] != n_keys):
         raise MalformedTrace(f"per-key payloads must hold n_keys = {n_keys} entries", line=lineno)
+    if maps is not None and maps.shape[0] != heads:
+        raise MalformedTrace(f"maps must hold heads = {heads} maps on axis 0", line=lineno)
+    if not np.array_equal(values.pop(_DERIVED), values["col_sums_raw"] / heads):
+        raise MalformedTrace(f"{_DERIVED} must equal col_sums_raw / heads", line=lineno)
     return TraceRecord(**values)
 
 
+def _config_of(source) -> dict:
+    """The config of a finished run (``RunSummary``) or of a ``Trace`` read back, as a dict."""
+    return source.config if isinstance(source, Trace) else source.config.to_dict()
+
+
 def write_trace(source, path) -> Path:
-    """Write a trace file from a finished run (``RunSummary``) or a ``Trace`` read back."""
-    config = source.config if isinstance(source, Trace) else source.config.to_dict()
+    """Write a trace file from a finished run (``RunSummary``) or a ``Trace`` read back.
+
+    Each record's head-mean column sums are written as ``col_sums_raw / heads``."""
+    config = _config_of(source)
     header = {"format": TRACE_FORMAT, "version": TRACE_VERSION, "config": config, "budget": source.budget}
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, separators=(",", ":")) + "\n")
         for rec in source.records:
-            fh.write(_record_to_json(rec) + "\n")
+            fh.write(_record_to_json(rec, config["heads"]) + "\n")
     return path
 
 
@@ -194,8 +221,10 @@ def read_trace(path) -> Trace:
     The header's ``config`` must be what ``StreamConfig.to_dict`` writes
     for a valid config and its ``budget`` that config's ``budget_metadata()``.
     A record must carry exactly the fields ``write_trace`` writes, with
-    ``n_keys`` entries in each per-key payload; any other line, a blank
-    one included, raises ``MalformedTrace`` naming its line number.
+    ``n_keys`` entries in each per-key payload, ``heads`` maps when it
+    has maps, and head-mean column sums exactly equal to ``col_sums_raw /
+    heads``, which are then dropped; any other line, a blank one
+    included, raises ``MalformedTrace`` naming its line number.
 
     Only the current line is held besides the records, so reading takes
     little more memory than the records it returns. A last line without
@@ -226,6 +255,7 @@ def read_trace(path) -> Trace:
             valid = config_from_dict(config)
         except (ConfigError, TypeError) as exc:
             raise MalformedTrace(f"invalid config ({exc})", line=1) from exc
+        _check_fields(budget, _BUDGET_TYPES.keys(), _BUDGET_TYPES, 1, "budget")
         if budget != valid.budget_metadata():
             raise MalformedTrace("budget disagrees with its config", line=1)
 
@@ -238,20 +268,22 @@ def read_trace(path) -> Trace:
                 if not raw.endswith("\n"):
                     raise MalformedTrace("truncated last record", line=lineno) from exc
                 raise MalformedTrace(f"record is not valid JSON ({exc.msg})", line=lineno) from exc
-            records.append(_record_from_json(payload, lineno))
+            records.append(_record_from_json(payload, lineno, valid.heads))
     return Trace(config=config, budget=budget, records=records)
 
 
-def heatmap_grid(records: list[TraceRecord], layer: int, reweight: bool = False):
-    """Per-step head-mean column-sum matrix for one layer.
+def heatmap_grid(source, layer: int, reweight: bool = False):
+    """Per-step head-mean column-sum matrix for one layer of a finished
+    run (``RunSummary``) or a ``Trace`` read back.
 
+    The head-mean sums are ``col_sums_raw`` over the config's ``heads``.
     Columns are token ids in admission order; absent (evicted or not yet
     admitted) cells are zero. ``reweight`` multiplies the row of 1-based
     frame number t by t, compensating for later frames spreading mass
     over more keys. Returns (grid, column_ids, frame_boundaries) where
     boundaries[f] is the first column index of frame f's tokens.
     """
-    layer_recs = sorted((r for r in records if r.layer == layer), key=lambda r: r.step)
+    layer_recs = sorted((r for r in source.records if r.layer == layer), key=lambda r: r.step)
     if not layer_recs:
         raise UnknownLayer(f"no records for layer {layer}")
     n_rows = len(layer_recs)
@@ -262,7 +294,7 @@ def heatmap_grid(records: list[TraceRecord], layer: int, reweight: bool = False)
     col_ids, first, cols = np.unique(np.concatenate([rec.key_ids for rec in layer_recs]),
                                      return_index=True, return_inverse=True)
     grid = np.zeros((n_rows, len(col_ids)), dtype=np.float64)
-    grid[rows, cols] = np.concatenate([rec.col_sums_headmean for rec in layer_recs])
+    grid[rows, cols] = np.concatenate([rec.col_sums_raw for rec in layer_recs]) / _config_of(source)["heads"]
     if reweight:
         grid *= steps[:, None] + 1
     # Frame f starts at the lowest column first seen at step f.
@@ -273,14 +305,15 @@ def heatmap_grid(records: list[TraceRecord], layer: int, reweight: bool = False)
     return grid, col_ids.tolist(), boundaries.tolist()
 
 
-def export_heatmap(records: list[TraceRecord], layer: int, path, reweight: bool = False) -> np.ndarray:
-    """Write the layer's column-sum grid as text, graymap, and boundary sidecar.
+def export_heatmap(source, layer: int, path, reweight: bool = False) -> np.ndarray:
+    """Write the layer's column-sum grid of a run or a ``Trace`` as text,
+    graymap, and boundary sidecar.
 
     ``path`` names the plain-text grid; the portable graymap and the
     frame-boundary index list are written next to it with ``.pgm`` and
     ``.frames.json`` suffixes.
     """
-    grid, col_ids, boundaries = heatmap_grid(records, layer, reweight=reweight)
+    grid, col_ids, boundaries = heatmap_grid(source, layer, reweight=reweight)
     path = Path(path)
     np.savetxt(path, grid, fmt="%.17g")
 
@@ -326,7 +359,7 @@ def summary_row(run, label: str, divergence=None, retention=None) -> SummaryRow:
     Both give the same row for the same stream; ``divergence`` and
     ``retention`` need the run's outputs and cache, so only a run has them.
     """
-    cfg = run.config if isinstance(run, Trace) else run.config.to_dict()
+    cfg = _config_of(run)
     footprints: dict[int, int] = defaultdict(int)
     multiplies: dict[int, int] = defaultdict(int)
     evictions = 0

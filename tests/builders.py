@@ -1,7 +1,7 @@
 """A TraceRecord builder for tests that need one layer's attention data.
 
 ``TraceRecord`` has no field defaults, so this passes every field: the
-given key ids, column sums and maps, with no budget, no eviction and
+given key ids, raw column sums and maps, with no budget, no eviction and
 zero counts around them.
 """
 
@@ -10,9 +10,9 @@ import numpy as np
 from boundedkv.telemetry import TraceRecord
 
 
-def layer_record(step, key_ids, col_sums_raw=None, col_sums_headmean=None, maps=None, layer=0):
+def layer_record(step, key_ids, col_sums_raw=None, maps=None, layer=0):
     """A record of ``key_ids``' attention at ``step``. The raw column sums
-    default to zeros and the head-mean sums to the raw ones."""
+    default to zeros."""
     key_ids = np.array(key_ids, dtype=np.int64)
     raw = np.zeros(len(key_ids)) if col_sums_raw is None else np.array(col_sums_raw, dtype=np.float64)
     return TraceRecord(
@@ -20,7 +20,5 @@ def layer_record(step, key_ids, col_sums_raw=None, col_sums_headmean=None, maps=
         occupancy_pre=0, occupancy_post=len(key_ids), protected_count=0, clamped=False, reason=None,
         evicted_ids=np.empty(0, dtype=np.int64), evicted_importances=np.empty(0, dtype=np.float64),
         sigma=0.0, pi=None, multiplies=0, footprint_bytes=0,
-        key_ids=key_ids, col_sums_raw=raw,
-        col_sums_headmean=raw if col_sums_headmean is None else np.array(col_sums_headmean, dtype=np.float64),
-        maps=maps,
+        key_ids=key_ids, col_sums_raw=raw, maps=maps,
     )

@@ -149,7 +149,7 @@ def retained_mass_by_id(bounded, baseline, layer: int) -> float:
     for report_b, report_a in zip(baseline.reports, bounded.reports):
         resident = {int(tid) for tid in report_a.layers[layer].key_ids}
         base = report_b.layers[layer]
-        mass = np.asarray(base.col_sums_headmean, dtype=np.float64)
+        mass = np.asarray(base.col_sums_raw, dtype=np.float64) / baseline.config.heads
         keep = np.array([int(tid) in resident for tid in base.key_ids], dtype=bool)
         total += float(mass.sum())
         kept += float(mass[keep].sum())

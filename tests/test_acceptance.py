@@ -153,7 +153,7 @@ def test_a4_conservation():
         h, m = cfg.heads, cfg.tokens_per_frame
         for rec in run.records:
             worst_raw = max(worst_raw, abs(float(np.sum(rec.col_sums_raw)) - h * m))
-            worst_mean = max(worst_mean, abs(float(np.sum(rec.col_sums_headmean)) - m))
+            worst_mean = max(worst_mean, abs(float(np.sum(rec.col_sums_raw / h)) - m))
     assert worst_raw <= 1e-6
     assert worst_mean <= 1e-6
     print(f"\nA4 PASS — column-sum conservation: raw err {worst_raw:.2e} <= 1e-6, "

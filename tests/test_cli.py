@@ -218,18 +218,28 @@ def test_export_malformed_trace_exit_code(tmp_path, capsys):
     assert code == 2
     assert "line 1" in err
 
-    # A record whose col_sums_headmean lacks an entry fails on its line
-    # instead of reaching the heatmap.
+    # A record whose col_sums_headmean lacks an entry, or is one ulp off
+    # col_sums_raw / heads, fails on its line instead of reaching the heatmap.
     run_dir = tmp_path / "run"
     assert run_cli(["run", *SMALL_FLAGS, "--frames", "3", "--beta", "0.5", "--out", str(run_dir)], capsys)[0] == 0
     lines = (run_dir / "trace.jsonl").read_text().splitlines()
-    record = json.loads(lines[2])
-    record["col_sums_headmean"].pop()
-    lines[2] = json.dumps(record)
-    bad.write_text("\n".join(lines) + "\n")
+    for change in (list.pop, lambda sums: sums.append(float(np.nextafter(sums.pop(), np.inf)))):
+        record = json.loads(lines[2])
+        change(record["col_sums_headmean"])
+        bad.write_text("\n".join([*lines[:2], json.dumps(record), *lines[3:]]) + "\n")
+        code, _, err = run_cli(["export", "--trace", str(bad), "--out", str(tmp_path / "export")], capsys)
+        assert code == 2
+        assert "line 3" in err
+
+    # A header whose budget holds 1 for true and whose sharpness profile
+    # holds true for a number fails on line 1: 1 == True in Python.
+    header = json.loads(lines[0])
+    header["budget"]["bounded"] = 1
+    header["config"]["sharpness_profile"] = [True, 0]
+    bad.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
     code, _, err = run_cli(["export", "--trace", str(bad), "--out", str(tmp_path / "export")], capsys)
     assert code == 2
-    assert "line 3" in err
+    assert "line 1" in err
 
     # A header whose config lost frames and policy and gained an unknown
     # key fails on line 1 instead of exporting a summary row of defaults.

@@ -31,7 +31,7 @@ def session_with(n_tokens, frame_index=1, kinds=None):
 
 
 def record_from_maps(step, maps, key_ids):
-    return make_record(step, key_ids, *stats_from_maps(maps))
+    return make_record(step, key_ids, stats_from_maps(maps))
 
 
 def test_uniform_attention_gains():
@@ -124,25 +124,23 @@ def test_vector_importances_match_rows():
 
 
 def test_sparsity_zero_for_uniform_columns():
-    record = make_record(0, [0, 1, 2], [0.5, 0.5, 0.5])
-    assert layer_sparsity(record) == 0.0
+    assert layer_sparsity(np.array([0.5, 0.5, 0.5])) == 0.0
 
 
 def test_sparsity_hand_example():
-    record = make_record(0, [0, 1, 2, 3], [1.0, 0.0, 0.0, 1.0])
-    assert layer_sparsity(record) == pytest.approx(-0.25, abs=1e-15)
-    assert layer_sparsity(record) == pytest.approx(-population_variance([1.0, 0.0, 0.0, 1.0]), abs=1e-15)
+    headmean = np.array([1.0, 0.0, 0.0, 1.0])
+    assert layer_sparsity(headmean) == pytest.approx(-0.25, abs=1e-15)
+    assert layer_sparsity(headmean) == pytest.approx(-population_variance([1.0, 0.0, 0.0, 1.0]), abs=1e-15)
 
 
 def test_denser_map_has_larger_sparsity_value():
-    dense = make_record(0, list(range(4)), [0.5, 0.5, 0.5, 0.5])
-    concentrated = make_record(0, list(range(4)), [1.9, 0.05, 0.03, 0.02])
+    dense = np.array([0.5, 0.5, 0.5, 0.5])
+    concentrated = np.array([1.9, 0.05, 0.03, 0.02])
     assert layer_sparsity(dense) > layer_sparsity(concentrated)
 
 
 def test_single_key_sparsity_defined():
-    record = make_record(0, [0], [2.0])
-    assert layer_sparsity(record) == 0.0
+    assert layer_sparsity(np.array([2.0])) == 0.0
 
 
 # Rows of 1..2100 values (a long_stream layer holds about 1024 keys, an
@@ -162,10 +160,10 @@ ROWS = st.builds(
 @settings(max_examples=200, deadline=None)
 @given(x=ROWS)
 def test_sparsity_equals_np_var_bit_for_bit(x):
-    # layer_sparsity follows np.var's operation order on the record's
-    # float64 column sums (make_record widens float32 draws).
-    record = make_record(0, range(len(x)), x, x)
-    assert layer_sparsity(record) == -float(np.var(np.asarray(x, dtype=np.float64)))
+    # layer_sparsity follows np.var's operation order on float64 column
+    # sums (float32 draws are widened, as column sums always are float64).
+    x = x.astype(np.float64)
+    assert layer_sparsity(x) == -float(np.var(x))
 
 
 def test_cum_score_nondecreasing():

@@ -296,6 +296,22 @@ def test_run_stats_are_the_step_records():
         assert run.stats[t] is report.layers
 
 
+def test_records_retain_one_float_per_key():
+    # The long_stream benchmark shape cut to 48 frames. A kept record
+    # holds one int64 id and one float64 column sum per key, and one id
+    # and one importance per victim: nothing else, and no view of a
+    # larger buffer. The head-mean sums are col_sums_raw / heads and are
+    # not kept.
+    cfg = StreamConfig(layers=4, heads=2, dim=64, tokens_per_frame=32, registers=0, frames=48,
+                       budget_tokens=1024, policy="attention", seed=0)
+    run = run_stream(cfg)
+    arrays = [value for rec in run.records for value in vars(rec).values() if isinstance(value, np.ndarray)]
+    assert all(array.base is None for array in arrays)
+    expected = sum(16 * rec.n_keys + 16 * len(rec.evicted_ids) for rec in run.records)
+    assert sum(array.nbytes for array in arrays) == expected
+    assert sum(len(rec.evicted_ids) for rec in run.records) > 0
+
+
 def test_report_internal_consistency():
     cfg = StreamConfig(**SMALL, beta=0.4)
     run = run_stream(cfg)
@@ -318,7 +334,7 @@ def landmark_percentiles(run, layer):
     frames = run.config.frames
     for t in range(frames // 2, frames):
         st = run.reports[t].layers[layer]
-        sums = np.asarray(st.col_sums_headmean)
+        sums = st.col_sums_raw / run.config.heads
         order = np.argsort(-sums)
         rank = {st.key_ids[i]: r for r, i in enumerate(order)}
         pcts += [1.0 - rank[tid] / len(sums) for tid in planted if tid in rank]

@@ -56,9 +56,11 @@ IDS = st.integers(-2**63, 2**63 - 1)
 
 
 @st.composite
-def trace_records(draw):
+def trace_records(draw, heads):
     # Only records the writer can produce: every per-key payload holds
-    # n_keys entries, and maps hold them on their last axis.
+    # n_keys entries, and maps hold them on their last axis and the
+    # config's heads on their first. The head-mean sums are not drawn:
+    # the writer derives them from col_sums_raw.
     n_evicted, n_keys = draw(st.integers(0, 4)), draw(st.integers(0, 5))
     return TraceRecord(
         step=draw(IDS), layer=draw(IDS), n_keys=n_keys,
@@ -71,19 +73,26 @@ def trace_records(draw):
         multiplies=draw(IDS), footprint_bytes=draw(IDS),
         key_ids=draw(arrays(np.int64, n_keys, elements=IDS)),
         col_sums_raw=draw(arrays(np.float64, n_keys, elements=EDGE_FLOATS)),
-        col_sums_headmean=draw(arrays(np.float64, n_keys, elements=EDGE_FLOATS)),
-        maps=draw(st.none() | arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 3), st.just(n_keys)),
+        maps=draw(st.none() | arrays(np.float64, st.tuples(st.just(heads), st.integers(1, 3), st.just(n_keys)),
                                      elements=EDGE_FLOATS)),
     )
 
 
+@st.composite
+def heads_and_records(draw):
+    heads = draw(st.sampled_from([1, 2, 4]))
+    return heads, draw(st.lists(trace_records(heads), max_size=3))
+
+
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(records=st.lists(trace_records(), max_size=3), tau=EDGE_FLOATS.filter(lambda tau: tau > 0))
-def test_edge_values_read_back_exactly(tmp_path, records, tau):
-    # Every finite double and int64 reads back as the value written.
+@given(drawn=heads_and_records(), tau=EDGE_FLOATS.filter(lambda tau: tau > 0))
+def test_edge_values_read_back_exactly(tmp_path, drawn, tau):
+    # Every finite double and int64 reads back as the value written, and
+    # the head-mean sums written as col_sums_raw / heads read back as that.
     # Rewriting what was read must give the same bytes, which also
     # catches a lost -0.0 sign that record equality cannot see.
-    config = StreamConfig(tau=tau)
+    heads, records = drawn
+    config = StreamConfig(tau=tau, heads=heads)
     trace = Trace(config=config.to_dict(), budget=config.budget_metadata(), records=records)
     first = write_trace(trace, tmp_path / "first.jsonl")
     read = read_trace(first)
@@ -152,23 +161,32 @@ MISSING = object()
     ("col_sums_raw", [0.5]),
     ("col_sums_headmean", [0.5]),
     ("maps", [[[0.5]]]),
+    ("col_sums_headmean", lambda sums: sums[:-1] + [float(np.nextafter(sums[-1], np.inf))]),
+    ("col_sums_headmean", lambda sums: [2 * x for x in sums]),
+    ("maps", lambda maps: maps[:1]),
+    ("maps", lambda maps: maps + maps[:1]),
 ], ids=["ragged_maps", "string_key_ids", "numeral_key_ids", "float_key_ids", "scalar_col_sums_raw",
         "rank2_col_sums_headmean", "string_evicted_id", "null_importance", "string_step", "bool_step",
         "float_layer", "n_keys_past_2_64", "null_occupancy", "int_clamped", "int_reason", "string_sigma",
         "bool_pi", "float_budget", "nan_sigma", "infinite_pi", "infinite_col_sum", "no_multiplies",
         "no_key_ids", "no_evicted", "unknown_field", "wrong_n_keys", "short_key_ids", "short_col_sums_raw",
-        "short_col_sums_headmean", "short_maps_key_axis"])
+        "short_col_sums_headmean", "short_maps_key_axis", "headmean_one_ulp_off", "headmean_is_raw",
+        "one_head_of_two", "three_heads_of_two"])
 def test_malformed_payload_reports_line(tmp_path, field, value):
     # A payload that is ragged, non-numeric or of the wrong rank, a scalar
     # of another JSON type than the writer gives it, a NaN or Infinity
-    # literal (not JSON), a missing or unknown field, and per-key payloads
-    # that do not all hold n_keys entries fail on their own line instead
-    # of reading back as something else.
+    # literal (not JSON), a missing or unknown field, per-key payloads
+    # that do not all hold n_keys entries, head-mean sums that are not
+    # exactly col_sums_raw / heads (a function of the written value
+    # below), and maps that do not hold the header's heads fail on their
+    # own line instead of reading back as something else.
     run = run_stream(StreamConfig(**SMALL, beta=0.3, keep_maps=True))
     lines = write_trace(run, tmp_path / "trace.jsonl").read_text().splitlines()
     record = json.loads(lines[3])
     if value is MISSING:
         del record[field]
+    elif callable(value):
+        record[field] = value(record[field])
     else:
         record[field] = value
     lines[3] = json.dumps(record)
@@ -242,6 +260,9 @@ def test_malformed_trace_reports_line(tmp_path):
         ("config", no_frames), ("config", {**config, "junk": 1}), ("config", {**config, "frames": 3.0}),
         ("config", {**config, "keep_maps": 1}), ("config", {**config, "beta": 0.5}),
         ("budget", {**header["budget"], "budget_tokens": 12}),
+        ("budget", {**header["budget"], "bounded": 0}),
+        ("config", {**config, "sharpness_profile": [True, 0]}),
+        ("config", {**config, "sharpness_profile": [1.0, "2"]}),
     ]):
         bad_header = tmp_path / f"header{i}.jsonl"
         bad_header.write_text("\n".join([json.dumps({**header, key: value}), *lines[1:]]) + "\n")
@@ -302,38 +323,40 @@ def test_trace_feeds_brute_force(tmp_path):
         assert rec.cum_score == pytest.approx(scores[rec.token_id].cum_score, rel=1e-9)
 
 
-def synthetic_records(col_sums_by_step, layer=0):
-    return [layer_record(step, range(len(sums)), 2 * np.array(sums), sums, layer=layer)
-            for step, sums in enumerate(col_sums_by_step)]
+def synthetic_trace(col_sums_by_step, layer=0):
+    # Two heads: the raw sums are twice the head-mean ones given.
+    config = StreamConfig(heads=2)
+    records = [layer_record(step, range(len(sums)), 2 * np.array(sums), layer=layer)
+               for step, sums in enumerate(col_sums_by_step)]
+    return Trace(config=config.to_dict(), budget=config.budget_metadata(), records=records)
 
 
 def test_heatmap_constant_for_uniform_attention():
-    records = synthetic_records([[0.5, 0.5], [0.5, 0.5]])
-    grid, ids, bounds = heatmap_grid(records, 0)
+    trace = synthetic_trace([[0.5, 0.5], [0.5, 0.5]])
+    grid, ids, bounds = heatmap_grid(trace, 0)
     assert np.all(grid == 0.5)
     assert ids == [0, 1]
 
 
 def test_heatmap_reweight_multiplies_rows_exactly():
-    records = synthetic_records([[0.25, 0.25], [0.125, 0.125], [0.0625, 0.0625]])
-    plain, _, _ = heatmap_grid(records, 0, reweight=False)
-    weighted, _, _ = heatmap_grid(records, 0, reweight=True)
+    trace = synthetic_trace([[0.25, 0.25], [0.125, 0.125], [0.0625, 0.0625]])
+    plain, _, _ = heatmap_grid(trace, 0, reweight=False)
+    weighted, _, _ = heatmap_grid(trace, 0, reweight=True)
     for t in range(3):
         assert np.array_equal(weighted[t], plain[t] * (t + 1))
 
 
 def test_heatmap_unknown_layer():
-    records = synthetic_records([[1.0]])
+    trace = synthetic_trace([[1.0]])
     with pytest.raises(UnknownLayer):
-        heatmap_grid(records, 5)
+        heatmap_grid(trace, 5)
 
 
 def test_heatmap_files_and_boundaries(tmp_path):
     cfg = StreamConfig(**SMALL)
     run = baseline_run(cfg)
-    records = run.records
     grid_path = tmp_path / "heatmap.txt"
-    grid = export_heatmap(records, 1, grid_path)
+    grid = export_heatmap(run, 1, grid_path)
     assert grid_path.exists()
     loaded = np.loadtxt(grid_path)
     assert np.allclose(loaded, grid, rtol=0, atol=0)
@@ -351,8 +374,8 @@ def test_heatmap_files_and_boundaries(tmp_path):
 
 def test_heatmap_from_run_records_matches_trace_records(tmp_path):
     run = run_stream(StreamConfig(**SMALL, beta=0.5))
-    export_heatmap(run.records, 1, tmp_path / "run.txt")
-    export_heatmap(read_trace(write_trace(run, tmp_path / "trace.jsonl")).records, 1, tmp_path / "trace.txt")
+    export_heatmap(run, 1, tmp_path / "run.txt")
+    export_heatmap(read_trace(write_trace(run, tmp_path / "trace.jsonl")), 1, tmp_path / "trace.txt")
     for suffix in (".txt", ".pgm", ".frames.json"):
         written = [(tmp_path / name).with_suffix(suffix).read_bytes() for name in ("run", "trace")]
         assert written[0] == written[1]
@@ -365,10 +388,9 @@ def test_exported_variance_ordering_matches_sparsity(tmp_path):
     cfg = StreamConfig(layers=2, heads=2, dim=16, tokens_per_frame=6, registers=0,
                        frames=8, seed=3, sharpness_profile=[1.0, 4.0])
     run = baseline_run(cfg)
-    records = run.records
     variances = []
     for layer in (0, 1):
-        grid, _, _ = heatmap_grid(records, layer)
+        grid, _, _ = heatmap_grid(run, layer)
         variances.append(float(np.var(grid[-1][grid[-1] > 0])))
     sigmas = [run.reports[-1].layers[i].sigma for i in (0, 1)]
     assert variances[1] > variances[0]
