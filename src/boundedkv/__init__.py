@@ -18,6 +18,7 @@ from .errors import (
     IncompleteLog,
     InsufficientUnprotected,
     MalformedTrace,
+    NonFiniteRecord,
     ProtectedEviction,
     StaleStats,
     UnknownLayer,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .allocation import allocate
 from .config import ATTN_DTYPES, BUDGET_MODES, KIND_PATCH, POLICIES, StreamConfig, config_from_dict
-from .errors import BoundedKVError, ConfigError
+from .errors import BoundedKVError, ConfigError, NonFiniteRecord
 from .oracle import baseline_run, brute_force_scores, compare_runs, landmark_retention, map_log_from_records
 from .scoring import importances
 from .simulate import run_stream
@@ -344,11 +344,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     rows.append(summary_row(bounded_run, label="verify-bounded", retention=landmark_retention(bounded_run)))
 
     # Identical config and seed must reproduce the trace byte-for-byte.
-    trace_path = write_trace(bounded_run, out / "verify_trace.jsonl")
-    with tempfile.TemporaryDirectory() as tmp:
-        rerun_path = write_trace(run_stream(bounded_cfg), Path(tmp) / "verify_trace.jsonl")
-        identical = filecmp.cmp(trace_path, rerun_path, shallow=False)
-    _check("determinism", identical, "bounded rerun byte-identical", failures)
+    # A fault that leaves NaN in the records fails here too: no trace is written.
+    try:
+        trace_path = write_trace(bounded_run, out / "verify_trace.jsonl")
+        with tempfile.TemporaryDirectory() as tmp:
+            rerun_path = write_trace(run_stream(bounded_cfg), Path(tmp) / "verify_trace.jsonl")
+            identical = filecmp.cmp(trace_path, rerun_path, shallow=False)
+        detail = "bounded rerun byte-identical"
+    except NonFiniteRecord as exc:
+        identical, detail = False, f"no trace: {exc}"
+    _check("determinism", identical, detail, failures)
 
     (out / "verify_summary.csv").write_text(summarize(rows), encoding="utf-8")
     if failures:

@@ -26,6 +26,11 @@ KIND_REGISTER = "register"
 POLICIES = ("attention", "random", "uniform_budget", "none")
 BUDGET_MODES = ("fixed-horizon", "steady-state")
 ATTN_DTYPES = ("float64", "float32")
+# Why a layer evicted: to make room for the incoming frame, or because
+# its budget fell below its occupancy. A trace record holds one or None.
+REASON_ADMIT = "budget_admit"
+REASON_SHRINK = "budget_shrink"
+REASONS = (REASON_ADMIT, REASON_SHRINK)
 
 # Allocation temperature used by the uniform-budget ablation.
 UNIFORM_BUDGET_TAU = 100.0
@@ -125,6 +130,11 @@ class StreamConfig:
                 raise ConfigError("sharpness_profile entries must be finite and >= 0")
         if self.attn_dtype not in ATTN_DTYPES:
             raise ConfigError(f"attn_dtype must be one of {ATTN_DTYPES}")
+        # A trace carries these as JSON ints, which its encoder and decoder hold in 64 bits.
+        if not 0 <= self.seed < 2**63:
+            raise ConfigError("seed must be in [0, 2**63)")
+        if max(self.ref_frames or 0, self.total_budget_tokens() or 0) >= 2**63:
+            raise ConfigError("ref_frames and the token budget must be < 2**63")
 
     def total_budget_tokens(self) -> int | None:
         """Resolve the configured budget to a token count (None = unbounded)."""

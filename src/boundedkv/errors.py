@@ -55,5 +55,16 @@ class MalformedTrace(BoundedKVError):
         self.line = line
 
 
+class NonFiniteRecord(BoundedKVError):
+    """A trace record holds a NaN or infinite value, which JSON cannot carry.
+
+    ``step``, ``layer`` and ``field`` name the record and its field.
+    """
+
+    def __init__(self, step: int, layer: int, field: str):
+        super().__init__(f"step {step} layer {layer}: {field} is not finite")
+        self.step, self.layer, self.field = step, layer, field
+
+
 class UnknownLayer(BoundedKVError):
     """Layer index not present in the trace or session."""

@@ -17,12 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cache import CacheSession, LayerCache, remove
-from .config import StreamConfig
+from .config import REASON_ADMIT, REASON_SHRINK, StreamConfig
 from .errors import ConfigError, InsufficientUnprotected
 from .scoring import importances
-
-REASON_ADMIT = "budget_admit"
-REASON_SHRINK = "budget_shrink"
 
 _POLICY_STREAM_TAG = 18
 

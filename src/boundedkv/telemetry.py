@@ -9,7 +9,9 @@ per-head attention maps are an opt-in payload (``keep_maps``) because
 they grow as M x N per layer per step.
 
 Footprints are derived from token counts, not process memory, so every
-number in a trace is platform-independent and byte-reproducible.
+number in a trace is platform-independent and byte-reproducible. The
+bytes are those of ``json.dumps(..., separators=(",", ":"))``, each line
+ending in ``\n``; orjson writes and reads them.
 """
 
 from __future__ import annotations
@@ -18,14 +20,15 @@ import csv
 import io
 import json
 import math
+import re
 from collections import defaultdict
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .config import StreamConfig, config_from_dict
-from .errors import ConfigError, MalformedTrace, UnknownLayer
+from .config import REASONS, StreamConfig, config_from_dict
+from .errors import ConfigError, MalformedTrace, NonFiniteRecord, UnknownLayer
 
 TRACE_FORMAT = "boundedkv-trace"
 TRACE_VERSION = 1
@@ -134,7 +137,50 @@ _PER_KEY = ("key_ids", "col_sums_raw")
 _READ_ARRAYS = {**PAYLOADS, _DERIVED: PAYLOADS["col_sums_raw"]}
 
 
-def _record_to_json(rec: TraceRecord, heads: int) -> str:
+# The float fields and payloads a record must hold finite: JSON has no NaN or Infinity.
+_FINITE = ("sigma", "pi", "evicted_importances", "col_sums_raw", "maps")
+# Bytes after which "0.0000" starts a number, not the tail of one like 10.00001.
+_NUMBER_START = (b"", b"[", b",", b":", b"-")
+# A one-digit negative exponent, and the start of a positive one.
+_SHORT_EXPONENT = re.compile(rb"e-(?=\d\b)")
+_POSITIVE_EXPONENT = re.compile(rb"e(?=\d)")
+
+
+def _dumps(obj) -> bytes:
+    """``obj`` as ``json.dumps(obj, separators=(",", ":"), default=np.ndarray.tolist)``
+    writes it, for what a trace holds: finite floats, int64 ints, None,
+    bools, lists, dicts, float64/int64 arrays, and the trace's own keys
+    and enumerated values as strings, which are ASCII and hold nothing
+    the rewrites below would read as a number.
+
+    orjson encodes, C-contiguous arrays natively and others through
+    ``tolist``. It prints each float's shortest round-trip digits, as
+    ``repr`` does, and its layout differs in three places only. Each is
+    rewritten in C, by a regex with a literal replacement or by
+    ``split``/``join``, and only the numbers that differ go through
+    Python: a one-digit negative exponent (``1e-8`` to ``1e-08``), a
+    positive exponent (``1e16`` to ``1e+16``) and 1e-5 <= |x| < 1e-4,
+    which orjson writes in plain decimals (``0.0000123`` to ``1.23e-05``).
+    orjson writes a non-finite float as ``null``, so callers reject them.
+    """
+    # Imported here so that importing the package does not load the encoder.
+    import orjson
+
+    data = orjson.dumps(obj, option=orjson.OPT_SERIALIZE_NUMPY, default=np.ndarray.tolist)
+    data = _POSITIVE_EXPONENT.sub(b"e+", _SHORT_EXPONENT.sub(b"e-0", data))
+    pieces = data.split(b"0.0000")
+    out = pieces[:1]
+    for before, piece in zip(pieces, pieces[1:]):
+        if before[-1:] not in _NUMBER_START:
+            out.append(b"0.0000" + piece)
+            continue
+        rest = piece.lstrip(b"0123456789")
+        digits = piece[:len(piece) - len(rest)]
+        out.append(digits[:1] + (b"." + digits[1:] if digits[1:] else b"") + b"e-05" + rest)
+    return b"".join(out)
+
+
+def _record_to_json(rec: TraceRecord, heads: int) -> bytes:
     payload = {}
     for f in fields(TraceRecord):
         if f.name == "evicted_ids":
@@ -147,7 +193,7 @@ def _record_to_json(rec: TraceRecord, heads: int) -> str:
         if f.name == "col_sums_raw":
             payload[_DERIVED] = rec.col_sums_raw / heads
     # Payload arrays are written as nested lists.
-    return json.dumps(payload, separators=(",", ":"), default=np.ndarray.tolist)
+    return _dumps(payload)
 
 
 def _check_fields(values, names, types: dict, lineno: int, what: str) -> None:
@@ -167,6 +213,8 @@ def _check_fields(values, names, types: dict, lineno: int, what: str) -> None:
 
 def _record_from_json(payload, lineno: int, heads: int) -> TraceRecord:
     _check_fields(payload, _JSON_FIELDS, _SCALARS, lineno, "record")
+    if payload["reason"] not in (None, *REASONS):
+        raise MalformedTrace(f"reason must be one of {REASONS} or null", line=lineno)
     values = dict(payload)
     evicted = values.pop("evicted")
     try:
@@ -204,14 +252,21 @@ def _config_of(source) -> dict:
 def write_trace(source, path) -> Path:
     """Write a trace file from a finished run (``RunSummary``) or a ``Trace`` read back.
 
-    Each record's head-mean column sums are written as ``col_sums_raw / heads``."""
+    Each record's head-mean column sums are written as ``col_sums_raw / heads``.
+    A record with a NaN or infinite float raises ``NonFiniteRecord``, naming
+    its step, layer and field, before the file is opened."""
     config = _config_of(source)
+    for rec in source.records:
+        for name in _FINITE:
+            value = getattr(rec, name)
+            if value is not None and not np.isfinite(value).all():
+                raise NonFiniteRecord(rec.step, rec.layer, name)
     header = {"format": TRACE_FORMAT, "version": TRACE_VERSION, "config": config, "budget": source.budget}
     path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, separators=(",", ":")) + "\n")
+    with path.open("wb") as fh:
+        fh.write(_dumps(header) + b"\n")
         for rec in source.records:
-            fh.write(_record_to_json(rec, config["heads"]) + "\n")
+            fh.write(_record_to_json(rec, config["heads"]) + b"\n")
     return path
 
 

@@ -2,13 +2,16 @@
 
 These deliberately avoid the package's code paths: high-precision
 softmax and largest-remainder via mpmath, population variance via
-mpmath, and a slow pure-loop attention evaluator. They stay independent
-of the implementations they check.
+mpmath, a slow pure-loop attention evaluator, and a trace writer on the
+standard library's ``json``. They stay independent of the
+implementations they check.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from dataclasses import asdict
 
 import mpmath as mp
 import numpy as np
@@ -170,3 +173,32 @@ def landmark_retention_by_id(run, layer: int) -> float:
         return math.nan
     final = {int(tid) for tid in run.reports[-1].layers[layer].key_ids}
     return sum(1 for tid in planted if tid in final) / len(planted)
+
+
+# A trace record's keys in file order; "evicted" pairs each victim's id
+# and importance, and "col_sums_headmean" is col_sums_raw / heads.
+TRACE_RECORD_KEYS = ("step", "layer", "n_keys", "budget_pre", "budget_post", "occupancy_pre",
+                     "occupancy_post", "protected_count", "clamped", "reason", "evicted", "sigma",
+                     "pi", "multiplies", "footprint_bytes", "key_ids", "col_sums_raw",
+                     "col_sums_headmean", "maps")
+
+
+def stdlib_trace_bytes(source) -> bytes:
+    """The bytes of the trace of a run or of a trace read back, written
+    field by field with ``json.dumps`` and ``\\n`` line ends."""
+    config = source.config if isinstance(source.config, dict) else asdict(source.config)
+    header = {"format": "boundedkv-trace", "version": 1, "config": config, "budget": source.budget}
+    lines = [header]
+    for rec in source.records:
+        values = {}
+        for key in TRACE_RECORD_KEYS:
+            if key == "evicted":
+                values[key] = [{"token_id": int(tid), "importance": float(imp)}
+                               for tid, imp in zip(rec.evicted_ids, rec.evicted_importances)]
+            elif key == "col_sums_headmean":
+                values[key] = (np.asarray(rec.col_sums_raw) / config["heads"]).tolist()
+            else:
+                value = getattr(rec, key)
+                values[key] = value.tolist() if isinstance(value, np.ndarray) else value
+        lines.append(values)
+    return "".join(json.dumps(line, separators=(",", ":")) + "\n" for line in lines).encode("ascii")

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -70,6 +71,15 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "tau" in err
     code, _, err = run_cli(["run", "--dim", "30", "--heads", "4", "--out", str(tmp_path)], capsys)
     assert code == 2
+
+
+def test_non_finite_run_exits_2_without_trace(tmp_path, capsys):
+    # The run overflows to NaN statistics, which a JSON trace cannot carry.
+    with np.errstate(all="ignore"):
+        code, _, err = run_cli(["run", "--frames", "4", "--sharpness", "1.7e308", "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert re.search(r"step \d+ layer \d+: \w+ is not finite", err)
+    assert not (tmp_path / "trace.jsonl").exists()
 
 
 def test_precedence_defaults_file_flags(tmp_path, capsys):
@@ -161,6 +171,8 @@ def test_verify_fails_when_eviction_ranks_on_wrong_importances(fault, tmp_path, 
     code, out, _ = run_cli(["verify", "--out", str(tmp_path)], capsys)
     assert code == 3
     assert "FAIL: scoring-oracle" in out
+    # NaN importances reach the bounded run's records, whose trace cannot be written.
+    assert ("FAIL: determinism (no trace: " in out) == math.isnan(fault(1.0, 1))
 
 
 def test_verify_reruns_byte_identical(tmp_path, capsys):

@@ -264,6 +264,20 @@ def test_non_finite_config_is_rejected(field, value):
         run_stream(cfg)
 
 
+@pytest.mark.parametrize("values", [
+    dict(seed=-1),
+    dict(seed=2**63),
+    dict(budget_tokens=2**63),
+    dict(beta=0.5, budget_mode="steady-state", ref_frames=2**63),
+    dict(beta=1.0, budget_mode="steady-state", ref_frames=2**61),
+], ids=["negative_seed", "seed_past_int64", "budget_past_int64", "ref_frames_past_int64", "budget_from_ref_frames"])
+def test_config_ints_past_int64_are_rejected(values):
+    # A trace carries them as JSON ints of at most 64 bits; a negative
+    # seed cannot seed the generators.
+    with pytest.raises(ConfigError):
+        StreamConfig(**{**SMALL, **values}).validate()
+
+
 def test_negative_sharpness_profile_entry_is_rejected():
     # Like a negative sharpness, it would invert that layer's logits.
     with pytest.raises(ConfigError, match="sharpness_profile"):

@@ -1,23 +1,30 @@
 """Trace round-trips, heatmap export, summary tables."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from boundedkv.config import StreamConfig
-from boundedkv.errors import MalformedTrace, UnknownLayer
+from boundedkv.config import ATTN_DTYPES, BUDGET_MODES, POLICIES, REASONS, StreamConfig
+from boundedkv.errors import MalformedTrace, NonFiniteRecord, UnknownLayer
 from boundedkv.oracle import baseline_run, brute_force_scores, map_log_from_records
 from boundedkv.simulate import run_stream
 from boundedkv.telemetry import (
     PAYLOADS,
+    TRACE_FORMAT,
     Trace,
     TraceRecord,
     _JSON_FIELDS,
+    _dumps,
     export_heatmap,
     heatmap_grid,
     read_trace,
@@ -27,6 +34,7 @@ from boundedkv.telemetry import (
 )
 
 from builders import layer_record
+from refimpl import stdlib_trace_bytes
 
 SMALL = dict(layers=2, heads=2, dim=16, tokens_per_frame=4, registers=0, frames=6, seed=21)
 
@@ -66,7 +74,7 @@ def trace_records(draw, heads):
         step=draw(IDS), layer=draw(IDS), n_keys=n_keys,
         budget_pre=draw(st.none() | IDS), budget_post=draw(st.none() | IDS),
         occupancy_pre=draw(IDS), occupancy_post=draw(IDS), protected_count=draw(IDS),
-        clamped=draw(st.booleans()), reason=draw(st.none() | st.text(max_size=8)),
+        clamped=draw(st.booleans()), reason=draw(st.none() | st.sampled_from(REASONS)),
         evicted_ids=draw(arrays(np.int64, n_evicted, elements=IDS)),
         evicted_importances=draw(arrays(np.float64, n_evicted, elements=EDGE_FLOATS)),
         sigma=draw(EDGE_FLOATS), pi=draw(st.none() | EDGE_FLOATS),
@@ -100,6 +108,126 @@ def test_edge_values_read_back_exactly(tmp_path, drawn, tau):
     assert read.config == trace.config and read.budget == trace.budget
     second = write_trace(read, tmp_path / "second.jsonl")
     assert second.read_bytes() == first.read_bytes()
+
+
+# Every string a trace holds: record, evicted-entry and header keys,
+# config and budget keys, the format tag, the reasons and each
+# enumerated config value.
+TRACE_STRINGS = sorted(
+    _JSON_FIELDS | {"token_id", "importance", "format", "version", "config", "budget", TRACE_FORMAT}
+    | StreamConfig().to_dict().keys() | StreamConfig().budget_metadata().keys()
+    | {*REASONS, *POLICIES, *BUDGET_MODES, *ATTN_DTYPES})
+# Finite doubles, weighted towards the ranges whose layout orjson and
+# repr differ on: one-digit negative exponents, 1e-5 <= |x| < 1e-4 and
+# positive exponents from 1e16.
+LAYOUT_FLOATS = st.one_of(EDGE_FLOATS, st.floats(1e-10, 1e-4), st.floats(-1e-4, -1e-10),
+                          st.floats(1e15, 1e17), st.floats(-1e308, -1e15))
+INT64S = st.integers(-2**63, 2**63 - 1)
+
+
+@st.composite
+def payload_arrays(draw):
+    # Float64 or int64 arrays of rank 1 to 3, some of them reversed or
+    # strided, which are not C-contiguous.
+    dtype, elements = draw(st.sampled_from([(np.float64, LAYOUT_FLOATS), (np.int64, INT64S)]))
+    array = draw(arrays(dtype, array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4), elements=elements))
+    return draw(st.sampled_from([array, array[::-1], array[..., ::2], array.T]))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | INT64S | LAYOUT_FLOATS | st.sampled_from(TRACE_STRINGS) | payload_arrays(),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.sampled_from(TRACE_STRINGS), children,
+                                                                     max_size=4),
+    max_leaves=16)
+
+
+@settings(max_examples=400, deadline=None)
+@given(value=JSON_VALUES)
+@example(value=[1e-05, 9.999999999999999e-05, 1e-04, 5e-324, -1.23e-05, 10.00001, 1e16, -0.0,
+                1.7976931348623157e308])
+@example(value=1e-05)
+@example(value=-1.23e-05)
+@example(value=1e-08)
+@example(value=1e16)
+@example(value=TRACE_STRINGS)
+@example(value={name: name for name in TRACE_STRINGS})
+def test_dumps_matches_stdlib_json(value):
+    # The trace encoder writes what json.dumps writes, byte for byte.
+    expected = json.dumps(value, separators=(",", ":"), default=np.ndarray.tolist).encode("ascii")
+    assert _dumps(value) == expected
+
+
+@pytest.mark.parametrize("config", [
+    dict(beta=0.3, keep_maps=True),
+    dict(beta=0.5, attn_dtype="float32"),
+    dict(beta=0.4, policy="random"),
+    dict(keep_maps=True),
+], ids=["keep_maps", "float32", "random_policy", "unbounded"])
+def test_trace_bytes_match_stdlib_writer(tmp_path, config):
+    # write_trace writes what an independent json.dumps writer writes, for
+    # a run and for the trace read back and written again.
+    run = run_stream(StreamConfig(**{**SMALL, "frames": 12}, **config))
+    written = write_trace(run, tmp_path / "trace.jsonl").read_bytes()
+    assert written == stdlib_trace_bytes(run)
+    read = read_trace(tmp_path / "trace.jsonl")
+    assert write_trace(read, tmp_path / "again.jsonl").read_bytes() == stdlib_trace_bytes(read) == written
+
+
+def test_keep_maps_trace_holds_every_rewritten_layout(tmp_path):
+    # The byte comparison above covers each layout the encoder rewrites.
+    run = run_stream(StreamConfig(**{**SMALL, "frames": 12}, beta=0.3, keep_maps=True))
+    text = write_trace(run, tmp_path / "trace.jsonl").read_text()
+    assert "e-05" in text and any(f"e-0{d}" in text for d in range(6, 10))
+
+
+def test_largest_seed_round_trips(tmp_path):
+    # The largest seed validate() accepts is written and read back as an int.
+    run = run_stream(StreamConfig(**{**SMALL, "frames": 2, "seed": 2**63 - 1}))
+    trace = read_trace(write_trace(run, tmp_path / "trace.jsonl"))
+    assert trace.config["seed"] == 2**63 - 1 and trace.records == run.records
+
+
+def test_import_does_not_load_orjson():
+    # Importing the package is part of every process's set-up; the
+    # encoder and decoder load orjson on first use.
+    code = "import sys, boundedkv; sys.exit('orjson' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_non_finite_run_writes_no_trace(tmp_path):
+    # Logits this sharp overflow; the run completes with NaN statistics,
+    # which JSON cannot carry, so no trace file is written.
+    with np.errstate(all="ignore"):
+        run = run_stream(StreamConfig(frames=4, sharpness=1.7e308))
+    path = tmp_path / "trace.jsonl"
+    with pytest.raises(NonFiniteRecord, match=r"step \d+ layer \d+: \w+ is not finite") as err:
+        write_trace(run, path)
+    bad = run.records[[(r.step, r.layer) for r in run.records].index((err.value.step, err.value.layer))]
+    assert not np.isfinite(getattr(bad, err.value.field)).all()
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("field", ["sigma", "pi", "evicted_importances", "col_sums_raw", "maps"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+def test_non_finite_field_is_named(tmp_path, field, bad):
+    run = run_stream(StreamConfig(**SMALL, beta=0.3, keep_maps=True))
+    index = next(i for i, rec in enumerate(run.records) if len(rec.evicted_ids))
+    rec = run.records[index]
+    value = getattr(rec, field)
+    if isinstance(value, np.ndarray):
+        value = value.copy()
+        value.flat[-1] = bad
+    else:
+        value = bad
+    records = list(run.records)
+    records[index] = replace(rec, **{field: value})
+    trace = Trace(config=run.config.to_dict(), budget=run.budget, records=records)
+    with pytest.raises(NonFiniteRecord) as err:
+        write_trace(trace, tmp_path / "trace.jsonl")
+    assert (err.value.step, err.value.layer, err.value.field) == (rec.step, rec.layer, field)
+    assert str(err.value) == f"step {rec.step} layer {rec.layer}: {field} is not finite"
+    assert not (tmp_path / "trace.jsonl").exists()
 
 
 def assert_typed_payloads(records):
@@ -146,6 +274,7 @@ MISSING = object()
     ("occupancy_pre", None),
     ("clamped", 3),
     ("reason", 5),
+    ("reason", "budget_grow"),
     ("sigma", "0.5"),
     ("pi", False),
     ("budget_post", 1.5),
@@ -167,7 +296,7 @@ MISSING = object()
     ("maps", lambda maps: maps + maps[:1]),
 ], ids=["ragged_maps", "string_key_ids", "numeral_key_ids", "float_key_ids", "scalar_col_sums_raw",
         "rank2_col_sums_headmean", "string_evicted_id", "null_importance", "string_step", "bool_step",
-        "float_layer", "n_keys_past_2_64", "null_occupancy", "int_clamped", "int_reason", "string_sigma",
+        "float_layer", "n_keys_past_2_64", "null_occupancy", "int_clamped", "int_reason", "unknown_reason", "string_sigma",
         "bool_pi", "float_budget", "nan_sigma", "infinite_pi", "infinite_col_sum", "no_multiplies",
         "no_key_ids", "no_evicted", "unknown_field", "wrong_n_keys", "short_key_ids", "short_col_sums_raw",
         "short_col_sums_headmean", "short_maps_key_axis", "headmean_one_ulp_off", "headmean_is_raw",
