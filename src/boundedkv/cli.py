@@ -5,7 +5,8 @@ Configuration precedence is defaults < config file (``key = value``
 lines) < explicit flags. The default output directory is ``./out``,
 overridable by the ``BOUNDEDKV_OUT`` environment variable or ``--out``.
 
-Exit codes: 0 success, 2 configuration error, 3 verification failure.
+Exit codes: 0 success, 2 configuration or run error (a bad config, a
+malformed trace, a record that is not finite), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import math
 import os
 import sys
 import tempfile
-import typing
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -49,18 +49,10 @@ _FLAG_NAMES = {"keep_maps": "--trace-full-maps"}
 _CODE_ONLY = {"sharpness_profile"}
 
 
-def _settable_fields() -> dict[str, type]:
-    """Value type of every flag/config-file field, in StreamConfig order."""
-    hints = typing.get_type_hints(StreamConfig)
-    types = {}
-    for f in fields(StreamConfig):
-        if f.name not in _CODE_ONLY:
-            hint = hints[f.name]
-            types[f.name] = next((a for a in typing.get_args(hint) if a is not type(None)), hint)
-    return types
-
-
-_FIELD_TYPES = _settable_fields()
+# Value type of every flag/config-file field, in StreamConfig order: its
+# annotation's first part ("int | None" is an int).
+_FIELD_TYPES = {f.name: {"int": int, "float": float, "bool": bool, "str": str}[f.type.split(" | ")[0]]
+                for f in fields(StreamConfig) if f.name not in _CODE_ONLY}
 
 
 def _parse_bool(text: str) -> bool:

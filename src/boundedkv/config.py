@@ -15,7 +15,7 @@ run metadata:
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .errors import ConfigError
 
@@ -34,6 +34,26 @@ REASONS = (REASON_ADMIT, REASON_SHRINK)
 
 # Allocation temperature used by the uniform-budget ablation.
 UNIFORM_BUDGET_TAU = 100.0
+
+# The exact Python types, as JSON decodes them, that each part of a field
+# annotation admits: a bool is no int, a float also takes an int (JSON
+# has one number type), and a list holds floats.
+_ANNOTATION_TYPES = {
+    "int": (int,),
+    "float": (int, float),
+    "bool": (bool,),
+    "str": (str,),
+    "None": (type(None),),
+    "list[float]": (list,),
+}
+
+
+def admits(annotation: str, value) -> bool:
+    """Whether a field annotated ``annotation`` (a string such as
+    ``"int | None"``) may hold ``value``, by its exact type."""
+    kinds = [kind for part in annotation.split(" | ") for kind in _ANNOTATION_TYPES[part]]
+    return type(value) in kinds and (
+        type(value) is not list or all(type(entry) in _ANNOTATION_TYPES["float"] for entry in value))
 
 
 @dataclass
@@ -78,6 +98,9 @@ class StreamConfig:
         return UNIFORM_BUDGET_TAU if self.policy == "uniform_budget" else self.tau
 
     def validate(self) -> None:
+        for f in fields(self):
+            if not admits(f.type, getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be {f.type}")
         if self.layers < 1:
             raise ConfigError("layers must be >= 1")
         if self.heads < 1:

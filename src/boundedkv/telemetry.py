@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import REASONS, StreamConfig, config_from_dict
+from .config import REASONS, StreamConfig, admits, config_from_dict
 from .errors import ConfigError, MalformedTrace, NonFiniteRecord, UnknownLayer
 
 TRACE_FORMAT = "boundedkv-trace"
@@ -103,42 +103,20 @@ class Trace:
 
 def records_from_run(run) -> list[TraceRecord]:
     """A run's records, unchanged: they equal what a trace reads back.
-    Only ``bench/worker.py``'s ``check_audit`` calls this; ROADMAP.md item 2 deletes it."""
+    Only ``bench/worker.py``'s ``check_audit`` calls this; ROADMAP.md item 6 deletes it."""
     return run.records
 
 
-# In-memory parallel arrays that the trace writes as one "evicted" list.
-_PAIRED = ("evicted_ids", "evicted_importances")
-# Written after col_sums_raw as col_sums_raw / heads; the reader checks it and drops it.
-_DERIVED = "col_sums_headmean"
-_JSON_FIELDS = {f.name for f in fields(TraceRecord)} - set(_PAIRED) | {"evicted", _DERIVED}
-# The JSON types write_trace gives each scalar record, config and budget
-# field, by its annotation, and those of a list's entries. A bool is no
-# int here; JSON has one number type, so a float takes an int.
-_JSON_TYPES = {
-    "int": (int,),
-    "int | None": (int, type(None)),
-    "float": (int, float),
-    "float | None": (int, float, type(None)),
-    "bool": (bool,),
-    "str": (str,),
-    "str | None": (str, type(None)),
-    "list[float] | None": (list, type(None)),
-}
-_ENTRY_TYPES = {"list[float] | None": _JSON_TYPES["float"]}
+# The record's fields as the trace writes them: the parallel evicted arrays as
+# one "evicted" list, and col_sums_raw followed by its head-mean sums.
+_JSON_FIELDS = ({f.name for f in fields(TraceRecord)} - {"evicted_ids", "evicted_importances"}
+                | {"evicted", "col_sums_headmean"})
 _SCALARS = {f.name: f.type for f in fields(TraceRecord) if f.name not in PAYLOADS}
-_CONFIG_TYPES = {f.name: f.type for f in fields(StreamConfig)}
-# The annotations of StreamConfig.budget_metadata()'s values.
-_BUDGET_TYPES = {"bounded": "bool", "beta": "float | None", "budget_mode": "str | None",
-                 "ref_frames": "int | None", "budget_tokens": "int | None"}
 # Payloads with one entry per resident key; maps hold them on axis 2.
 _PER_KEY = ("key_ids", "col_sums_raw")
-# What the reader parses: every payload, and the derived sums as col_sums_raw.
-_READ_ARRAYS = {**PAYLOADS, _DERIVED: PAYLOADS["col_sums_raw"]}
-
-
 # The float fields and payloads a record must hold finite: JSON has no NaN or Infinity.
-_FINITE = ("sigma", "pi", "evicted_importances", "col_sums_raw", "maps")
+_FINITE = [name for name, annotation in _SCALARS.items() if "float" in annotation.split(" | ")] + [
+    name for name, (dtype, _) in PAYLOADS.items() if dtype is np.float64]
 # Bytes after which "0.0000" starts a number, not the tail of one like 10.00001.
 _NUMBER_START = (b"", b"[", b",", b":", b"-")
 # A one-digit negative exponent, and the start of a positive one.
@@ -188,31 +166,28 @@ def _record_to_json(rec: TraceRecord, heads: int) -> bytes:
                 {"token_id": tid, "importance": imp}
                 for tid, imp in zip(rec.evicted_ids.tolist(), rec.evicted_importances.tolist())
             ]
-        elif f.name not in _PAIRED:
+        elif f.name != "evicted_importances":
             payload[f.name] = getattr(rec, f.name)
         if f.name == "col_sums_raw":
-            payload[_DERIVED] = rec.col_sums_raw / heads
+            payload["col_sums_headmean"] = rec.col_sums_raw / heads
     # Payload arrays are written as nested lists.
     return _dumps(payload)
 
 
-def _check_fields(values, names, types: dict, lineno: int, what: str) -> None:
-    """Raise unless ``values`` is an object keyed by ``names`` whose ``types``
-    keys hold values, and list entries, of the JSON types of those annotations."""
+def _check_keys(values, names, lineno: int, what: str) -> None:
+    """Raise unless ``values`` is an object keyed by exactly ``names``."""
     if not isinstance(values, dict):
         raise MalformedTrace(f"{what} is not an object", line=lineno)
     if values.keys() != names:
         missing, unknown = names - values.keys(), values.keys() - names
         raise MalformedTrace(f"{what} missing fields {sorted(missing)}, unknown fields {sorted(unknown)}", line=lineno)
-    for name, annotation in types.items():
-        value = values[name]
-        if type(value) not in _JSON_TYPES[annotation] or (
-                type(value) is list and any(type(entry) not in _ENTRY_TYPES[annotation] for entry in value)):
-            raise MalformedTrace(f"{what} {name} must be {annotation}", line=lineno)
 
 
 def _record_from_json(payload, lineno: int, heads: int) -> TraceRecord:
-    _check_fields(payload, _JSON_FIELDS, _SCALARS, lineno, "record")
+    _check_keys(payload, _JSON_FIELDS, lineno, "record")
+    for name, annotation in _SCALARS.items():
+        if not admits(annotation, payload[name]):
+            raise MalformedTrace(f"record {name} must be {annotation}", line=lineno)
     if payload["reason"] not in (None, *REASONS):
         raise MalformedTrace(f"reason must be one of {REASONS} or null", line=lineno)
     values = dict(payload)
@@ -222,7 +197,8 @@ def _record_from_json(payload, lineno: int, heads: int) -> TraceRecord:
         values["evicted_importances"] = [entry["importance"] for entry in evicted]
     except (TypeError, KeyError) as exc:
         raise MalformedTrace("evicted entries need token_id and importance", line=lineno) from exc
-    for name, (dtype, rank) in _READ_ARRAYS.items():
+    # Every payload, and the head-mean sums as col_sums_raw.
+    for name, (dtype, rank) in {**PAYLOADS, "col_sums_headmean": PAYLOADS["col_sums_raw"]}.items():
         if name == "maps" and values[name] is None:
             continue
         try:
@@ -239,8 +215,8 @@ def _record_from_json(payload, lineno: int, heads: int) -> TraceRecord:
         raise MalformedTrace(f"per-key payloads must hold n_keys = {n_keys} entries", line=lineno)
     if maps is not None and maps.shape[0] != heads:
         raise MalformedTrace(f"maps must hold heads = {heads} maps on axis 0", line=lineno)
-    if not np.array_equal(values.pop(_DERIVED), values["col_sums_raw"] / heads):
-        raise MalformedTrace(f"{_DERIVED} must equal col_sums_raw / heads", line=lineno)
+    if not np.array_equal(values.pop("col_sums_headmean"), values["col_sums_raw"] / heads):
+        raise MalformedTrace("col_sums_headmean must equal col_sums_raw / heads", line=lineno)
     return TraceRecord(**values)
 
 
@@ -274,7 +250,8 @@ def read_trace(path) -> Trace:
     """Parse a trace file, one line at a time.
 
     The header's ``config`` must be what ``StreamConfig.to_dict`` writes
-    for a valid config and its ``budget`` that config's ``budget_metadata()``.
+    for a valid config and its ``budget`` that config's ``budget_metadata()``,
+    each value of the same JSON type.
     A record must carry exactly the fields ``write_trace`` writes, with
     ``n_keys`` entries in each per-key payload, ``heads`` maps when it
     has maps, and head-mean column sums exactly equal to ``col_sums_raw /
@@ -305,13 +282,14 @@ def read_trace(path) -> Trace:
         if type(version) is not int or version != TRACE_VERSION:
             raise MalformedTrace(f"unsupported trace version {version!r}", line=1)
         config, budget = header.get("config"), header.get("budget")
-        _check_fields(config, _CONFIG_TYPES.keys(), _CONFIG_TYPES, 1, "config")
+        _check_keys(config, StreamConfig.__dataclass_fields__.keys(), 1, "config")
         try:
             valid = config_from_dict(config)
-        except (ConfigError, TypeError) as exc:
+        except ConfigError as exc:
             raise MalformedTrace(f"invalid config ({exc})", line=1) from exc
-        _check_fields(budget, _BUDGET_TYPES.keys(), _BUDGET_TYPES, 1, "budget")
-        if budget != valid.budget_metadata():
+        # Compared with their types, since 1 == True == 1.0 in Python.
+        expected = {key: (type(value), value) for key, value in valid.budget_metadata().items()}
+        if not isinstance(budget, dict) or {key: (type(value), value) for key, value in budget.items()} != expected:
             raise MalformedTrace("budget disagrees with its config", line=1)
 
         records = []

@@ -1,9 +1,13 @@
-"""A TraceRecord builder for tests that need one layer's attention data.
+"""Test helpers: a TraceRecord builder for tests that need one layer's
+attention data, and the name of the BLAS kernel the golden pins hold for.
 
-``TraceRecord`` has no field defaults, so this passes every field: the
-given key ids, raw column sums and maps, with no budget, no eviction and
-zero counts around them.
+``TraceRecord`` has no field defaults, so ``layer_record`` passes every
+field: the given key ids, raw column sums and maps, with no budget, no
+eviction and zero counts around them.
 """
+
+import ctypes
+from pathlib import Path
 
 import numpy as np
 
@@ -22,3 +26,18 @@ def layer_record(step, key_ids, col_sums_raw=None, maps=None, layer=0):
         sigma=0.0, pi=None, multiplies=0, footprint_bytes=0,
         key_ids=key_ids, col_sums_raw=raw, maps=maps,
     )
+
+
+def blas_kernel() -> str:
+    """The compute kernel that numpy's bundled OpenBLAS picked for this CPU
+    at run time (``SkylakeX``, ``Haswell``, ...), or ``"unknown"``.
+
+    Output bits depend on that kernel, so the golden pins hold for one
+    kernel and their failures name the one in use."""
+    try:
+        library = next(Path(np.__file__).parent.with_name("numpy.libs").glob("*openblas*"))
+        corename = ctypes.CDLL(str(library)).scipy_openblas_get_corename64_
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    except (StopIteration, OSError, AttributeError, ValueError):
+        return "unknown"

@@ -16,6 +16,8 @@ from boundedkv.errors import ConfigError
 from boundedkv.simulate import run_stream
 from boundedkv.telemetry import summarize, summary_row
 
+from builders import blas_kernel
+
 
 def run_cli(args, capsys):
     code = main(args)
@@ -29,8 +31,8 @@ SMALL = dict(layers=2, heads=2, dim=16, tokens_per_frame=4, registers=0, frames=
 
 # sha256 of the CLI's output files for SMALL_FLAGS ("run --beta 0.5",
 # the same with --trace-full-maps, "export" of that trace) and for the
-# default "verify". Locked once; platform-anchored (BLAS build) like
-# GOLDEN_DIGEST in test_simulate.
+# default "verify". Locked once; anchored to the BLAS kernel picked at
+# run time (SkylakeX), not to the build, like GOLDEN_DIGEST in test_simulate.
 GOLDEN_SHA256 = {
     "run/trace.jsonl": "853078b59ef4428b33ab684ce000d687fdb20b864dcd79d2cf3f8f44020ce510",
     "run/summary.csv": "c6cd9e9563d9141378451ad67f3a27cf3cf7231bb05d55187b3aca3998ff86db",
@@ -43,6 +45,10 @@ GOLDEN_SHA256 = {
 
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def assert_golden(path, key):
+    assert sha256(path) == GOLDEN_SHA256[key], f"{key} under BLAS kernel {blas_kernel()}"
 
 
 def test_run_writes_trace_and_summary(tmp_path, capsys):
@@ -151,8 +157,8 @@ def test_verify_default_config_passes(tmp_path, capsys):
         "ok: " + name for name in ("beta1-equivalence", "conservation", "scoring-oracle", "allocation-example",
                                    "occupancy-bound", "protected-persistence", "determinism")
     ]
-    assert sha256(tmp_path / "verify_trace.jsonl") == GOLDEN_SHA256["verify/verify_trace.jsonl"]
-    assert sha256(tmp_path / "verify_summary.csv") == GOLDEN_SHA256["verify/verify_summary.csv"]
+    assert_golden(tmp_path / "verify_trace.jsonl", "verify/verify_trace.jsonl")
+    assert_golden(tmp_path / "verify_summary.csv", "verify/verify_summary.csv")
 
 
 @pytest.mark.parametrize("fault", [
@@ -197,7 +203,7 @@ def test_export_heatmap_from_trace(tmp_path, capsys):
     assert (export_dir / "heatmap_layer1.txt").exists()
     assert (export_dir / "heatmap_layer1.pgm").exists()
     assert (export_dir / "heatmap_layer1.frames.json").exists()
-    assert sha256(export_dir / "summary.csv") == GOLDEN_SHA256["export/summary.csv"]
+    assert_golden(export_dir / "summary.csv", "export/summary.csv")
 
 
 def test_export_summary_row_matches_run(tmp_path, capsys):
@@ -284,9 +290,9 @@ def test_rerun_outputs_byte_identical(tmp_path, capsys):
     plain, maps = tmp_path / "plain", tmp_path / "maps"
     run_cli(["run", *SMALL_FLAGS, "--beta", "0.5", "--out", str(plain)], capsys)
     run_cli(["run", *SMALL_FLAGS, "--beta", "0.5", "--trace-full-maps", "--out", str(maps)], capsys)
-    assert sha256(plain / "trace.jsonl") == GOLDEN_SHA256["run/trace.jsonl"]
-    assert sha256(plain / "summary.csv") == GOLDEN_SHA256["run/summary.csv"]
-    assert sha256(maps / "trace.jsonl") == GOLDEN_SHA256["maps/trace.jsonl"]
+    assert_golden(plain / "trace.jsonl", "run/trace.jsonl")
+    assert_golden(plain / "summary.csv", "run/summary.csv")
+    assert_golden(maps / "trace.jsonl", "maps/trace.jsonl")
 
 
 # A non-default value, as typed and as parsed, for every StreamConfig

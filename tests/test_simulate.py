@@ -23,6 +23,7 @@ from boundedkv.simulate import (
 )
 from boundedkv.telemetry import write_trace
 
+from builders import blas_kernel
 from refimpl import per_head_attention, slow_attention
 
 SMALL = dict(layers=2, heads=2, dim=16, tokens_per_frame=4, registers=0, frames=6, seed=13)
@@ -154,8 +155,9 @@ def test_run_deterministic_and_golden():
     div = compare_runs(first, base)
     assert div.overall_max_abs <= 1e-12
     # Locked once from this reference run, cross-validated above against
-    # the unbounded oracle path. Platform-anchored (BLAS build).
-    assert output_digest(first) == GOLDEN_DIGEST
+    # the unbounded oracle path. Anchored to the BLAS kernel picked at run
+    # time (SkylakeX), not to the build.
+    assert output_digest(first) == GOLDEN_DIGEST, f"golden output digest under BLAS kernel {blas_kernel()}"
 
 
 GOLDEN_DIGEST = "a169b2d1cf3f0c03a86b8344c0013e3bd04a23ae248f683d3fb6ce44ccba5303"
@@ -262,6 +264,31 @@ def test_non_finite_config_is_rejected(field, value):
     cfg.validate = lambda: None
     with np.errstate(invalid="ignore"), pytest.raises((BadTemperature, ValueError)):
         run_stream(cfg)
+
+
+@pytest.mark.parametrize("field, value, faults", [
+    ("frames", 3.0, True),
+    ("layers", 2.0, True),
+    ("tokens_per_frame", 4.0, True),
+    ("budget_tokens", 12.5, True),
+    ("seed", 1.5, True),
+    ("beta", "0.5", True),
+    ("layers", True, False),
+    ("keep_maps", 1, False),
+], ids=["float_frames", "float_layers", "float_tokens_per_frame", "float_budget_tokens", "float_seed",
+        "string_beta", "bool_layers", "int_keep_maps"])
+def test_mistyped_config_is_rejected(field, value, faults):
+    # validate() checks each field's type as annotated first: a bool is
+    # no int and a float no int. The cases marked to fault once passed
+    # validate() (or raised TypeError in it) and then faulted part-way
+    # through the run.
+    cfg = StreamConfig(**{**SMALL, field: value})
+    with pytest.raises(ConfigError, match=f"^{field} must be "):
+        cfg.validate()
+    if faults:
+        cfg.validate = lambda: None
+        with pytest.raises(TypeError):
+            run_stream(cfg)
 
 
 @pytest.mark.parametrize("values", [
