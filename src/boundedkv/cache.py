@@ -9,7 +9,9 @@ scalar metadata field are preallocated columns, entry i of every column
 is the i-th resident token in admission order, and only entries ``[:n]``
 are live. Attention reads the key/value columns as views; eviction
 compacts every column by one gather per array. Columns grow by
-doubling, so a bounded layer settles at its largest occupancy.
+doubling, so a bounded layer settles at its largest occupancy. A
+layer's ``records`` and ``evicted`` are numpy record arrays copied from
+its metadata blocks; nothing here builds a Python object per token.
 
 Protected tokens (first frame, camera, register) are never removable.
 When a layer's budget falls below ``protected_count + M`` the effective
@@ -19,8 +21,6 @@ flag; correctness wins over strict budgets at pathological settings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import KIND_CAMERA, KIND_PATCH, KIND_REGISTER, StreamConfig
@@ -29,7 +29,8 @@ from .errors import AdmissionOverflow, ProtectedEviction, UnknownLayer, UnknownT
 # Values of the ``kind`` column index this tuple.
 _KINDS = (KIND_PATCH, KIND_CAMERA, KIND_REGISTER)
 
-# Scalar fields of a token, in TokenRow order.
+# Scalar fields of a token: the rows of a layer's metadata blocks and the
+# fields of its ``records`` and ``evicted``.
 _META = ("token_id", "frame_index", "kind", "birth_step", "exposure", "cum_score")
 
 _MIN_ROWS = 64
@@ -40,115 +41,74 @@ _MIN_ROWS = 64
 _PROTECTED_KIND = np.array([kind != KIND_PATCH for kind in _KINDS])
 
 
-@dataclass(frozen=True)
-class TokenRow:
-    """Snapshot of one cached (or evicted) token's metadata.
-
-    ``exposure`` counts steps resided in cache, including the birth step;
-    it is 1 immediately after admission. ``cum_score`` is the running
-    row-length-normalized cumulative attention, non-decreasing over the
-    token's lifetime and frozen at eviction.
-    """
-
-    token_id: int
-    frame_index: int
-    token_kind: str
-    birth_step: int
-    exposure: int
-    cum_score: float
-    eviction_step: int | None
+def _grow(array: np.ndarray, live: int, rows: int, axis: int = 0) -> np.ndarray:
+    """A copy of ``array`` with room for ``rows`` entries along ``axis``
+    (at least double its capacity), keeping its first ``live`` entries."""
+    shape = list(array.shape)
+    shape[axis] = max(rows, 2 * shape[axis], _MIN_ROWS)
+    grown = np.empty(shape, dtype=array.dtype)
+    kept = (slice(None),) * axis + (slice(live),)
+    grown[kept] = array[kept]
+    return grown
 
 
-class _Columns:
-    """Growable per-token columns; entries ``[:n]`` are live.
-
-    The scalar fields are the rows of one (fields, capacity) int64 block,
-    so compaction and logging move all of them with one gather. Each
-    field is a contiguous row view; ``cum_score`` reads its row as
-    float64. ``arrays`` names separate columns as (name, dtype, row shape).
-    """
-
-    def __init__(self, fields: tuple, arrays: tuple = ()):
-        self._fields = fields
-        self._arrays = [name for name, _, _ in arrays]
-        self._block = np.empty((len(fields), 0), dtype=np.int64)
-        for name, dtype, shape in arrays:
-            setattr(self, name, np.empty((0,) + shape, dtype=dtype))
-        self.n = 0
-        self._bind()
-
-    def _bind(self) -> None:
-        for name, row in zip(self._fields, self._block):
-            setattr(self, name, row.view(np.float64) if name == "cum_score" else row)
-
-    def _reserve(self, rows: int) -> None:
-        capacity = self._block.shape[1]
-        if rows <= capacity:
-            return
-        capacity = max(rows, 2 * capacity, _MIN_ROWS)
-        block = np.empty((len(self._fields), capacity), dtype=np.int64)
-        block[:, : self.n] = self._block[:, : self.n]
-        self._block = block
-        self._bind()
-        for name in self._arrays:
-            old = getattr(self, name)
-            new = np.empty((capacity,) + old.shape[1:], dtype=old.dtype)
-            new[: self.n] = old[: self.n]
-            setattr(self, name, new)
-
-    def _rows(self) -> list[TokenRow]:
-        n = self.n
-        fields = self._block[:, :n].tolist()
-        fields[_META.index("kind")] = [_KINDS[code] for code in fields[_META.index("kind")]]
-        fields[_META.index("cum_score")] = self.cum_score[:n].tolist()
-        if len(fields) == len(_META):  # resident: no eviction step yet
-            fields.append([None] * n)
-        return [TokenRow(*values) for values in zip(*fields)]
+def _fields(block: np.ndarray) -> dict:
+    """A metadata block's rows by field; ``cum_score`` reads its row as float64."""
+    return {name: row.view(np.float64) if name == "cum_score" else row for name, row in zip(_META, block)}
 
 
-class EvictionLog(_Columns):
-    """Scalars of every token evicted from a layer, in eviction order."""
-
-    def __init__(self):
-        super().__init__(_META + ("eviction_step",))
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __iter__(self):
-        return iter(self._rows())
-
-    def append(self, layer: LayerCache, rows: np.ndarray, step: int) -> None:
-        start, stop = self.n, self.n + len(rows)
-        self._reserve(stop)
-        self._block[: len(_META), start:stop] = layer._block.take(rows, axis=1)
-        self.eviction_step[start:stop] = step
-        self.n = stop
+def _record_array(block: np.ndarray) -> np.recarray:
+    """A copy of a metadata block's columns, one record per token."""
+    return np.rec.fromarrays(list(_fields(block).values()), names=_META)
 
 
-class LayerCache(_Columns):
+class LayerCache:
     """Insertion-ordered bounded store of one layer's tokens.
 
-    ``K`` and ``V`` hold keys and values in the compute dtype; the
-    metadata columns are ``token_id``, ``frame_index``, ``kind``,
-    ``birth_step``, ``exposure``, ``cum_score`` and ``protected``.
-    Token ids increase down the rows (admission order is id order).
+    ``K`` and ``V`` (compute dtype) and ``protected`` are arrays. The
+    ``_META`` fields are row views of one (fields, capacity) int64 block,
+    ``cum_score`` read as float64, so compaction and logging move them
+    with one gather; token ids increase down the rows. The eviction log
+    is a second block with the same rows, in eviction order. ``exposure``
+    counts steps resided, the birth step included; ``cum_score`` is the
+    running row-length-normalized attention, frozen at eviction.
     """
 
     def __init__(self, layer_index: int, dim: int, dtype):
-        super().__init__(_META, (
-            ("protected", np.bool_, ()),
-            ("K", dtype, (dim,)),
-            ("V", dtype, (dim,)),
-        ))
         self.layer_index = layer_index
         self.budget: int | None = None
         self.protected_count = 0
-        self.evicted = EvictionLog()
+        self.n = 0
+        self._block = np.empty((len(_META), 0), dtype=np.int64)
+        self.protected = np.empty(0, dtype=np.bool_)
+        self.K = np.empty((0, dim), dtype=dtype)
+        self.V = np.empty((0, dim), dtype=dtype)
+        self._bind()
+        self.n_evicted = 0
+        self._log = np.empty((len(_META), 0), dtype=np.int64)
+
+    def _bind(self) -> None:
+        # setattr, not vars(self).update: on CPython 3.11 materialising the
+        # instance dict makes every attribute read on the layer about 4x slower.
+        for name, row in _fields(self._block).items():
+            setattr(self, name, row)
+
+    def _reserve(self, rows: int) -> None:
+        if rows > self._block.shape[1]:
+            self._block = _grow(self._block, self.n, rows, axis=1)
+            self._bind()
+            self.protected, self.K, self.V = (_grow(a, self.n, rows) for a in (self.protected, self.K, self.V))
 
     @property
-    def records(self) -> list[TokenRow]:
-        return self._rows()
+    def records(self) -> np.recarray:
+        """Residents' scalars in cache order; a copy, with ``kind`` as its code."""
+        return _record_array(self._block[:, : self.n])
+
+    @property
+    def evicted(self) -> np.recarray:
+        """Evicted tokens' scalars in eviction order, frozen at eviction;
+        a copy, with ``kind`` as its code."""
+        return _record_array(self._log[:, : self.n_evicted])
 
     def occupancy(self) -> int:
         return self.n
@@ -171,7 +131,7 @@ class LayerCache(_Columns):
         """Resident values; a view, valid until the layer next changes."""
         return self.V[: self.n]
 
-    def _evict(self, rows: np.ndarray, step: int) -> int:
+    def _evict(self, rows: np.ndarray) -> int:
         """Move the given sorted rows to the eviction log, keeping
         survivor order; returns the number of distinct rows evicted.
 
@@ -185,10 +145,13 @@ class LayerCache(_Columns):
         stop = low + len(survivors)
         if self.n - stop != len(rows):  # repeated ids
             rows = np.unique(rows)
-        self.evicted.append(self, rows, step)
+        logged = self.n_evicted + len(rows)
+        if logged > self._log.shape[1]:
+            self._log = _grow(self._log, self.n_evicted, logged, axis=1)
+        self._log[:, self.n_evicted:logged] = self._block.take(rows, axis=1)
+        self.n_evicted = logged
         self._block[:, low:stop] = self._block.take(survivors, axis=1)
-        for name in self._arrays:
-            column = getattr(self, name)
+        for column in (self.protected, self.K, self.V):
             column[low:stop] = column.take(survivors, axis=0)
         self.n = stop
         return len(rows)
@@ -298,5 +261,5 @@ def remove(session: CacheSession, layer_index: int, token_ids) -> int:
     shielded = layer.protected[rows]
     if shielded.any():
         raise ProtectedEviction(f"layer {layer_index}: protected token ids {wanted[shielded].tolist()}")
-    return layer._evict(rows, session.step_counter) if len(rows) else 0
+    return layer._evict(rows) if len(rows) else 0
 

@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 
 from boundedkv.allocation import allocate
+from boundedkv.cache import kind_codes
 from boundedkv.cli import main as cli_main
 from boundedkv.config import KIND_PATCH, StreamConfig
 from boundedkv.oracle import (
@@ -244,10 +245,13 @@ def test_a7_compute_scaling():
           f"baseline exactly linear in t")
 
 
+PATCH_CODE = kind_codes([KIND_PATCH])[0]
+
+
 def protected_by_rule(rec):
     """The paper's rule, apart from the cache's: frame 0 plus every
     frame's camera and register tokens."""
-    return rec.frame_index == 0 or rec.token_kind != KIND_PATCH
+    return rec.frame_index == 0 or rec.kind != PATCH_CODE
 
 
 def test_a8_protected_persistence():

@@ -129,9 +129,10 @@ def test_bad_layer_index_is_unknown_layer():
 def test_remove_logs_scalars_once_per_token():
     session = make_session()
     ids = admit_tokens(session, 0, 2, 4)
-    session.step_counter = 3
-    assert remove(session, 0, [ids[2], ids[0], ids[2]]) == 2
     layer = session.layers[0]
-    assert [r.token_id for r in layer.records] == [ids[1], ids[3]]
-    assert [(r.token_id, r.eviction_step) for r in layer.evicted] == [(ids[0], 3), (ids[2], 3)]
-    assert len(layer.evicted) == 2
+    layer.cum_score[:4] = [0.1, 0.2, 0.3, 0.4]
+    before = layer.records
+    assert remove(session, 0, [ids[2], ids[0], ids[2]]) == 2
+    assert layer.records.token_id.tolist() == [ids[1], ids[3]]
+    assert layer.evicted.token_id.tolist() == [ids[0], ids[2]]
+    assert layer.evicted.tolist() == before[[0, 2]].tolist()

@@ -21,8 +21,9 @@ an import alone is no reference, so a re-export does not count. A twin
 of an engine rule that only tests call, which can drift from the rule
 it copies while the checks still pass, fails here.
 
-The column scan checks that a new ``LayerCache`` and ``EvictionLog``
-hold no ``object``-dtype array.
+The column scan checks that a new ``LayerCache`` and one that has
+evicted tokens hold no ``object``-dtype array, and that no field of
+their ``records`` and ``evicted`` record arrays is an ``object`` field.
 
 The payload scan checks that the ``PAYLOADS`` table in ``telemetry.py``
 names exactly the ``TraceRecord`` fields annotated ``np.ndarray``, so a
@@ -54,7 +55,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from boundedkv.cache import EvictionLog, LayerCache
+from boundedkv.cache import CacheSession, LayerCache, admit, kind_codes, remove
+from boundedkv.config import StreamConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "boundedkv").glob("*.py"))
@@ -305,9 +307,23 @@ def test_module_direction(path):
     assert direction_faults(path.read_text(), ALLOWED_IMPORTS.get(path.name)) == []
 
 
-@pytest.mark.parametrize("make", [lambda: LayerCache(0, 8, np.float64), EvictionLog], ids=["LayerCache", "EvictionLog"])
+def evicting_layer() -> LayerCache:
+    """A layer that has admitted four tokens and evicted two."""
+    session = CacheSession(StreamConfig(layers=1, dim=8))
+    ids = session.issue_token_ids(4)
+    zeros = np.zeros((4, 8))
+    admit(session, 0, ids, zeros, zeros, 1, kind_codes(["patch"] * 4))
+    remove(session, 0, ids[:2])
+    return session.layers[0]
+
+
+@pytest.mark.parametrize("make", [lambda: LayerCache(0, 8, np.float64), evicting_layer],
+                         ids=["LayerCache", "evicting"])
 def test_no_object_columns(make):
     # North star: the cache is arrays, not per-token Python objects.
-    columns = {name: value.dtype for name, value in vars(make()).items() if isinstance(value, np.ndarray)}
+    layer = make()
+    columns = {name: value.dtype for name, value in vars(layer).items() if isinstance(value, np.ndarray)}
+    for snapshot in ("records", "evicted"):
+        columns.update((f"{snapshot}.{field}", dtype) for field, (dtype, _) in getattr(layer, snapshot).dtype.fields.items())
     assert columns
     assert [name for name, dtype in columns.items() if dtype == object] == []
