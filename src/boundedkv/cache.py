@@ -10,8 +10,9 @@ is the i-th resident token in admission order, and only entries ``[:n]``
 are live. Attention reads the key/value columns as views; eviction
 compacts every column by one gather per array. Columns grow by
 doubling, so a bounded layer settles at its largest occupancy. A
-layer's ``records`` and ``evicted`` are numpy record arrays copied from
-its metadata blocks; nothing here builds a Python object per token.
+layer's ``records`` is a numpy record array copied from its metadata
+block and its ``evicted`` a read-only record view of its eviction log;
+nothing here builds a Python object per token.
 
 Protected tokens (first frame, camera, register) are never removable.
 When a layer's budget falls below ``protected_count + M`` the effective
@@ -29,9 +30,12 @@ from .errors import AdmissionOverflow, ProtectedEviction, UnknownLayer, UnknownT
 # Values of the ``kind`` column index this tuple.
 _KINDS = (KIND_PATCH, KIND_CAMERA, KIND_REGISTER)
 
-# Scalar fields of a token: the rows of a layer's metadata blocks and the
-# fields of its ``records`` and ``evicted``.
+# Scalar fields of a token: the rows of a layer's metadata block, the
+# columns of its eviction log and the fields of its ``records`` and ``evicted``.
 _META = ("token_id", "frame_index", "kind", "birth_step", "exposure", "cum_score")
+
+# One token's scalars as a record: every field int64 but ``cum_score``.
+_RECORD = np.dtype([(name, np.float64 if name == "cum_score" else np.int64) for name in _META])
 
 _MIN_ROWS = 64
 
@@ -57,9 +61,10 @@ def _fields(block: np.ndarray) -> dict:
     return {name: row.view(np.float64) if name == "cum_score" else row for name, row in zip(_META, block)}
 
 
-def _record_array(block: np.ndarray) -> np.recarray:
-    """A copy of a metadata block's columns, one record per token."""
-    return np.rec.fromarrays(list(_fields(block).values()), names=_META)
+def _record_array(rows: np.ndarray) -> np.recarray:
+    """A C-contiguous (tokens, fields) int64 array read as one record per
+    token; a view, not a copy."""
+    return rows.view(_RECORD)[:, 0].view(np.recarray)
 
 
 class LayerCache:
@@ -69,7 +74,8 @@ class LayerCache:
     ``_META`` fields are row views of one (fields, capacity) int64 block,
     ``cum_score`` read as float64, so compaction and logging move them
     with one gather; token ids increase down the rows. The eviction log
-    is a second block with the same rows, in eviction order. ``exposure``
+    is a (capacity, fields) int64 block, one token per row in eviction
+    order; logged rows never change. ``exposure``
     counts steps resided, the birth step included; ``cum_score`` is the
     running row-length-normalized attention, frozen at eviction.
     """
@@ -85,7 +91,7 @@ class LayerCache:
         self.V = np.empty((0, dim), dtype=dtype)
         self._bind()
         self.n_evicted = 0
-        self._log = np.empty((len(_META), 0), dtype=np.int64)
+        self._log = np.empty((0, len(_META)), dtype=np.int64)
 
     def _bind(self) -> None:
         # setattr, not vars(self).update: on CPython 3.11 materialising the
@@ -102,13 +108,16 @@ class LayerCache:
     @property
     def records(self) -> np.recarray:
         """Residents' scalars in cache order; a copy, with ``kind`` as its code."""
-        return _record_array(self._block[:, : self.n])
+        return _record_array(self._block[:, : self.n].T.copy())
 
     @property
     def evicted(self) -> np.recarray:
-        """Evicted tokens' scalars in eviction order, frozen at eviction;
-        a copy, with ``kind`` as its code."""
-        return _record_array(self._log[:, : self.n_evicted])
+        """Evicted tokens' scalars in eviction order, frozen at eviction,
+        with ``kind`` as its code; a read-only view of the log, which
+        later evictions extend but never rewrite."""
+        log = _record_array(self._log[: self.n_evicted])
+        log.flags.writeable = False
+        return log
 
     def occupancy(self) -> int:
         return self.n
@@ -146,9 +155,9 @@ class LayerCache:
         if self.n - stop != len(rows):  # repeated ids
             rows = np.unique(rows)
         logged = self.n_evicted + len(rows)
-        if logged > self._log.shape[1]:
-            self._log = _grow(self._log, self.n_evicted, logged, axis=1)
-        self._log[:, self.n_evicted:logged] = self._block.take(rows, axis=1)
+        if logged > len(self._log):
+            self._log = _grow(self._log, self.n_evicted, logged)
+        self._log[self.n_evicted:logged] = self._block.take(rows, axis=1).T
         self.n_evicted = logged
         self._block[:, low:stop] = self._block.take(survivors, axis=1)
         for column in (self.protected, self.K, self.V):

@@ -196,15 +196,20 @@ def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
     return x.reshape(n, heads, d // heads).transpose(1, 0, 2)
 
 
-def _multihead_attention(q, k, v, heads: int, scale_mult: float) -> tuple[np.ndarray, np.ndarray]:
+def _multihead_attention(q, k, v, heads: int, scale_mult: float,
+                         out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Scaled-dot attention; returns (context M x d, maps H x M x N in f64).
 
-    One batched matmul per product covers every head; logits are upcast to f64 before scaling.
-    The softmax runs in place on that fresh buffer, so maps kept under ``keep_maps`` are never reused."""
+    One batched matmul per product covers every head; the logits land in
+    ``out`` (a float64 (H, M, N) buffer, fresh when None), upcast from the
+    compute dtype before scaling, and the softmax overwrites them there.
+    The returned maps are ``out`` itself, valid until it is next written."""
     qh = _split_heads(q, heads)
     kh = _split_heads(k, heads)
     vh = _split_heads(v, heads)
-    logits = np.matmul(qh, kh.transpose(0, 2, 1)).astype(np.float64, copy=False)
+    if out is None:
+        out = np.empty((heads, q.shape[0], k.shape[0]), dtype=np.float64)
+    logits = np.matmul(qh, kh.transpose(0, 2, 1), out=out)
     logits *= scale_mult / math.sqrt(q.shape[1] // heads)
     maps = _softmax_rows_f64(logits)
     ctx = np.matmul(maps, vh.astype(np.float64, copy=False))
@@ -242,6 +247,9 @@ class StreamSimulator:
         self.fw_qv = np.concatenate([self._weights(seed, _TAG_FRAMEWISE, 0, d),
                                      self._weights(seed, _TAG_FRAMEWISE, 1, d)], axis=1)
         self.fw_out = self._anchor_free(self._weights(seed, _TAG_FRAMEWISE, 2, d), anchor)
+        # Every attention call of the stream writes its maps here; grown by
+        # doubling, so a bounded stream settles at its largest (H, M, N).
+        self._maps_scratch = np.empty(0, dtype=np.float64)
         if not self.session.unbounded:
             bootstrap_budgets(self.session)
 
@@ -275,11 +283,20 @@ class StreamSimulator:
         # identity survives the whole stack.
         return (w - np.outer(w @ anchor, anchor)).astype(self.dtype)
 
+    def _maps_buffer(self, n_keys: int) -> np.ndarray:
+        """A (heads, tokens_per_frame, n_keys) view of the maps scratch."""
+        cfg = self.config
+        size = cfg.heads * cfg.tokens_per_frame * n_keys
+        if size > self._maps_scratch.size:
+            self._maps_scratch = np.empty(max(size, 2 * self._maps_scratch.size), dtype=np.float64)
+        return self._maps_scratch[:size].reshape(cfg.heads, cfg.tokens_per_frame, n_keys)
+
     def _framewise(self, z: np.ndarray) -> np.ndarray:
         d = self.config.dim
         qv = _rms_rows(z) @ self.fw_qv
         q = qv[:, :d]
-        ctx, _ = _multihead_attention(q, q, qv[:, d:], self.config.heads, 1.0)
+        ctx, _ = _multihead_attention(q, q, qv[:, d:], self.config.heads, 1.0,
+                                      self._maps_buffer(len(q)))
         return z + ctx.astype(self.dtype, copy=False) @ self.fw_out
 
     def step(self, frame: FrameTokens) -> tuple[np.ndarray, StepReport]:
@@ -307,7 +324,8 @@ class StreamSimulator:
 
             keys = layer.keys_matrix()
             values = layer.values_matrix()
-            ctx, maps = _multihead_attention(qkv[:, :d], keys, values, cfg.heads, self.sharpness[li])
+            ctx, maps = _multihead_attention(qkv[:, :d], keys, values, cfg.heads, self.sharpness[li],
+                                             self._maps_buffer(len(keys)))
             z = z + ctx.astype(self.dtype, copy=False) @ self.w_out[li]
 
             n_keys = layer.occupancy()
@@ -331,7 +349,7 @@ class StreamSimulator:
                 footprint_bytes=n_keys * 2 * cfg.dim * cfg.scalar_bytes,
                 key_ids=layer.token_id[:n_keys].copy(),
                 col_sums_raw=stats_from_maps(maps),
-                maps=maps if cfg.keep_maps else None,
+                maps=maps.copy() if cfg.keep_maps else None,
             )
             accumulate(layer, record)
             record.sigma = layer_sparsity(record.col_sums_raw / cfg.heads)

@@ -1,5 +1,7 @@
 """Cache substrate: admission, removal, occupancy, footprint."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -136,3 +138,70 @@ def test_remove_logs_scalars_once_per_token():
     assert layer.records.token_id.tolist() == [ids[1], ids[3]]
     assert layer.evicted.token_id.tolist() == [ids[0], ids[2]]
     assert layer.evicted.tolist() == before[[0, 2]].tolist()
+
+
+def evict_frames(session, frames, count=8):
+    """Admit ``count`` patches to layer 0 for each of the given frames
+    (past frame 0, so unprotected) and evict them again at once."""
+    for frame in frames:
+        remove(session, 0, admit_tokens(session, 0, frame, count))
+
+
+def test_evicted_is_a_read_only_view():
+    session = make_session(tokens_per_frame=8)
+    evict_frames(session, [1])
+    evicted = session.layers[0].evicted
+    with pytest.raises(ValueError, match="read-only"):
+        evicted.cum_score[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        evicted[0] = evicted[1]
+    assert session.layers[0].records.flags.writeable  # records stay a writable copy
+
+
+def test_earlier_evicted_view_survives_later_evictions_and_log_growth():
+    session = make_session(tokens_per_frame=8)
+    layer = session.layers[0]
+    ids = admit_tokens(session, 0, 1, 8)
+    layer.cum_score[:8] = np.arange(8) / 8
+    layer.exposure[:8] = 3
+    remove(session, 0, ids[:5])
+    early = layer.evicted
+    rows = early.tolist()
+    evict_frames(session, range(2, 12))  # 85 logged rows: the log outgrows its first 64
+    assert len(layer.evicted) == 85 and layer._log.shape[0] > 64
+    assert not np.shares_memory(early, layer._log)
+    assert early.tolist() == rows
+    assert layer.evicted[:5].tolist() == rows
+
+
+def test_evicted_fields_and_kind_codes():
+    session = make_session(tokens_per_frame=8, registers=1)
+    layer = session.layers[0]
+    ids = admit_tokens(session, 0, 3, 4, kinds=["camera", "register", "patch", "patch"])
+    layer.cum_score[:4] = [0.5, 0.25, 0.125, 2.0**-40]
+    remove(session, 0, ids[2:])
+    evicted = layer.evicted
+    assert evicted.dtype == layer.records.dtype
+    assert evicted.dtype.names == ("token_id", "frame_index", "kind", "birth_step", "exposure", "cum_score")
+    assert [evicted.dtype[name] for name in evicted.dtype.names] == [np.dtype(np.int64)] * 5 + [np.dtype(np.float64)]
+    assert evicted.kind.tolist() == kind_codes(["patch", "patch"]).tolist()
+    assert evicted.tolist() == [(ids[2], 3, 0, 0, 1, 0.125), (ids[3], 3, 0, 0, 1, 2.0**-40)]
+    assert layer.records.kind.tolist() == kind_codes(["camera", "register"]).tolist()
+
+
+def test_len_of_evicted_copies_nothing():
+    session = make_session(tokens_per_frame=8)
+    layer = session.layers[0]
+    evict_frames(session, range(1, 126))
+    assert layer.evicted.nbytes == 1000 * 48
+    tracemalloc.start()
+    try:
+        len(layer.evicted)
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        assert len(layer.evicted) == 1000
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The view's array headers only: a copy of the log would take 48,000 bytes.
+    assert peak - before < 1024

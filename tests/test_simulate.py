@@ -1,6 +1,7 @@
 """Simulator: kernels, determinism, growth laws, pipeline contracts."""
 
 import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -142,6 +143,13 @@ def test_batched_kernel_equals_per_head_loop(dtype, heads, n_keys):
     ctx, maps = _multihead_attention(q, k, v, heads, 1.7)
     ref_ctx, ref_maps = per_head_attention(q, k, v, heads, 1.7)
     assert maps.dtype == ctx.dtype == np.float64
+    assert np.array_equal(maps, ref_maps)
+    assert np.array_equal(ctx, ref_ctx)
+    # Into a view of a larger, dirty scratch buffer, as a stream does.
+    scratch = np.full(2 * ref_maps.size + 5, np.nan)
+    out = scratch[:ref_maps.size].reshape(ref_maps.shape)
+    ctx, maps = _multihead_attention(q, k, v, heads, 1.7, out)
+    assert maps is out
     assert np.array_equal(maps, ref_maps)
     assert np.array_equal(ctx, ref_ctx)
 
@@ -351,6 +359,42 @@ def test_records_retain_one_float_per_key():
     expected = sum(16 * rec.n_keys + 16 * len(rec.evicted_ids) for rec in run.records)
     assert sum(array.nbytes for array in arrays) == expected
     assert sum(len(rec.evicted_ids) for rec in run.records) > 0
+
+
+def test_kept_maps_own_their_memory():
+    # Every attention call writes into the simulator's one maps scratch,
+    # so a kept map must be a copy: of neither the scratch nor another record.
+    cfg = StreamConfig(**SMALL, beta=0.4, keep_maps=True)
+    sim = StreamSimulator(cfg)
+    kept = []
+    for t in range(cfg.frames):
+        _, report = sim.step(generate_frame(cfg, t))
+        for rec in report.layers:
+            assert not np.shares_memory(rec.maps, sim._maps_scratch)
+            kept.append(rec.maps)
+    assert len(kept) == cfg.frames * cfg.layers
+    for i, a in enumerate(kept):
+        assert not np.shares_memory(a, sim._maps_scratch)
+        assert not any(np.shares_memory(a, b) for b in kept[i + 1:])
+
+
+def test_steady_state_step_allocates_less_than_one_maps_stack():
+    # Once a bounded stream's cache and maps scratch have settled, a step
+    # reuses the scratch: it allocates less than one fresh (H, M, N)
+    # float64 stack, where a buffer per attention call takes several.
+    cfg = StreamConfig(layers=2, heads=4, dim=16, tokens_per_frame=32, beta=0.2)
+    sim = StreamSimulator(cfg)
+    for t in range(cfg.frames - 1):
+        sim.step(generate_frame(cfg, t))
+    frame = generate_frame(cfg, cfg.frames - 1)
+    tracemalloc.start()
+    try:
+        _, report = sim.step(frame)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stack = cfg.heads * cfg.tokens_per_frame * max(rec.n_keys for rec in report.layers) * 8
+    assert peak < stack, f"step peaked at {peak / stack:.2f} maps stacks"
 
 
 def test_report_internal_consistency():
