@@ -7,10 +7,11 @@ module updates the per-token accumulators in place.
 A layer is a struct of arrays: keys, values, the protected mask and each
 scalar metadata field are preallocated columns, entry i of every column
 is the i-th resident token in admission order, and only entries ``[:n]``
-are live. Attention reads the key/value columns as views; eviction
-compacts every column by one gather per array. Columns grow by
-doubling, so a bounded layer settles at its largest occupancy. A
-layer's ``records`` is a numpy record array copied from its metadata
+are live. Admission keeps ids increasing and frame indices never
+decreasing down the rows. Attention reads the key/value columns as
+views; eviction compacts every column by one gather per array. Columns
+grow by doubling, so a bounded layer settles at its largest occupancy.
+A layer's ``records`` is a numpy record array copied from its metadata
 block and its ``evicted`` a read-only record view of its eviction log;
 nothing here builds a Python object per token.
 
@@ -213,7 +214,8 @@ def admit(session: CacheSession, layer_index: int, token_ids, keys, values,
 
     ``keys`` and ``values`` are (count, dim) arrays and ``codes`` is the
     int64 array of each token's kind code (``kind_codes``). Ids must be
-    new to the layer and increasing, above every resident id. Raises
+    new to the layer and increasing, above every resident id, and
+    ``frame_index`` no lower than the newest resident's. Raises
     AdmissionOverflow when a bounded layer lacks room, which means the
     eviction pass did not run (or did not free enough slots) first.
     Validation happens before any mutation.
@@ -230,6 +232,8 @@ def admit(session: CacheSession, layer_index: int, token_ids, keys, values,
             )
     if (new_ids[1:] <= new_ids[:-1]).any() or (count and start and new_ids[0] <= layer.token_id[start - 1]):
         raise ValueError(f"layer {layer_index}: token ids {new_ids.tolist()} are not new and increasing")
+    if start and frame_index < layer.frame_index[start - 1]:
+        raise ValueError(f"layer {layer_index}: frame {frame_index} is older than its newest resident's")
     if len(codes) != count or np.shape(keys) != (count, layer.K.shape[1]) or np.shape(values) != np.shape(keys):
         raise ValueError(f"layer {layer_index}: {count} ids need {count} kinds, keys and values")
     if count and not 0 <= codes.min() <= codes.max() < len(_KINDS):

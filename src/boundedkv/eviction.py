@@ -5,9 +5,9 @@ name the token ids to remove. Maintenance runs before a frame is
 admitted, freeing slots against the budgets computed at the previous
 step (uniform bootstrap before the first frame).
 
-Tie-breaking in the attention policy evicts the newer token first
-(higher frame index, then higher token id): a long-surviving token has
-already demonstrated relevance.
+The attention policy evicts the lowest importance first, ties to the
+newest token, which is the higher row and id because admission keeps
+frames in order; a long survivor has already shown relevance.
 """
 
 from __future__ import annotations
@@ -54,9 +54,10 @@ class AttentionPolicy:
     def plan(self, layer: LayerCache, slots_needed: int) -> EvictionPlan:
         if slots_needed <= 0:
             return EvictionPlan()
-        rows = _candidate_rows(layer, slots_needed)
+        # Newest row first, so the stable sort breaks ties to the newest token.
+        rows = _candidate_rows(layer, slots_needed)[::-1]
         values = importances(layer, rows)
-        order = np.lexsort((-layer.token_id[rows], -layer.frame_index[rows], values))[:slots_needed]
+        order = np.argsort(values, kind="stable")[:slots_needed]
         return EvictionPlan(layer.token_id[rows[order]], values[order])
 
 

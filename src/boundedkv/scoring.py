@@ -9,12 +9,12 @@ two normalizations on the per-key column sums:
 * exposure: the accumulated score is divided by the number of steps the
   token has been resident, so tenure alone earns nothing.
 
-Protected tokens short-circuit to +inf importance.
+Protected tokens have an importance like any other; eviction never
+ranks them because only unprotected tokens are candidates.
 """
 
 from __future__ import annotations
 
-import math
 import numpy as np
 
 from .cache import LayerCache
@@ -59,12 +59,9 @@ def accumulate(cache_layer: LayerCache, record: TraceRecord) -> None:
 def importances(cache_layer: LayerCache, rows: np.ndarray) -> np.ndarray:
     """Final importance of the given rows of a layer, as one array.
 
-    Each row's cumulative score discounted by its exposure; protected
-    rows map to +inf and are thereby exempt from eviction.
+    Each row's cumulative score discounted by its exposure.
     """
-    values = cache_layer.cum_score[rows] / cache_layer.exposure[rows]
-    values[cache_layer.protected[rows]] = math.inf
-    return values
+    return cache_layer.cum_score[rows] / cache_layer.exposure[rows]
 
 
 def layer_sparsity(headmean: np.ndarray) -> float:

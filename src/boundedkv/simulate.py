@@ -197,18 +197,16 @@ def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
 
 
 def _multihead_attention(q, k, v, heads: int, scale_mult: float,
-                         out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                         out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scaled-dot attention; returns (context M x d, maps H x M x N in f64).
 
     One batched matmul per product covers every head; the logits land in
-    ``out`` (a float64 (H, M, N) buffer, fresh when None), upcast from the
-    compute dtype before scaling, and the softmax overwrites them there.
+    ``out``, a float64 (H, M, N) buffer, upcast from the compute dtype
+    before scaling, and the softmax overwrites them there.
     The returned maps are ``out`` itself, valid until it is next written."""
     qh = _split_heads(q, heads)
     kh = _split_heads(k, heads)
     vh = _split_heads(v, heads)
-    if out is None:
-        out = np.empty((heads, q.shape[0], k.shape[0]), dtype=np.float64)
     logits = np.matmul(qh, kh.transpose(0, 2, 1), out=out)
     logits *= scale_mult / math.sqrt(q.shape[1] // heads)
     maps = _softmax_rows_f64(logits)

@@ -113,6 +113,24 @@ def test_duplicate_token_id_rejected():
         admit_tokens(session, 0, 2, ids=ids)
 
 
+def test_decreasing_frame_index_rejected_before_mutation():
+    # Admission keeps frames in order down the rows, which the attention
+    # policy's newest-first tie-break relies on.
+    session = make_session(registers=2)
+    admit_tokens(session, 0, 0, 2)
+    admit_tokens(session, 0, 3, kinds=["camera", "patch", "patch"])
+    admit_tokens(session, 0, 3)  # same frame again is in order
+    layer = session.layers[0]
+    layer.cum_score[:layer.n] = np.arange(layer.n) / 8
+    n, protected_count = layer.n, layer.protected_count
+    columns = [column.copy() for column in (layer._block, layer.protected, layer.K, layer.V)]
+    with pytest.raises(ValueError, match="older"):
+        admit_tokens(session, 0, 2, 2, kinds=["camera", "patch"])
+    assert (layer.n, layer.protected_count) == (n, protected_count)
+    for before, after in zip(columns, (layer._block, layer.protected, layer.K, layer.V)):
+        assert np.array_equal(before, after)
+
+
 def test_protected_count_tracks_admissions():
     session = make_session(registers=2)
     admit_tokens(session, 0, 0)                                        # protected: frame 0

@@ -1,9 +1,12 @@
 """Eviction policies and the maintenance pass."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boundedkv.cache import CacheSession, admit, kind_codes, remove
 from boundedkv.config import StreamConfig
@@ -56,33 +59,60 @@ def test_zero_slots_empty_plan_for_all_policies():
         assert plan.victim_ids.tolist() == []
 
 
-def test_full_sort_oracle_matches_selection():
-    # Oracle: exhaustive repeated minimum extraction with an explicit
-    # comparator, on importance = cum_score / exposure.
+def oracle_victims(layer, slots):
+    """Victim ids and importances by exhaustive repeated minimum
+    extraction over the unprotected residents, with an explicit
+    comparator on importance = cum_score / exposure: lowest first (NaN
+    last, as numpy sorts it), then newer frame, then higher id."""
     def key(rec):
-        return (rec.cum_score / rec.exposure, -rec.frame_index, -rec.token_id)
+        value = rec.cum_score / rec.exposure
+        return (math.isnan(value), 0.0 if math.isnan(value) else value, -rec.frame_index, -rec.token_id)
 
+    remaining = [rec for rec, shielded in zip(layer.records, layer.protected) if not shielded]
+    chosen = []
+    for _ in range(slots):
+        best = remaining[0]
+        for cand in remaining[1:]:
+            if key(cand) < key(best):
+                best = cand
+        chosen.append(best)
+        remaining.remove(best)
+    return [rec.token_id for rec in chosen], [rec.cum_score / rec.exposure for rec in chosen]
+
+
+def test_full_sort_oracle_matches_selection():
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([17, 3])))
     for trial in range(30):
         n = int(rng.integers(4, 40))
         scores = np.round(rng.uniform(0.0, 1.0, size=n), 2).tolist()  # rounding forces ties
-        frames = rng.integers(1, 6, size=n).tolist()
+        frames = np.sort(rng.integers(1, 6, size=n)).tolist()  # admission keeps frames in order
         session, _ = build_layer(scores, frames=frames)
         layer = session.layers[0]
         layer.exposure[:n] = rng.integers(1, 4, size=n)
         slots = int(rng.integers(1, n + 1))
         plan = AttentionPolicy().plan(layer, slots)
+        assert plan.victim_ids.tolist() == oracle_victims(layer, slots)[0]
 
-        remaining = list(layer.records)
-        expected = []
-        for _ in range(slots):
-            best = remaining[0]
-            for cand in remaining[1:]:
-                if key(cand) < key(best):
-                    best = cand
-            expected.append(best.token_id)
-            remaining.remove(best)
-        assert plan.victim_ids.tolist() == expected
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_selection_matches_oracle_on_ties_nan_and_inf(data):
+    # Few distinct scores over few frames: ties within and across frames,
+    # and between non-finite importances.
+    n = data.draw(st.integers(1, 30))
+    n_protected = data.draw(st.integers(0, min(3, n - 1)))
+    scores = data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, math.inf, math.nan]), min_size=n, max_size=n))
+    frames = sorted(data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    exposures = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    session, _ = build_layer(scores, protected_flags=[True] * n_protected + [False] * (n - n_protected),
+                             frames=frames)
+    layer = session.layers[0]
+    layer.exposure[:n] = exposures
+    slots = data.draw(st.integers(1, n - n_protected))
+    plan = AttentionPolicy().plan(layer, slots)
+    ids, values = oracle_victims(layer, slots)
+    assert plan.victim_ids.tolist() == ids
+    np.testing.assert_array_equal(plan.importances_at_eviction, values)
 
 
 def test_tiebreak_prefers_newer_then_higher_id():

@@ -1,7 +1,5 @@
 """Scoring: accumulation, normalizations, importance, sparsity."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,12 +93,13 @@ def test_two_step_accumulation_matches_bruteforce():
     (2, "patch", 0.75, 3, 0.25),
     (3, "patch", 0.4, 2, 0.2),
     (3, "patch", 0.4, 4, 0.1),
-    (7, "camera", 0.001, 1, math.inf),
-    (0, "patch", 0.0, 1, math.inf),
+    (7, "camera", 0.001, 1, 0.001),
+    (0, "patch", 0.5, 2, 0.25),
 ], ids=["division", "division_exposure3", "tenure2", "tenure4", "camera", "frame0_patch"])
 def test_importances_hand_computed(frame_index, kind, cum_score, exposure, expected):
     # Score over exposure, so tenure alone earns nothing; protected rows
-    # (camera, any first-frame token) are +inf.
+    # (camera, any first-frame token) take the same ratio, since eviction
+    # protects them by never making them candidates.
     session, _ = session_with(1, frame_index=frame_index, kinds=[kind])
     layer = session.layers[0]
     layer.cum_score[0] = cum_score
@@ -118,9 +117,9 @@ def test_vector_importances_match_rows():
     # Three steps of raw / 3 each, over an exposure of 3.
     assert layer.exposure[:3].tolist() == [3, 3, 3]
     values = importances(layer, np.arange(3))
-    assert values[0] == math.inf
-    assert values[1:].tolist() == pytest.approx([0.1 / 3, 1.2 / 3], rel=1e-12)
-    assert importances(layer, np.array([2, 0])).tolist() == [values[2], math.inf]
+    assert values.tolist() == (layer.cum_score[:3] / layer.exposure[:3]).tolist()
+    assert values.tolist() == pytest.approx([0.4 / 3, 0.1 / 3, 1.2 / 3], rel=1e-12)
+    assert importances(layer, np.array([2, 0])).tolist() == [values[2], values[0]]
 
 
 def test_sparsity_zero_for_uniform_columns():

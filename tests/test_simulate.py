@@ -27,6 +27,12 @@ from boundedkv.telemetry import write_trace
 from builders import blas_kernel
 from refimpl import per_head_attention, slow_attention
 
+
+def attend(q, k, v, heads, scale_mult):
+    """``_multihead_attention`` into a fresh maps buffer of its own."""
+    return _multihead_attention(q, k, v, heads, scale_mult, np.empty((heads, len(q), len(k))))
+
+
 SMALL = dict(layers=2, heads=2, dim=16, tokens_per_frame=4, registers=0, frames=6, seed=13)
 
 
@@ -83,7 +89,7 @@ def test_kernel_matches_slow_reference():
     zin = _rms_rows(z)
     d = cfg.dim
     q, v = zin @ sim.fw_qv[:, :d], zin @ sim.fw_qv[:, d:]
-    ctx, maps = _multihead_attention(q, q, v, 2, 1.0)
+    ctx, maps = attend(q, q, v, 2, 1.0)
     slow_ctx, slow_maps = slow_attention(q, q, v, heads=2, scale_mult=1.0)
     assert np.max(np.abs(slow_ctx - ctx)) <= 1e-12
     assert np.max(np.abs(slow_maps - maps)) <= 1e-12
@@ -93,7 +99,7 @@ def test_kernel_matches_slow_reference():
     keys = layer.keys_matrix()
     values = layer.values_matrix()
     q = _rms_rows(sim._framewise(z)) @ sim.w_qkv[0][:, :d]
-    ctx, maps = _multihead_attention(q, keys, values, 2, sim.sharpness[0])
+    ctx, maps = attend(q, keys, values, 2, sim.sharpness[0])
     assert np.array_equal(maps, report.layers[0].maps)
     slow_ctx, slow_maps = slow_attention(q, keys, values, heads=2, scale_mult=sim.sharpness[0])
     assert np.max(np.abs(slow_ctx - ctx)) <= 1e-12
@@ -116,7 +122,7 @@ def test_fused_projection_equals_separate_products(dtype, d, m):
         for i in range(blocks):
             assert np.array_equal(fused[:, i * d:(i + 1) * d], z @ w[i])
     q, k = fused[:, :d], fused[:, d:2 * d]
-    for a, b in zip(_multihead_attention(q, k, k, 2, 1.3), _multihead_attention(z @ w[0], k, k, 2, 1.3)):
+    for a, b in zip(attend(q, k, k, 2, 1.3), attend(z @ w[0], k, k, 2, 1.3)):
         assert np.array_equal(a, b)
 
 
@@ -140,7 +146,7 @@ def test_batched_kernel_equals_per_head_loop(dtype, heads, n_keys):
     # a symmetric path for q @ q.T.
     k = q if n_keys == "q" else rng.standard_normal((n_keys, 64)).astype(dtype)
     v = rng.standard_normal(k.shape).astype(dtype)
-    ctx, maps = _multihead_attention(q, k, v, heads, 1.7)
+    ctx, maps = attend(q, k, v, heads, 1.7)
     ref_ctx, ref_maps = per_head_attention(q, k, v, heads, 1.7)
     assert maps.dtype == ctx.dtype == np.float64
     assert np.array_equal(maps, ref_maps)
