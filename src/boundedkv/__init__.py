@@ -7,7 +7,7 @@ simulator, brute-force oracles, and trace/metric telemetry.
 """
 
 from .allocation import AllocationResult, allocate, reallocate_step
-from .cache import CacheSession, LayerCache, admit, kind_codes, remove
+from .cache import CacheSession, LayerCache, admit, remove
 from .config import StreamConfig, config_from_dict
 from .errors import (
     AdmissionOverflow,

@@ -15,7 +15,9 @@ A layer's ``records`` is a numpy record array copied from its metadata
 block and its ``evicted`` a read-only record view of its eviction log;
 nothing here builds a Python object per token.
 
-Protected tokens (first frame, camera, register) are never removable.
+Admission marks which tokens eviction may never remove; the cache keeps
+that mark in its ``protected`` column and knows no token kinds (the
+paper's rule lives in ``simulate.frame_protection``).
 When a layer's budget falls below ``protected_count + M`` the effective
 budget is clamped to that floor and the step report carries a warning
 flag; correctness wins over strict budgets at pathological settings.
@@ -25,25 +27,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import KIND_CAMERA, KIND_PATCH, KIND_REGISTER, StreamConfig
+from .config import StreamConfig
 from .errors import AdmissionOverflow, ProtectedEviction, UnknownLayer, UnknownToken
-
-# Values of the ``kind`` column index this tuple.
-_KINDS = (KIND_PATCH, KIND_CAMERA, KIND_REGISTER)
 
 # Scalar fields of a token: the rows of a layer's metadata block, the
 # columns of its eviction log and the fields of its ``records`` and ``evicted``.
-_META = ("token_id", "frame_index", "kind", "birth_step", "exposure", "cum_score")
+_META = ("token_id", "frame_index", "birth_step", "exposure", "cum_score")
 
 # One token's scalars as a record: every field int64 but ``cum_score``.
 _RECORD = np.dtype([(name, np.float64 if name == "cum_score" else np.int64) for name in _META])
 
 _MIN_ROWS = 64
-
-
-# Whether a token of each kind code is protected outside the first frame
-# (every first-frame token is: see ``admit``).
-_PROTECTED_KIND = np.array([kind != KIND_PATCH for kind in _KINDS])
 
 
 def _grow(array: np.ndarray, live: int, rows: int, axis: int = 0) -> np.ndarray:
@@ -108,14 +102,14 @@ class LayerCache:
 
     @property
     def records(self) -> np.recarray:
-        """Residents' scalars in cache order; a copy, with ``kind`` as its code."""
+        """Residents' scalars in cache order; a copy."""
         return _record_array(self._block[:, : self.n].T.copy())
 
     @property
     def evicted(self) -> np.recarray:
-        """Evicted tokens' scalars in eviction order, frozen at eviction,
-        with ``kind`` as its code; a read-only view of the log, which
-        later evictions extend but never rewrite."""
+        """Evicted tokens' scalars in eviction order, frozen at eviction;
+        a read-only view of the log, which later evictions extend but
+        never rewrite."""
         log = _record_array(self._log[: self.n_evicted])
         log.flags.writeable = False
         return log
@@ -200,22 +194,15 @@ class CacheSession:
         return np.arange(start, start + count, dtype=np.int64)
 
 
-def kind_codes(kinds) -> np.ndarray:
-    """Kind names (patch, camera, register) as the int64 codes ``admit`` takes."""
-    unknown = set(kinds) - set(_KINDS)
-    if unknown:
-        raise ValueError(f"unknown token kinds {sorted(unknown)}")
-    return np.array([_KINDS.index(kind) for kind in kinds], dtype=np.int64)
-
-
 def admit(session: CacheSession, layer_index: int, token_ids, keys, values,
-          frame_index: int, codes: np.ndarray) -> None:
+          frame_index: int, protected) -> None:
     """Append one frame's tokens to a layer, born at the current step.
 
-    ``keys`` and ``values`` are (count, dim) arrays and ``codes`` is the
-    int64 array of each token's kind code (``kind_codes``). Ids must be
-    new to the layer and increasing, above every resident id, and
-    ``frame_index`` no lower than the newest resident's. Raises
+    ``keys`` and ``values`` are (count, dim) arrays and ``protected`` is
+    the (count,) bool mask of the tokens eviction may never remove; it is
+    all the cache knows of a token's role. Ids must be new to the layer
+    and increasing, above every resident id, and ``frame_index`` no
+    lower than the newest resident's. Raises
     AdmissionOverflow when a bounded layer lacks room, which means the
     eviction pass did not run (or did not free enough slots) first.
     Validation happens before any mutation.
@@ -234,11 +221,10 @@ def admit(session: CacheSession, layer_index: int, token_ids, keys, values,
         raise ValueError(f"layer {layer_index}: token ids {new_ids.tolist()} are not new and increasing")
     if start and frame_index < layer.frame_index[start - 1]:
         raise ValueError(f"layer {layer_index}: frame {frame_index} is older than its newest resident's")
-    if len(codes) != count or np.shape(keys) != (count, layer.K.shape[1]) or np.shape(values) != np.shape(keys):
-        raise ValueError(f"layer {layer_index}: {count} ids need {count} kinds, keys and values")
-    if count and not 0 <= codes.min() <= codes.max() < len(_KINDS):
-        raise ValueError(f"layer {layer_index}: kind codes {codes.tolist()} outside 0..{len(_KINDS) - 1}")
-    protected = _PROTECTED_KIND[codes] if frame_index else np.ones(count, dtype=bool)
+    protected = np.asarray(protected)
+    if (protected.shape != (count,) or protected.dtype != np.bool_
+            or np.shape(keys) != (count, layer.K.shape[1]) or np.shape(values) != np.shape(keys)):
+        raise ValueError(f"layer {layer_index}: {count} ids need {count} bool protection flags, keys and values")
 
     stop = start + count
     layer._reserve(stop)
@@ -246,7 +232,6 @@ def admit(session: CacheSession, layer_index: int, token_ids, keys, values,
     layer.V[start:stop] = values
     layer.token_id[start:stop] = new_ids
     layer.frame_index[start:stop] = frame_index
-    layer.kind[start:stop] = codes
     layer.birth_step[start:stop] = session.step_counter
     layer.exposure[start:stop] = 1
     layer.cum_score[start:stop] = 0.0

@@ -24,8 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .allocation import allocate
-from .cache import kind_codes
-from .config import ATTN_DTYPES, BUDGET_MODES, KIND_PATCH, POLICIES, StreamConfig, config_from_dict
+from .config import ATTN_DTYPES, BUDGET_MODES, POLICIES, StreamConfig, config_from_dict
 from .errors import BoundedKVError, ConfigError, NonFiniteRecord
 from .oracle import baseline_run, brute_force_scores, compare_runs, landmark_retention, map_log_from_records
 from .scoring import importances
@@ -326,11 +325,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _check("occupancy-bound", bound_ok, f"beta=0.1 frames={bounded_cfg.frames}", failures)
 
     persists = True
-    patch = kind_codes([KIND_PATCH])[0]
     for lc in bounded_run.session.layers:
-        # The protection rule, restated here apart from the cache's.
+        # The protection rule, restated here from the id layout: each
+        # (frame, layer) gets one block of tokens_per_frame ids in order,
+        # camera first and registers next.
         evicted = lc.evicted
-        if ((evicted.frame_index == 0) | (evicted.kind != patch)).any():
+        slots = evicted.token_id % bounded_cfg.tokens_per_frame
+        if ((evicted.frame_index == 0) | (slots <= bounded_cfg.registers)).any():
             persists = False
         expected_protected = bounded_cfg.tokens_per_frame + (bounded_cfg.frames - 1) * (1 + bounded_cfg.registers)
         if bounded_cfg.frames > 0 and lc.protected_count != expected_protected:

@@ -19,10 +19,6 @@ from dataclasses import asdict, dataclass, fields
 
 from .errors import ConfigError
 
-KIND_PATCH = "patch"
-KIND_CAMERA = "camera"
-KIND_REGISTER = "register"
-
 POLICIES = ("attention", "random", "uniform_budget", "none")
 BUDGET_MODES = ("fixed-horizon", "steady-state")
 ATTN_DTYPES = ("float64", "float32")

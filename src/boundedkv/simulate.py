@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import bootstrap_budgets, reallocate_step
-from .cache import CacheSession, admit, kind_codes
-from .config import KIND_CAMERA, KIND_PATCH, KIND_REGISTER, StreamConfig
+from .cache import CacheSession, admit
+from .config import StreamConfig
 from .eviction import maintain_step, make_policy
 from .scoring import accumulate, layer_sparsity, stats_from_maps
 from .telemetry import TraceRecord
@@ -113,9 +113,17 @@ class RunSummary:
         return [rec for report in self.reports for rec in report.layers]
 
 
-def frame_kind_layout(config: StreamConfig) -> list[str]:
-    """Token kinds within a frame: camera, registers, then patches."""
-    return [KIND_CAMERA] + [KIND_REGISTER] * config.registers + [KIND_PATCH] * config.patch_tokens
+def frame_protection(config: StreamConfig, frame_index: int) -> np.ndarray:
+    """Which of a frame's tokens eviction may never remove, as a bool mask.
+
+    A frame is its camera token, then ``registers`` register tokens, then
+    patches. The paper never evicts the first frame, nor any frame's
+    camera and register tokens: every token of frame 0 is protected, and
+    of each later frame the leading ``1 + registers`` slots.
+    """
+    if frame_index == 0:
+        return np.ones(config.tokens_per_frame, dtype=bool)
+    return np.arange(config.tokens_per_frame) <= config.registers
 
 
 def _rng(*key: int) -> np.random.Generator:
@@ -223,7 +231,8 @@ class StreamSimulator:
         self.dtype = np.dtype(config.attn_dtype)
         self.session = CacheSession(config=config)
         self.policy = make_policy(config)
-        self.kind_codes = kind_codes(frame_kind_layout(config))
+        # Frame 0's protection mask, then every later frame's.
+        self.protection = (frame_protection(config, 0), frame_protection(config, 1))
         d, seed = config.dim, config.seed
         anchor = anchor_direction(config)
         self.sharpness = sharpness_profile(config)
@@ -314,11 +323,12 @@ class StreamSimulator:
         z = self._framewise(z)
 
         d = cfg.dim
+        protected = self.protection[frame.frame_index > 0]
         records: list[TraceRecord] = []
         for li, layer in enumerate(session.layers):
             qkv = _rms_rows(z) @ self.w_qkv[li]
             ids = session.issue_token_ids(cfg.tokens_per_frame)
-            admit(session, li, ids, qkv[:, d:2 * d], qkv[:, 2 * d:], frame.frame_index, self.kind_codes)
+            admit(session, li, ids, qkv[:, d:2 * d], qkv[:, 2 * d:], frame.frame_index, protected)
 
             keys = layer.keys_matrix()
             values = layer.values_matrix()

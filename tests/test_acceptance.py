@@ -11,9 +11,8 @@ from dataclasses import replace
 import numpy as np
 
 from boundedkv.allocation import allocate
-from boundedkv.cache import kind_codes
 from boundedkv.cli import main as cli_main
-from boundedkv.config import KIND_PATCH, StreamConfig
+from boundedkv.config import StreamConfig
 from boundedkv.oracle import (
     baseline_run,
     brute_force_scores,
@@ -245,13 +244,11 @@ def test_a7_compute_scaling():
           f"baseline exactly linear in t")
 
 
-PATCH_CODE = kind_codes([KIND_PATCH])[0]
-
-
-def protected_by_rule(rec):
+def protected_by_rule(rec, cfg):
     """The paper's rule, apart from the cache's: frame 0 plus every
-    frame's camera and register tokens."""
-    return rec.frame_index == 0 or rec.kind != PATCH_CODE
+    frame's camera and register tokens, which lead each block of
+    ``tokens_per_frame`` ids a (frame, layer) admits."""
+    return rec.frame_index == 0 or rec.token_id % cfg.tokens_per_frame <= cfg.registers
 
 
 def test_a8_protected_persistence():
@@ -262,10 +259,10 @@ def test_a8_protected_persistence():
         expected = cfg.tokens_per_frame + (cfg.frames - 1) * (1 + cfg.registers)
         final_ids = [set(run.reports[-1].layers[layer].key_ids) for layer in range(cfg.layers)]
         for layer, lc in enumerate(run.session.layers):
-            assert not any(protected_by_rule(rec) for rec in lc.evicted)
+            assert not any(protected_by_rule(rec, cfg) for rec in lc.evicted)
             assert lc.protected_count == expected
-            assert lc.protected[: lc.n].tolist() == [protected_by_rule(rec) for rec in lc.records]
-            resident_protected = {rec.token_id for rec in lc.records if protected_by_rule(rec)}
+            assert lc.protected[: lc.n].tolist() == [protected_by_rule(rec, cfg) for rec in lc.records]
+            resident_protected = {rec.token_id for rec in lc.records if protected_by_rule(rec, cfg)}
             assert resident_protected <= final_ids[layer]
             first_frame = set(run.reports[0].layers[layer].key_ids)
             assert first_frame <= final_ids[layer]

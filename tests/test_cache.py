@@ -5,17 +5,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from boundedkv.cache import CacheSession, admit, kind_codes, remove
+from boundedkv.cache import CacheSession, admit, remove
 from boundedkv.config import StreamConfig
 from boundedkv.errors import AdmissionOverflow, ProtectedEviction, UnknownLayer, UnknownToken
 
 
-def admit_tokens(session, layer, frame_index, count=1, kinds=None, ids=None):
-    """Admit ``count`` zero-key tokens of one frame; returns their ids."""
-    kinds = kinds or ["patch"] * count
-    ids = list(session.issue_token_ids(len(kinds)) if ids is None else ids)
+def admit_tokens(session, layer, frame_index, count=1, protected=None, ids=None):
+    """Admit ``count`` zero-key tokens of one frame; returns their ids.
+
+    ``protected`` lists each token's flag; by default every token of
+    frame 0 is protected and none of a later frame."""
+    protected = [frame_index == 0] * count if protected is None else protected
+    ids = list(session.issue_token_ids(len(protected)) if ids is None else ids)
     zeros = np.zeros((len(ids), session.config.dim))
-    admit(session, layer, ids, zeros, zeros, frame_index, kind_codes(kinds))
+    admit(session, layer, ids, zeros, zeros, frame_index, np.array(protected, dtype=bool))
     return ids
 
 
@@ -78,10 +81,9 @@ def test_remove_frame0_token_is_protected():
         remove(session, 0, first)
 
 
-@pytest.mark.parametrize("kind", ["camera", "register"])
-def test_camera_and_register_always_protected(kind):
+def test_admitted_protected_is_never_removable():
     session = make_session()
-    ids = admit_tokens(session, 0, 9, kinds=[kind])
+    ids = admit_tokens(session, 0, 9, protected=[True])
     assert session.layers[0].protected[0]
     with pytest.raises(ProtectedEviction):
         remove(session, 0, ids)
@@ -118,23 +120,44 @@ def test_decreasing_frame_index_rejected_before_mutation():
     # policy's newest-first tie-break relies on.
     session = make_session(registers=2)
     admit_tokens(session, 0, 0, 2)
-    admit_tokens(session, 0, 3, kinds=["camera", "patch", "patch"])
+    admit_tokens(session, 0, 3, protected=[True, False, False])
     admit_tokens(session, 0, 3)  # same frame again is in order
     layer = session.layers[0]
     layer.cum_score[:layer.n] = np.arange(layer.n) / 8
     n, protected_count = layer.n, layer.protected_count
     columns = [column.copy() for column in (layer._block, layer.protected, layer.K, layer.V)]
     with pytest.raises(ValueError, match="older"):
-        admit_tokens(session, 0, 2, 2, kinds=["camera", "patch"])
+        admit_tokens(session, 0, 2, 2, protected=[True, False])
     assert (layer.n, layer.protected_count) == (n, protected_count)
     for before, after in zip(columns, (layer._block, layer.protected, layer.K, layer.V)):
         assert np.array_equal(before, after)
 
 
+@pytest.mark.parametrize("mask", [
+    np.zeros(2, dtype=bool),                # one flag short
+    np.zeros(4, dtype=bool),                # one flag over
+    np.array([1, 0, 0], dtype=np.int64),    # kind codes, not a mask
+    np.zeros((3, 1), dtype=bool),           # not one flag per token
+], ids=["short", "long", "int64_codes", "column"])
+def test_bad_protection_mask_rejected_before_mutation(mask):
+    session = make_session(registers=1)
+    admit_tokens(session, 0, 0, 2)
+    admit_tokens(session, 0, 1, protected=[True, False, False])
+    layer = session.layers[0]
+    n, protected_count = layer.n, layer.protected_count
+    columns = [column.copy() for column in (layer._block, layer.protected, layer.K, layer.V)]
+    zeros = np.zeros((3, session.config.dim))
+    with pytest.raises(ValueError, match="bool protection flags"):
+        admit(session, 0, session.issue_token_ids(3), zeros, zeros, 2, mask)
+    assert (layer.n, layer.protected_count) == (n, protected_count)
+    for before, after in zip(columns, (layer._block, layer.protected, layer.K, layer.V)):
+        assert np.array_equal(before, after, equal_nan=True)
+
+
 def test_protected_count_tracks_admissions():
     session = make_session(registers=2)
-    admit_tokens(session, 0, 0)                                        # protected: frame 0
-    admit_tokens(session, 0, 1, kinds=["camera", "register", "patch"])  # camera, register protected
+    admit_tokens(session, 0, 0)                                     # protected: frame 0
+    admit_tokens(session, 0, 1, protected=[True, True, False])  # two of three protected
     assert session.layers[0].protected_count == 3
 
 
@@ -192,26 +215,26 @@ def test_earlier_evicted_view_survives_later_evictions_and_log_growth():
     assert layer.evicted[:5].tolist() == rows
 
 
-def test_evicted_fields_and_kind_codes():
+def test_evicted_fields():
     session = make_session(tokens_per_frame=8, registers=1)
     layer = session.layers[0]
-    ids = admit_tokens(session, 0, 3, 4, kinds=["camera", "register", "patch", "patch"])
+    ids = admit_tokens(session, 0, 3, 4, protected=[True, True, False, False])
     layer.cum_score[:4] = [0.5, 0.25, 0.125, 2.0**-40]
     remove(session, 0, ids[2:])
     evicted = layer.evicted
     assert evicted.dtype == layer.records.dtype
-    assert evicted.dtype.names == ("token_id", "frame_index", "kind", "birth_step", "exposure", "cum_score")
-    assert [evicted.dtype[name] for name in evicted.dtype.names] == [np.dtype(np.int64)] * 5 + [np.dtype(np.float64)]
-    assert evicted.kind.tolist() == kind_codes(["patch", "patch"]).tolist()
-    assert evicted.tolist() == [(ids[2], 3, 0, 0, 1, 0.125), (ids[3], 3, 0, 0, 1, 2.0**-40)]
-    assert layer.records.kind.tolist() == kind_codes(["camera", "register"]).tolist()
+    assert evicted.dtype.names == ("token_id", "frame_index", "birth_step", "exposure", "cum_score")
+    assert [evicted.dtype[name] for name in evicted.dtype.names] == [np.dtype(np.int64)] * 4 + [np.dtype(np.float64)]
+    assert evicted.tolist() == [(ids[2], 3, 0, 1, 0.125), (ids[3], 3, 0, 1, 2.0**-40)]
+    assert layer.records.token_id.tolist() == ids[:2]
+    assert layer.protected[:layer.n].all()
 
 
 def test_len_of_evicted_copies_nothing():
     session = make_session(tokens_per_frame=8)
     layer = session.layers[0]
     evict_frames(session, range(1, 126))
-    assert layer.evicted.nbytes == 1000 * 48
+    assert layer.evicted.nbytes == 1000 * 40
     tracemalloc.start()
     try:
         len(layer.evicted)
@@ -221,5 +244,5 @@ def test_len_of_evicted_copies_nothing():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # The view's array headers only: a copy of the log would take 48,000 bytes.
+    # The view's array headers only: a copy of the log would take 40,000 bytes.
     assert peak - before < 1024

@@ -9,7 +9,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from boundedkv import eviction
+from boundedkv import eviction, simulate
 from boundedkv.cli import _merge_config, build_parser, main
 from boundedkv.config import StreamConfig
 from boundedkv.errors import ConfigError
@@ -177,6 +177,16 @@ def test_verify_fails_when_eviction_ranks_on_wrong_importances(fault, tmp_path, 
     assert "FAIL: scoring-oracle" in out
     # NaN importances reach the bounded run's records, whose trace cannot be written.
     assert ("FAIL: determinism (no trace: " in out) == math.isnan(fault(1.0, 1))
+
+
+def test_verify_fails_when_later_frames_lose_protection(tmp_path, capsys, monkeypatch):
+    # verify restates the protection rule from the id layout, so a
+    # simulator that protects nothing after frame 0 must fail it.
+    rule = simulate.frame_protection
+    monkeypatch.setattr(simulate, "frame_protection", lambda cfg, frame: rule(cfg, frame) & (frame == 0))
+    code, out, _ = run_cli(["verify", "--out", str(tmp_path)], capsys)
+    assert code == 3
+    assert "FAIL: protected-persistence" in out
 
 
 def test_verify_reruns_byte_identical(tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boundedkv.cache import CacheSession, admit, kind_codes, remove
+from boundedkv.cache import CacheSession, admit, remove
 from boundedkv.config import StreamConfig
 from boundedkv.errors import InsufficientUnprotected
 from boundedkv.eviction import (
@@ -23,16 +23,17 @@ from boundedkv.eviction import (
 from boundedkv.simulate import run_stream
 
 
-def build_layer(importances, protected_flags=None, frames=None):
-    """A session whose layer 0 holds tokens with the given importances."""
+def build_layer(importances, protected=None, frames=None):
+    """A session whose layer 0 holds tokens with the given importances,
+    protection flags (default none) and frames (default all 1)."""
     cfg = StreamConfig()
     session = CacheSession(config=cfg)
     n = len(importances)
-    protected_flags = protected_flags or [False] * n
+    protected = protected or [False] * n
     frames = frames or [1] * n
     zeros = np.zeros((1, cfg.dim))
     for i, tid in enumerate(session.issue_token_ids(n)):
-        admit(session, 0, [tid], zeros, zeros, 0 if protected_flags[i] else frames[i], kind_codes(["patch"]))
+        admit(session, 0, [tid], zeros, zeros, frames[i], np.array([protected[i]]))
     layer = session.layers[0]
     layer.cum_score[:n] = importances  # exposure is 1, so score = importance
     return session, layer.records
@@ -41,7 +42,7 @@ def build_layer(importances, protected_flags=None, frames=None):
 def test_lowest_importance_evicted_exactly():
     # occupancy 10 (2 protected), budget 9, M=2 => slots = 3.
     imps = [0.02, 0.30, 0.11, 0.07, 0.25, 0.19, 0.05, 0.40]
-    session, recs = build_layer([0.0, 0.0] + imps, protected_flags=[True, True] + [False] * 8)
+    session, recs = build_layer([0.0, 0.0] + imps, protected=[True, True] + [False] * 8)
     layer = session.layers[0]
     layer.budget = 9
     slots = layer.occupancy() + 2 - layer.effective_budget(2)
@@ -104,7 +105,7 @@ def test_selection_matches_oracle_on_ties_nan_and_inf(data):
     scores = data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, math.inf, math.nan]), min_size=n, max_size=n))
     frames = sorted(data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
     exposures = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
-    session, _ = build_layer(scores, protected_flags=[True] * n_protected + [False] * (n - n_protected),
+    session, _ = build_layer(scores, protected=[True] * n_protected + [False] * (n - n_protected),
                              frames=frames)
     layer = session.layers[0]
     layer.exposure[:n] = exposures
@@ -125,7 +126,7 @@ def test_tiebreak_prefers_newer_then_higher_id():
 def test_protected_never_planned():
     session, recs = build_layer(
         [0.0, 0.9, 0.0, 0.9, 0.1, 0.2, 0.3, 0.4],
-        protected_flags=[True, True, False, False, False, False, False, False],
+        protected=[True, True, False, False, False, False, False, False],
     )
     for policy in (AttentionPolicy(), RandomPolicy(seed=11)):
         plan = policy.plan(session.layers[0], 4)
@@ -135,7 +136,7 @@ def test_protected_never_planned():
 
 
 def test_insufficient_unprotected_raises():
-    session, _ = build_layer([0.1, 0.2], protected_flags=[True, False])
+    session, _ = build_layer([0.1, 0.2], protected=[True, False])
     with pytest.raises(InsufficientUnprotected):
         AttentionPolicy().plan(session.layers[0], 2)
     with pytest.raises(InsufficientUnprotected):
@@ -191,7 +192,7 @@ def test_maintain_returns_one_plan_per_layer_in_order():
     for t in range(3):
         for li in range(3):
             ids = session.issue_token_ids(4)
-            admit(session, li, ids, zeros, zeros, t, kind_codes(["camera", "patch", "patch", "patch"]))
+            admit(session, li, ids, zeros, zeros, t, np.array([True] + [t == 0] * 3))  # frame 0 all protected
         session.step_counter += 1
     resident = [set(layer.token_id[:layer.n].tolist()) for layer in session.layers]
     for layer, budget in zip(session.layers, [12, 40, 8]):
@@ -227,9 +228,8 @@ def test_maintain_respects_budget_and_admission_room():
             layer = session.layers[li]
             assert layer.occupancy() + 4 <= layer.effective_budget(4)
             ids = list(session.issue_token_ids(4))
-            kinds = ["patch" if (tid % 4) else "camera" for tid in ids]
             zeros = np.zeros((4, cfg.dim))
-            admit(session, li, ids, zeros, zeros, t, kind_codes(kinds))
+            admit(session, li, ids, zeros, zeros, t, (np.array(ids) % 4 == 0) | (t == 0))
             assert layer.occupancy() <= max(layer.budget, layer.protected_count + 4)
         session.step_counter += 1
 

@@ -42,9 +42,9 @@ the package, which hides an import cycle instead of removing it, and on
 it and it imports nothing of the step path.
 
 The round-trip scan fails on ``np.array(list(...))`` (or ``np.asarray``)
-in the package: ids and kind codes travel the step path as arrays, and
-turning an iterable into a list only to build an array from it is the
-per-layer cost the array form removed.
+in the package: ids and protection masks travel the step path as
+arrays, and turning an iterable into a list only to build an array from
+it is the per-layer cost the array form removed.
 """
 
 import ast
@@ -55,7 +55,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from boundedkv.cache import CacheSession, LayerCache, admit, kind_codes, remove
+from boundedkv.cache import CacheSession, LayerCache, admit, remove
 from boundedkv.config import StreamConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -312,7 +312,7 @@ def evicting_layer() -> LayerCache:
     session = CacheSession(StreamConfig(layers=1, dim=8))
     ids = session.issue_token_ids(4)
     zeros = np.zeros((4, 8))
-    admit(session, 0, ids, zeros, zeros, 1, kind_codes(["patch"] * 4))
+    admit(session, 0, ids, zeros, zeros, 1, np.zeros(4, dtype=bool))
     remove(session, 0, ids[:2])
     return session.layers[0]
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boundedkv.cache import CacheSession, admit, kind_codes
+from boundedkv.cache import CacheSession, admit
 from boundedkv.config import StreamConfig
 from boundedkv.errors import StaleStats
 from boundedkv.scoring import (
@@ -19,12 +19,12 @@ from builders import layer_record as make_record
 from refimpl import cumulative_scores, population_variance
 
 
-def session_with(n_tokens, frame_index=1, kinds=None):
+def session_with(n_tokens, frame_index=1, protected=None):
     cfg = StreamConfig()
     session = CacheSession(config=cfg)
-    kinds = kinds or ["patch"] * n_tokens
+    protected = [frame_index == 0] * n_tokens if protected is None else protected
     zeros = np.zeros((n_tokens, cfg.dim))
-    admit(session, 0, session.issue_token_ids(n_tokens), zeros, zeros, frame_index, kind_codes(kinds))
+    admit(session, 0, session.issue_token_ids(n_tokens), zeros, zeros, frame_index, np.array(protected, dtype=bool))
     return session, session.layers[0].records
 
 
@@ -76,7 +76,7 @@ def test_two_step_accumulation_matches_bruteforce():
 
     session.step_counter = 1
     newer = list(session.issue_token_ids(2))
-    admit(session, 0, newer, np.zeros((2, 32)), np.zeros((2, 32)), 1, kind_codes(["patch", "patch"]))
+    admit(session, 0, newer, np.zeros((2, 32)), np.zeros((2, 32)), 1, np.zeros(2, dtype=bool))
     all_ids = ids + newer
     maps_t1 = np.array([[[0.1, 0.2, 0.3, 0.4], [0.25, 0.25, 0.25, 0.25]]])
     accumulate(session.layers[0], record_from_maps(1, maps_t1, all_ids))
@@ -88,19 +88,19 @@ def test_two_step_accumulation_matches_bruteforce():
         assert rec.exposure == e_ref
 
 
-@pytest.mark.parametrize("frame_index, kind, cum_score, exposure, expected", [
-    (2, "patch", 0.125, 1, 0.125),
-    (2, "patch", 0.75, 3, 0.25),
-    (3, "patch", 0.4, 2, 0.2),
-    (3, "patch", 0.4, 4, 0.1),
-    (7, "camera", 0.001, 1, 0.001),
-    (0, "patch", 0.5, 2, 0.25),
+@pytest.mark.parametrize("frame_index, protected, cum_score, exposure, expected", [
+    (2, False, 0.125, 1, 0.125),
+    (2, False, 0.75, 3, 0.25),
+    (3, False, 0.4, 2, 0.2),
+    (3, False, 0.4, 4, 0.1),
+    (7, True, 0.001, 1, 0.001),
+    (0, True, 0.5, 2, 0.25),
 ], ids=["division", "division_exposure3", "tenure2", "tenure4", "camera", "frame0_patch"])
-def test_importances_hand_computed(frame_index, kind, cum_score, exposure, expected):
+def test_importances_hand_computed(frame_index, protected, cum_score, exposure, expected):
     # Score over exposure, so tenure alone earns nothing; protected rows
     # (camera, any first-frame token) take the same ratio, since eviction
     # protects them by never making them candidates.
-    session, _ = session_with(1, frame_index=frame_index, kinds=[kind])
+    session, _ = session_with(1, frame_index=frame_index, protected=[protected])
     layer = session.layers[0]
     layer.cum_score[0] = cum_score
     layer.exposure[0] = exposure
@@ -108,7 +108,7 @@ def test_importances_hand_computed(frame_index, kind, cum_score, exposure, expec
 
 
 def test_vector_importances_match_rows():
-    session, recs = session_with(3, kinds=["camera", "patch", "patch"])
+    session, recs = session_with(3, protected=[True, False, False])
     ids = [r.token_id for r in recs]
     for step in range(3):
         session.step_counter = step

@@ -17,7 +17,7 @@ from boundedkv.simulate import (
     _multihead_attention,
     _rms_rows,
     anchor_direction,
-    frame_kind_layout,
+    frame_protection,
     generate_frame,
     run_stream,
     sharpness_profile,
@@ -56,7 +56,10 @@ def test_generate_frame_deterministic():
 def test_frame_layout():
     cfg = StreamConfig(layers=2, tokens_per_frame=8, registers=2, frames=2)
     frame = generate_frame(cfg, 0)
-    assert frame_kind_layout(cfg) == ["camera", "register", "register"] + ["patch"] * 5
+    # Camera, two registers, then five patches: all of frame 0 is
+    # protected, and the camera and registers of every later frame.
+    assert frame_protection(cfg, 0).tolist() == [True] * 8
+    assert frame_protection(cfg, 1).tolist() == [True] * 3 + [False] * 5
     assert frame.landmark_mask[:3].sum() == 0  # mask covers patches only
     assert frame.embeddings.shape == (8, cfg.dim)
 
@@ -401,6 +404,24 @@ def test_steady_state_step_allocates_less_than_one_maps_stack():
         tracemalloc.stop()
     stack = cfg.heads * cfg.tokens_per_frame * max(rec.n_keys for rec in report.layers) * 8
     assert peak < stack, f"step peaked at {peak / stack:.2f} maps stacks"
+
+
+@pytest.mark.parametrize("registers", [0, 2])
+@pytest.mark.parametrize("beta", [0.4, None], ids=["bounded", "unbounded"])
+def test_token_id_layout_marks_protection(registers, beta):
+    # Each (frame, layer) admits one block of M ids in step-then-layer
+    # order, so a token's slot in its frame is token_id % M: the layout
+    # that verify and A8 restate the protection rule from.
+    cfg = replace(StreamConfig(**SMALL), registers=registers, beta=beta)
+    run = run_stream(cfg)
+    m = cfg.tokens_per_frame
+    for rec in run.records:
+        block = (rec.step * cfg.layers + rec.layer) * m + np.arange(m)
+        assert rec.key_ids[-m:].tolist() == block.tolist()
+    for lc in run.session.layers:
+        rows = lc.records
+        assert lc.protected[:lc.n].tolist() == ((rows.frame_index == 0) | (rows.token_id % m <= registers)).tolist()
+    assert (sum(len(rec.evicted_ids) for rec in run.records) > 0) == (beta is not None)
 
 
 def test_report_internal_consistency():
