@@ -5,15 +5,15 @@ keys/values, eviction removes ids chosen by a policy, and the scoring
 module updates the per-token accumulators in place.
 
 A layer is a struct of arrays: keys, values, the protected mask and each
-scalar metadata field are preallocated columns, entry i of every column
+stored scalar field are preallocated columns, entry i of every column
 is the i-th resident token in admission order, and only entries ``[:n]``
-are live. Admission keeps ids increasing and frame indices never
-decreasing down the rows. Attention reads the key/value columns as
-views; eviction compacts every column by one gather per array. Columns
-grow by doubling, so a bounded layer settles at its largest occupancy.
-A layer's ``records`` is a numpy record array copied from its metadata
-block and its ``evicted`` a read-only record view of its eviction log;
-nothing here builds a Python object per token.
+are live. Ids increase down the rows, and birth steps, taken from the
+step counter, never decrease; exposure is derived from the birth step.
+Attention reads the key/value columns as views; eviction compacts every
+column by one gather per array. Columns grow by doubling, so a bounded
+layer settles at its largest occupancy. A layer's ``records`` is a
+record array copied from its metadata block, ``evicted`` a read-only
+record view of its eviction log; no Python object per token is built.
 
 Admission marks which tokens eviction may never remove; the cache keeps
 that mark in its ``protected`` column and knows no token kinds (the
@@ -30,12 +30,13 @@ import numpy as np
 from .config import StreamConfig
 from .errors import AdmissionOverflow, ProtectedEviction, UnknownLayer, UnknownToken
 
-# Scalar fields of a token: the rows of a layer's metadata block, the
-# columns of its eviction log and the fields of its ``records`` and ``evicted``.
-_META = ("token_id", "frame_index", "birth_step", "exposure", "cum_score")
+# A token's stored scalars (the rows of a layer's metadata block) and all
+# its scalars (the columns of its eviction log, the fields of ``records``).
+_META = ("token_id", "birth_step", "cum_score")
+_FIELDS = ("token_id", "birth_step", "exposure", "cum_score")
 
 # One token's scalars as a record: every field int64 but ``cum_score``.
-_RECORD = np.dtype([(name, np.float64 if name == "cum_score" else np.int64) for name in _META])
+_RECORD = np.dtype([(name, np.float64 if name == "cum_score" else np.int64) for name in _FIELDS])
 
 _MIN_ROWS = 64
 
@@ -51,14 +52,8 @@ def _grow(array: np.ndarray, live: int, rows: int, axis: int = 0) -> np.ndarray:
     return grown
 
 
-def _fields(block: np.ndarray) -> dict:
-    """A metadata block's rows by field; ``cum_score`` reads its row as float64."""
-    return {name: row.view(np.float64) if name == "cum_score" else row for name, row in zip(_META, block)}
-
-
 def _record_array(rows: np.ndarray) -> np.recarray:
-    """A C-contiguous (tokens, fields) int64 array read as one record per
-    token; a view, not a copy."""
+    """A C-contiguous (tokens, fields) int64 array read as one record per token; a view."""
     return rows.view(_RECORD)[:, 0].view(np.recarray)
 
 
@@ -67,12 +62,10 @@ class LayerCache:
 
     ``K`` and ``V`` (compute dtype) and ``protected`` are arrays. The
     ``_META`` fields are row views of one (fields, capacity) int64 block,
-    ``cum_score`` read as float64, so compaction and logging move them
-    with one gather; token ids increase down the rows. The eviction log
-    is a (capacity, fields) int64 block, one token per row in eviction
-    order; logged rows never change. ``exposure``
-    counts steps resided, the birth step included; ``cum_score`` is the
-    running row-length-normalized attention, frozen at eviction.
+    ``cum_score`` read as float64, so compaction moves them with one
+    gather. ``scored_step`` is the last step scored (-1 before any). The
+    eviction log is a (capacity, ``_FIELDS``) int64 block, one token per
+    row in eviction order, each frozen at eviction.
     """
 
     def __init__(self, layer_index: int, dim: int, dtype):
@@ -80,19 +73,20 @@ class LayerCache:
         self.budget: int | None = None
         self.protected_count = 0
         self.n = 0
+        self.scored_step = -1
         self._block = np.empty((len(_META), 0), dtype=np.int64)
         self.protected = np.empty(0, dtype=np.bool_)
         self.K = np.empty((0, dim), dtype=dtype)
         self.V = np.empty((0, dim), dtype=dtype)
         self._bind()
         self.n_evicted = 0
-        self._log = np.empty((0, len(_META)), dtype=np.int64)
+        self._log = np.empty((0, len(_FIELDS)), dtype=np.int64)
 
     def _bind(self) -> None:
         # setattr, not vars(self).update: on CPython 3.11 materialising the
         # instance dict makes every attribute read on the layer about 4x slower.
-        for name, row in _fields(self._block).items():
-            setattr(self, name, row)
+        for name, row in zip(_META, self._block):
+            setattr(self, name, row.view(np.float64) if name == "cum_score" else row)
 
     def _reserve(self, rows: int) -> None:
         if rows > self._block.shape[1]:
@@ -100,10 +94,21 @@ class LayerCache:
             self._bind()
             self.protected, self.K, self.V = (_grow(a, self.n, rows) for a in (self.protected, self.K, self.V))
 
+    def exposure(self, rows: np.ndarray) -> np.ndarray:
+        """Steps each given row has resided, birth and last scored step included."""
+        return self.scored_step + 1 - self.birth_step[rows]
+
+    def _scalars(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the given rows' ``_FIELDS`` into ``out``, a (tokens, fields) int64 array."""
+        token_id, birth_step, cum_score = self._block.take(rows, axis=1)
+        fields = out.T
+        fields[0], fields[1], fields[2], fields[3] = token_id, birth_step, self.exposure(rows), cum_score
+        return out
+
     @property
     def records(self) -> np.recarray:
         """Residents' scalars in cache order; a copy."""
-        return _record_array(self._block[:, : self.n].T.copy())
+        return _record_array(self._scalars(np.arange(self.n), np.empty((self.n, len(_FIELDS)), dtype=np.int64)))
 
     @property
     def evicted(self) -> np.recarray:
@@ -152,7 +157,7 @@ class LayerCache:
         logged = self.n_evicted + len(rows)
         if logged > len(self._log):
             self._log = _grow(self._log, self.n_evicted, logged)
-        self._log[self.n_evicted:logged] = self._block.take(rows, axis=1).T
+        self._scalars(rows, self._log[self.n_evicted:logged])
         self.n_evicted = logged
         self._block[:, low:stop] = self._block.take(survivors, axis=1)
         for column in (self.protected, self.K, self.V):
@@ -194,15 +199,13 @@ class CacheSession:
         return np.arange(start, start + count, dtype=np.int64)
 
 
-def admit(session: CacheSession, layer_index: int, token_ids, keys, values,
-          frame_index: int, protected) -> None:
+def admit(session: CacheSession, layer_index: int, token_ids, keys, values, protected) -> None:
     """Append one frame's tokens to a layer, born at the current step.
 
     ``keys`` and ``values`` are (count, dim) arrays and ``protected`` is
     the (count,) bool mask of the tokens eviction may never remove; it is
     all the cache knows of a token's role. Ids must be new to the layer
-    and increasing, above every resident id, and ``frame_index`` no
-    lower than the newest resident's. Raises
+    and increasing, above every resident id. Raises
     AdmissionOverflow when a bounded layer lacks room, which means the
     eviction pass did not run (or did not free enough slots) first.
     Validation happens before any mutation.
@@ -219,8 +222,6 @@ def admit(session: CacheSession, layer_index: int, token_ids, keys, values,
             )
     if (new_ids[1:] <= new_ids[:-1]).any() or (count and start and new_ids[0] <= layer.token_id[start - 1]):
         raise ValueError(f"layer {layer_index}: token ids {new_ids.tolist()} are not new and increasing")
-    if start and frame_index < layer.frame_index[start - 1]:
-        raise ValueError(f"layer {layer_index}: frame {frame_index} is older than its newest resident's")
     protected = np.asarray(protected)
     if (protected.shape != (count,) or protected.dtype != np.bool_
             or np.shape(keys) != (count, layer.K.shape[1]) or np.shape(values) != np.shape(keys)):
@@ -231,9 +232,7 @@ def admit(session: CacheSession, layer_index: int, token_ids, keys, values,
     layer.K[start:stop] = keys
     layer.V[start:stop] = values
     layer.token_id[start:stop] = new_ids
-    layer.frame_index[start:stop] = frame_index
     layer.birth_step[start:stop] = session.step_counter
-    layer.exposure[start:stop] = 1
     layer.cum_score[start:stop] = 0.0
     layer.protected[start:stop] = protected
     layer.n = stop

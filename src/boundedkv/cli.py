@@ -328,10 +328,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for lc in bounded_run.session.layers:
         # The protection rule, restated here from the id layout: each
         # (frame, layer) gets one block of tokens_per_frame ids in order,
-        # camera first and registers next.
+        # camera first and registers next. Frame t is born at step t.
         evicted = lc.evicted
         slots = evicted.token_id % bounded_cfg.tokens_per_frame
-        if ((evicted.frame_index == 0) | (slots <= bounded_cfg.registers)).any():
+        if ((evicted.birth_step == 0) | (slots <= bounded_cfg.registers)).any():
             persists = False
         expected_protected = bounded_cfg.tokens_per_frame + (bounded_cfg.frames - 1) * (1 + bounded_cfg.registers)
         if bounded_cfg.frames > 0 and lc.protected_count != expected_protected:

@@ -6,8 +6,9 @@ admitted, freeing slots against the budgets computed at the previous
 step (uniform bootstrap before the first frame).
 
 The attention policy evicts the lowest importance first, ties to the
-newest token, which is the higher row and id because admission keeps
-frames in order; a long survivor has already shown relevance.
+newest token, which is the higher row and id because admission takes
+birth steps from the step counter; a long survivor has already shown
+relevance.
 """
 
 from __future__ import annotations

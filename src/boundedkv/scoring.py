@@ -7,7 +7,8 @@ two normalizations on the per-key column sums:
 * row-length: each step's contribution is divided by N, the key count
   visible at that step, so early short rows do not dominate;
 * exposure: the accumulated score is divided by the number of steps the
-  token has been resident, so tenure alone earns nothing.
+  token has been resident, so tenure alone earns nothing; the cache
+  derives it from the birth step and the layer's last scored step.
 
 Protected tokens have an importance like any other; eviction never
 ranks them because only unprotected tokens are candidates.
@@ -36,9 +37,8 @@ def accumulate(cache_layer: LayerCache, record: TraceRecord) -> None:
 
     ``record`` is the step's (step, layer) record. Adds
     ``col_sums_raw[j] / n_keys`` to each token's cumulative score and
-    counts the step into every resident token's exposure. Tokens born
-    this step already carry the step in their admission exposure of 1,
-    so only older residents are incremented here.
+    records the step as the layer's last scored step, which counts it
+    into every resident token's exposure.
     """
     n = cache_layer.n
     if record.n_keys != n or not np.array_equal(record.key_ids, cache_layer.token_id[:n]):
@@ -53,7 +53,7 @@ def accumulate(cache_layer: LayerCache, record: TraceRecord) -> None:
         )
     inv_n = 1.0 / n
     cache_layer.cum_score[:n] += record.col_sums_raw * inv_n
-    cache_layer.exposure[:n] += cache_layer.birth_step[:n] < record.step
+    cache_layer.scored_step = record.step
 
 
 def importances(cache_layer: LayerCache, rows: np.ndarray) -> np.ndarray:
@@ -61,7 +61,7 @@ def importances(cache_layer: LayerCache, rows: np.ndarray) -> np.ndarray:
 
     Each row's cumulative score discounted by its exposure.
     """
-    return cache_layer.cum_score[rows] / cache_layer.exposure[rows]
+    return cache_layer.cum_score[rows] / cache_layer.exposure(rows)
 
 
 def layer_sparsity(headmean: np.ndarray) -> float:

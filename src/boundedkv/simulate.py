@@ -328,7 +328,7 @@ class StreamSimulator:
         for li, layer in enumerate(session.layers):
             qkv = _rms_rows(z) @ self.w_qkv[li]
             ids = session.issue_token_ids(cfg.tokens_per_frame)
-            admit(session, li, ids, qkv[:, d:2 * d], qkv[:, 2 * d:], frame.frame_index, protected)
+            admit(session, li, ids, qkv[:, d:2 * d], qkv[:, 2 * d:], protected)
 
             keys = layer.keys_matrix()
             values = layer.values_matrix()

@@ -247,8 +247,9 @@ def test_a7_compute_scaling():
 def protected_by_rule(rec, cfg):
     """The paper's rule, apart from the cache's: frame 0 plus every
     frame's camera and register tokens, which lead each block of
-    ``tokens_per_frame`` ids a (frame, layer) admits."""
-    return rec.frame_index == 0 or rec.token_id % cfg.tokens_per_frame <= cfg.registers
+    ``tokens_per_frame`` ids a (frame, layer) admits; frame t is born at
+    step t."""
+    return rec.birth_step == 0 or rec.token_id % cfg.tokens_per_frame <= cfg.registers
 
 
 def test_a8_protected_persistence():

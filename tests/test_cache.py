@@ -10,15 +10,17 @@ from boundedkv.config import StreamConfig
 from boundedkv.errors import AdmissionOverflow, ProtectedEviction, UnknownLayer, UnknownToken
 
 
-def admit_tokens(session, layer, frame_index, count=1, protected=None, ids=None):
-    """Admit ``count`` zero-key tokens of one frame; returns their ids.
+def admit_tokens(session, layer, step, count=1, protected=None, ids=None):
+    """Admit ``count`` zero-key tokens born at ``step`` (the session's
+    step counter is set to it); returns their ids.
 
-    ``protected`` lists each token's flag; by default every token of
-    frame 0 is protected and none of a later frame."""
-    protected = [frame_index == 0] * count if protected is None else protected
+    ``protected`` lists each token's flag; by default every token born
+    at step 0 is protected and none born later."""
+    session.step_counter = step
+    protected = [step == 0] * count if protected is None else protected
     ids = list(session.issue_token_ids(len(protected)) if ids is None else ids)
     zeros = np.zeros((len(ids), session.config.dim))
-    admit(session, layer, ids, zeros, zeros, frame_index, np.array(protected, dtype=bool))
+    admit(session, layer, ids, zeros, zeros, np.array(protected, dtype=bool))
     return ids
 
 
@@ -31,9 +33,12 @@ def make_session(**kwargs) -> CacheSession:
 def test_admit_to_empty_layer():
     session = make_session(tokens_per_frame=8)
     admit_tokens(session, 0, 0, 3)
-    assert session.layers[0].occupancy() == 3
-    assert all(r.exposure == 1 for r in session.layers[0].records)
-    assert all(r.birth_step == 0 for r in session.layers[0].records)
+    layer = session.layers[0]
+    assert layer.occupancy() == 3
+    assert layer.records.birth_step.tolist() == [0, 0, 0]
+    assert layer.records.exposure.tolist() == [0, 0, 0]  # step 0 is not scored yet
+    layer.scored_step = 0
+    assert layer.records.exposure.tolist() == [1, 1, 1]
 
 
 def test_unbounded_growth_is_frames_times_tokens():
@@ -47,7 +52,7 @@ def test_unbounded_growth_is_frames_times_tokens():
 def test_bounded_admit_without_evict_overflows():
     session = make_session(tokens_per_frame=2, registers=0, budget_tokens=8, frames=4)
     session.layers[0].budget = 2
-    admit_tokens(session, 0, 5, 2)  # frame 5: unprotected
+    admit_tokens(session, 0, 5, 2)  # born at step 5: unprotected
     with pytest.raises(AdmissionOverflow):
         admit_tokens(session, 0, 6, 2)
 
@@ -55,7 +60,7 @@ def test_bounded_admit_without_evict_overflows():
 def test_protected_floor_lifts_effective_budget():
     session = make_session(tokens_per_frame=2, registers=0, budget_tokens=8, frames=4)
     session.layers[0].budget = 2
-    # Frame-0 tokens are protected and lift the floor to protected + M.
+    # Step-0 tokens are protected and lift the floor to protected + M.
     admit_tokens(session, 0, 0, 2)
     admit_tokens(session, 0, 1, 2)
     assert session.layers[0].occupancy() == 4
@@ -115,24 +120,6 @@ def test_duplicate_token_id_rejected():
         admit_tokens(session, 0, 2, ids=ids)
 
 
-def test_decreasing_frame_index_rejected_before_mutation():
-    # Admission keeps frames in order down the rows, which the attention
-    # policy's newest-first tie-break relies on.
-    session = make_session(registers=2)
-    admit_tokens(session, 0, 0, 2)
-    admit_tokens(session, 0, 3, protected=[True, False, False])
-    admit_tokens(session, 0, 3)  # same frame again is in order
-    layer = session.layers[0]
-    layer.cum_score[:layer.n] = np.arange(layer.n) / 8
-    n, protected_count = layer.n, layer.protected_count
-    columns = [column.copy() for column in (layer._block, layer.protected, layer.K, layer.V)]
-    with pytest.raises(ValueError, match="older"):
-        admit_tokens(session, 0, 2, 2, protected=[True, False])
-    assert (layer.n, layer.protected_count) == (n, protected_count)
-    for before, after in zip(columns, (layer._block, layer.protected, layer.K, layer.V)):
-        assert np.array_equal(before, after)
-
-
 @pytest.mark.parametrize("mask", [
     np.zeros(2, dtype=bool),                # one flag short
     np.zeros(4, dtype=bool),                # one flag over
@@ -148,7 +135,7 @@ def test_bad_protection_mask_rejected_before_mutation(mask):
     columns = [column.copy() for column in (layer._block, layer.protected, layer.K, layer.V)]
     zeros = np.zeros((3, session.config.dim))
     with pytest.raises(ValueError, match="bool protection flags"):
-        admit(session, 0, session.issue_token_ids(3), zeros, zeros, 2, mask)
+        admit(session, 0, session.issue_token_ids(3), zeros, zeros, mask)
     assert (layer.n, layer.protected_count) == (n, protected_count)
     for before, after in zip(columns, (layer._block, layer.protected, layer.K, layer.V)):
         assert np.array_equal(before, after, equal_nan=True)
@@ -156,7 +143,7 @@ def test_bad_protection_mask_rejected_before_mutation(mask):
 
 def test_protected_count_tracks_admissions():
     session = make_session(registers=2)
-    admit_tokens(session, 0, 0)                                     # protected: frame 0
+    admit_tokens(session, 0, 0)                                     # protected: step 0
     admit_tokens(session, 0, 1, protected=[True, True, False])  # two of three protected
     assert session.layers[0].protected_count == 3
 
@@ -182,8 +169,8 @@ def test_remove_logs_scalars_once_per_token():
 
 
 def evict_frames(session, frames, count=8):
-    """Admit ``count`` patches to layer 0 for each of the given frames
-    (past frame 0, so unprotected) and evict them again at once."""
+    """Admit ``count`` patches to layer 0 at each of the given steps
+    (past step 0, so unprotected) and evict them again at once."""
     for frame in frames:
         remove(session, 0, admit_tokens(session, 0, frame, count))
 
@@ -204,7 +191,7 @@ def test_earlier_evicted_view_survives_later_evictions_and_log_growth():
     layer = session.layers[0]
     ids = admit_tokens(session, 0, 1, 8)
     layer.cum_score[:8] = np.arange(8) / 8
-    layer.exposure[:8] = 3
+    layer.scored_step = 3  # born at step 1: exposure 3
     remove(session, 0, ids[:5])
     early = layer.evicted
     rows = early.tolist()
@@ -220,13 +207,16 @@ def test_evicted_fields():
     layer = session.layers[0]
     ids = admit_tokens(session, 0, 3, 4, protected=[True, True, False, False])
     layer.cum_score[:4] = [0.5, 0.25, 0.125, 2.0**-40]
+    layer.scored_step = 4
     remove(session, 0, ids[2:])
+    layer.scored_step = 9  # later scoring leaves logged exposures as they were
     evicted = layer.evicted
     assert evicted.dtype == layer.records.dtype
-    assert evicted.dtype.names == ("token_id", "frame_index", "birth_step", "exposure", "cum_score")
-    assert [evicted.dtype[name] for name in evicted.dtype.names] == [np.dtype(np.int64)] * 4 + [np.dtype(np.float64)]
-    assert evicted.tolist() == [(ids[2], 3, 0, 1, 0.125), (ids[3], 3, 0, 1, 2.0**-40)]
-    assert layer.records.token_id.tolist() == ids[:2]
+    assert evicted.dtype.names == ("token_id", "birth_step", "exposure", "cum_score")
+    assert [evicted.dtype[name] for name in evicted.dtype.names] == [np.dtype(np.int64)] * 3 + [np.dtype(np.float64)]
+    assert evicted.itemsize == 32
+    assert evicted.tolist() == [(ids[2], 3, 2, 0.125), (ids[3], 3, 2, 2.0**-40)]
+    assert layer.records.tolist() == [(ids[0], 3, 7, 0.5), (ids[1], 3, 7, 0.25)]
     assert layer.protected[:layer.n].all()
 
 
@@ -234,7 +224,7 @@ def test_len_of_evicted_copies_nothing():
     session = make_session(tokens_per_frame=8)
     layer = session.layers[0]
     evict_frames(session, range(1, 126))
-    assert layer.evicted.nbytes == 1000 * 40
+    assert layer.evicted.nbytes == 1000 * 32
     tracemalloc.start()
     try:
         len(layer.evicted)
@@ -244,5 +234,5 @@ def test_len_of_evicted_copies_nothing():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # The view's array headers only: a copy of the log would take 40,000 bytes.
+    # The view's array headers only: a copy of the log would take 32,000 bytes.
     assert peak - before < 1024

@@ -169,7 +169,7 @@ def test_verify_fails_when_eviction_ranks_on_wrong_importances(fault, tmp_path, 
     # A planted fault in the importances eviction ranks on must fail the
     # scoring oracle, not only the output pins.
     def faulty(cache_layer, rows):
-        return fault(cache_layer.cum_score[rows], cache_layer.exposure[rows])
+        return fault(cache_layer.cum_score[rows], cache_layer.exposure(rows))
 
     monkeypatch.setattr(eviction, "importances", faulty)
     code, out, _ = run_cli(["verify", "--out", str(tmp_path)], capsys)

@@ -23,19 +23,23 @@ from boundedkv.eviction import (
 from boundedkv.simulate import run_stream
 
 
-def build_layer(importances, protected=None, frames=None):
-    """A session whose layer 0 holds tokens with the given importances,
-    protection flags (default none) and frames (default all 1)."""
+def build_layer(scores, protected=None, births=None):
+    """A session whose layer 0 holds tokens with the given cumulative
+    scores, protection flags (default none) and nondecreasing birth steps
+    (default all 1), scored up to the newest birth step; a token born
+    then has exposure 1, so its score is its importance."""
     cfg = StreamConfig()
     session = CacheSession(config=cfg)
-    n = len(importances)
+    n = len(scores)
     protected = protected or [False] * n
-    frames = frames or [1] * n
+    births = births or [1] * n
     zeros = np.zeros((1, cfg.dim))
     for i, tid in enumerate(session.issue_token_ids(n)):
-        admit(session, 0, [tid], zeros, zeros, frames[i], np.array([protected[i]]))
+        session.step_counter = births[i]
+        admit(session, 0, [tid], zeros, zeros, np.array([protected[i]]))
     layer = session.layers[0]
-    layer.cum_score[:n] = importances  # exposure is 1, so score = importance
+    layer.cum_score[:n] = scores
+    layer.scored_step = births[-1]
     return session, layer.records
 
 
@@ -64,10 +68,10 @@ def oracle_victims(layer, slots):
     """Victim ids and importances by exhaustive repeated minimum
     extraction over the unprotected residents, with an explicit
     comparator on importance = cum_score / exposure: lowest first (NaN
-    last, as numpy sorts it), then newer frame, then higher id."""
+    last, as numpy sorts it), then later birth, then higher id."""
     def key(rec):
         value = rec.cum_score / rec.exposure
-        return (math.isnan(value), 0.0 if math.isnan(value) else value, -rec.frame_index, -rec.token_id)
+        return (math.isnan(value), 0.0 if math.isnan(value) else value, -rec.birth_step, -rec.token_id)
 
     remaining = [rec for rec, shielded in zip(layer.records, layer.protected) if not shielded]
     chosen = []
@@ -86,10 +90,9 @@ def test_full_sort_oracle_matches_selection():
     for trial in range(30):
         n = int(rng.integers(4, 40))
         scores = np.round(rng.uniform(0.0, 1.0, size=n), 2).tolist()  # rounding forces ties
-        frames = np.sort(rng.integers(1, 6, size=n)).tolist()  # admission keeps frames in order
-        session, _ = build_layer(scores, frames=frames)
+        births = np.sort(rng.integers(1, 6, size=n)).tolist()  # birth steps follow the step counter
+        session, _ = build_layer(scores, births=births)
         layer = session.layers[0]
-        layer.exposure[:n] = rng.integers(1, 4, size=n)
         slots = int(rng.integers(1, n + 1))
         plan = AttentionPolicy().plan(layer, slots)
         assert plan.victim_ids.tolist() == oracle_victims(layer, slots)[0]
@@ -98,17 +101,16 @@ def test_full_sort_oracle_matches_selection():
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_selection_matches_oracle_on_ties_nan_and_inf(data):
-    # Few distinct scores over few frames: ties within and across frames,
-    # and between non-finite importances.
+    # Few distinct scores over few birth steps and exposures: ties within
+    # and across birth steps, and between non-finite importances.
     n = data.draw(st.integers(1, 30))
     n_protected = data.draw(st.integers(0, min(3, n - 1)))
     scores = data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, math.inf, math.nan]), min_size=n, max_size=n))
-    frames = sorted(data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
-    exposures = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    births = sorted(data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
     session, _ = build_layer(scores, protected=[True] * n_protected + [False] * (n - n_protected),
-                             frames=frames)
+                             births=births)
     layer = session.layers[0]
-    layer.exposure[:n] = exposures
+    layer.scored_step = data.draw(st.integers(3, 5))
     slots = data.draw(st.integers(1, n - n_protected))
     plan = AttentionPolicy().plan(layer, slots)
     ids, values = oracle_victims(layer, slots)
@@ -117,9 +119,10 @@ def test_selection_matches_oracle_on_ties_nan_and_inf(data):
 
 
 def test_tiebreak_prefers_newer_then_higher_id():
-    session, recs = build_layer([0.2, 0.2, 0.2], frames=[1, 3, 3])
+    # Scored to step 3: exposures 3, 1, 1, so every importance is 0.25.
+    session, recs = build_layer([0.75, 0.25, 0.25], births=[1, 3, 3])
     plan = AttentionPolicy().plan(session.layers[0], 2)
-    # Same importance: frame 3 beats frame 1; within frame 3, higher id first.
+    # Same importance: birth step 3 beats 1; within step 3, higher id first.
     assert plan.victim_ids.tolist() == [recs[2].token_id, recs[1].token_id]
 
 
@@ -192,7 +195,8 @@ def test_maintain_returns_one_plan_per_layer_in_order():
     for t in range(3):
         for li in range(3):
             ids = session.issue_token_ids(4)
-            admit(session, li, ids, zeros, zeros, t, np.array([True] + [t == 0] * 3))  # frame 0 all protected
+            admit(session, li, ids, zeros, zeros, np.array([True] + [t == 0] * 3))  # step 0 all protected
+            session.layers[li].scored_step = t
         session.step_counter += 1
     resident = [set(layer.token_id[:layer.n].tolist()) for layer in session.layers]
     for layer, budget in zip(session.layers, [12, 40, 8]):
@@ -229,7 +233,8 @@ def test_maintain_respects_budget_and_admission_room():
             assert layer.occupancy() + 4 <= layer.effective_budget(4)
             ids = list(session.issue_token_ids(4))
             zeros = np.zeros((4, cfg.dim))
-            admit(session, li, ids, zeros, zeros, t, (np.array(ids) % 4 == 0) | (t == 0))
+            admit(session, li, ids, zeros, zeros, (np.array(ids) % 4 == 0) | (t == 0))
+            layer.scored_step = t
             assert layer.occupancy() <= max(layer.budget, layer.protected_count + 4)
         session.step_counter += 1
 

@@ -312,7 +312,7 @@ def evicting_layer() -> LayerCache:
     session = CacheSession(StreamConfig(layers=1, dim=8))
     ids = session.issue_token_ids(4)
     zeros = np.zeros((4, 8))
-    admit(session, 0, ids, zeros, zeros, 1, np.zeros(4, dtype=bool))
+    admit(session, 0, ids, zeros, zeros, np.zeros(4, dtype=bool))
     remove(session, 0, ids[:2])
     return session.layers[0]
 

@@ -112,7 +112,7 @@ def test_evicted_token_accrues_nothing_after_eviction():
         # Residency window: birth..eviction-1 (evicted before its
         # eviction step's attention ran).
         assert rec.exposure == scores[rec.token_id].exposure
-        assert rec.exposure <= eviction_step[rec.token_id] - rec.birth_step
+        assert rec.exposure == eviction_step[rec.token_id] - rec.birth_step
 
 
 @pytest.mark.parametrize("policy", ["attention", "random"])

@@ -107,4 +107,4 @@ def test_eviction_log_memory_per_evicted_token():
     long_bytes, long_evicted = held_bytes(400)
     assert long_evicted > short_evicted
     per_token = (long_bytes - short_bytes) / (long_evicted - short_evicted)
-    assert per_token < 256, f"{per_token:.0f} B held per extra evicted token"
+    assert per_token < 56, f"{per_token:.0f} B held per extra evicted token"

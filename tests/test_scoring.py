@@ -19,12 +19,14 @@ from builders import layer_record as make_record
 from refimpl import cumulative_scores, population_variance
 
 
-def session_with(n_tokens, frame_index=1, protected=None):
+def session_with(n_tokens, protected=None):
+    """A session whose layer 0 holds ``n_tokens`` tokens born at step 0,
+    unprotected unless ``protected`` lists their flags."""
     cfg = StreamConfig()
     session = CacheSession(config=cfg)
-    protected = [frame_index == 0] * n_tokens if protected is None else protected
+    protected = [False] * n_tokens if protected is None else protected
     zeros = np.zeros((n_tokens, cfg.dim))
-    admit(session, 0, session.issue_token_ids(n_tokens), zeros, zeros, frame_index, np.array(protected, dtype=bool))
+    admit(session, 0, session.issue_token_ids(n_tokens), zeros, zeros, np.array(protected, dtype=bool))
     return session, session.layers[0].records
 
 
@@ -57,7 +59,8 @@ def test_stale_stats_rejected():
 def test_exposure_counts_residency_steps():
     session, recs = session_with(2)
     ids = [r.token_id for r in recs]
-    # Birth step is already counted by admission.
+    assert [r.exposure for r in recs] == [0, 0]
+    # Scoring the birth step counts it.
     accumulate(session.layers[0], make_record(0, ids, [1.0, 1.0]))
     assert [r.exposure for r in session.layers[0].records] == [1, 1]
     for step in (1, 2, 3):
@@ -76,7 +79,7 @@ def test_two_step_accumulation_matches_bruteforce():
 
     session.step_counter = 1
     newer = list(session.issue_token_ids(2))
-    admit(session, 0, newer, np.zeros((2, 32)), np.zeros((2, 32)), 1, np.zeros(2, dtype=bool))
+    admit(session, 0, newer, np.zeros((2, 32)), np.zeros((2, 32)), np.zeros(2, dtype=bool))
     all_ids = ids + newer
     maps_t1 = np.array([[[0.1, 0.2, 0.3, 0.4], [0.25, 0.25, 0.25, 0.25]]])
     accumulate(session.layers[0], record_from_maps(1, maps_t1, all_ids))
@@ -88,22 +91,22 @@ def test_two_step_accumulation_matches_bruteforce():
         assert rec.exposure == e_ref
 
 
-@pytest.mark.parametrize("frame_index, protected, cum_score, exposure, expected", [
-    (2, False, 0.125, 1, 0.125),
-    (2, False, 0.75, 3, 0.25),
-    (3, False, 0.4, 2, 0.2),
-    (3, False, 0.4, 4, 0.1),
-    (7, True, 0.001, 1, 0.001),
-    (0, True, 0.5, 2, 0.25),
+@pytest.mark.parametrize("protected, cum_score, exposure, expected", [
+    (False, 0.125, 1, 0.125),
+    (False, 0.75, 3, 0.25),
+    (False, 0.4, 2, 0.2),
+    (False, 0.4, 4, 0.1),
+    (True, 0.001, 1, 0.001),
+    (True, 0.5, 2, 0.25),
 ], ids=["division", "division_exposure3", "tenure2", "tenure4", "camera", "frame0_patch"])
-def test_importances_hand_computed(frame_index, protected, cum_score, exposure, expected):
+def test_importances_hand_computed(protected, cum_score, exposure, expected):
     # Score over exposure, so tenure alone earns nothing; protected rows
     # (camera, any first-frame token) take the same ratio, since eviction
     # protects them by never making them candidates.
-    session, _ = session_with(1, frame_index=frame_index, protected=[protected])
+    session, _ = session_with(1, protected=[protected])
     layer = session.layers[0]
     layer.cum_score[0] = cum_score
-    layer.exposure[0] = exposure
+    layer.scored_step = exposure - 1  # born at step 0
     assert importances(layer, np.arange(1)).tolist() == [expected]
 
 
@@ -115,9 +118,9 @@ def test_vector_importances_match_rows():
         accumulate(session.layers[0], make_record(step, ids, [0.4, 0.1, 1.2]))
     layer = session.layers[0]
     # Three steps of raw / 3 each, over an exposure of 3.
-    assert layer.exposure[:3].tolist() == [3, 3, 3]
+    assert layer.exposure(slice(3)).tolist() == [3, 3, 3]
     values = importances(layer, np.arange(3))
-    assert values.tolist() == (layer.cum_score[:3] / layer.exposure[:3]).tolist()
+    assert values.tolist() == (layer.cum_score[:3] / 3).tolist()
     assert values.tolist() == pytest.approx([0.4 / 3, 0.1 / 3, 1.2 / 3], rel=1e-12)
     assert importances(layer, np.array([2, 0])).tolist() == [values[2], values[0]]
 

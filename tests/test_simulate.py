@@ -411,7 +411,8 @@ def test_steady_state_step_allocates_less_than_one_maps_stack():
 def test_token_id_layout_marks_protection(registers, beta):
     # Each (frame, layer) admits one block of M ids in step-then-layer
     # order, so a token's slot in its frame is token_id % M: the layout
-    # that verify and A8 restate the protection rule from.
+    # that verify and A8 restate the protection rule from. Frame t is
+    # born at step t, so the birth step is token_id // (layers * M).
     cfg = replace(StreamConfig(**SMALL), registers=registers, beta=beta)
     run = run_stream(cfg)
     m = cfg.tokens_per_frame
@@ -420,7 +421,9 @@ def test_token_id_layout_marks_protection(registers, beta):
         assert rec.key_ids[-m:].tolist() == block.tolist()
     for lc in run.session.layers:
         rows = lc.records
-        assert lc.protected[:lc.n].tolist() == ((rows.frame_index == 0) | (rows.token_id % m <= registers)).tolist()
+        assert lc.protected[:lc.n].tolist() == ((rows.birth_step == 0) | (rows.token_id % m <= registers)).tolist()
+        for tokens in (rows, lc.evicted):
+            assert tokens.birth_step.tolist() == (tokens.token_id // (cfg.layers * m)).tolist()
     assert (sum(len(rec.evicted_ids) for rec in run.records) > 0) == (beta is not None)
 
 
