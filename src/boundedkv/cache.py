@@ -1,19 +1,20 @@
 """Bounded per-layer KV store with token metadata.
 
 Every other module mutates this substrate: admission writes a frame's
-keys/values, eviction removes ids chosen by a policy, and the scoring
-module updates the per-token accumulators in place.
+keys/values under ids it assigns, eviction removes rows a policy chose,
+and the scoring module updates the per-token accumulators in place.
 
 A layer is a struct of arrays: keys, values, the protected mask and each
 stored scalar field are preallocated columns, entry i of every column
 is the i-th resident token in admission order, and only entries ``[:n]``
-are live. Ids increase down the rows, and birth steps, taken from the
-step counter, never decrease; exposure is derived from the birth step.
-Attention reads the key/value columns as views; eviction compacts every
-column by one gather per array. Columns grow by doubling, so a bounded
-layer settles at its largest occupancy. A layer's ``records`` is a
-record array copied from its metadata block, ``evicted`` a read-only
-record view of its eviction log; no Python object per token is built.
+are live. Ids, taken from the session's counter, increase down the rows,
+and birth steps, taken from the step counter, never decrease; exposure
+is derived from the birth step. Attention reads the key/value columns
+as views; eviction compacts every column by one gather per array.
+Columns grow by doubling, so a bounded layer settles at its largest
+occupancy. A layer's ``records`` is a record array copied from its
+metadata block, ``evicted`` a read-only record view of its eviction
+log; no Python object per token is built.
 
 Admission marks which tokens eviction may never remove; the cache keeps
 that mark in its ``protected`` column and knows no token kinds (the
@@ -140,20 +141,25 @@ class LayerCache:
         """Resident values; a view, valid until the layer next changes."""
         return self.V[: self.n]
 
-    def _evict(self, rows: np.ndarray) -> int:
-        """Move the given sorted rows to the eviction log, keeping
-        survivor order; returns the number of distinct rows evicted.
+    def evict(self, rows: np.ndarray) -> int:
+        """Move the given distinct rows, in any order, to the eviction log
+        in row order, keeping survivor order; returns how many moved.
 
-        Rows before the first evicted one never move.
+        The one way tokens leave a layer: it refuses protected rows
+        before any change. Rows before the first evicted one never move.
         """
+        rows = np.sort(rows)
+        shielded = self.protected[rows]
+        if shielded.any():
+            raise ProtectedEviction(f"layer {self.layer_index}: protected token ids {self.token_id[rows[shielded]]}")
+        if not len(rows):
+            return 0
         low = int(rows[0])
         gone = np.zeros(self.n - low, dtype=bool)
         gone[rows - low] = True
         survivors = (~gone).nonzero()[0]
         survivors += low
         stop = low + len(survivors)
-        if self.n - stop != len(rows):  # repeated ids
-            rows = np.unique(rows)
         logged = self.n_evicted + len(rows)
         if logged > len(self._log):
             self._log = _grow(self._log, self.n_evicted, logged)
@@ -192,27 +198,20 @@ class CacheSession:
             raise UnknownLayer(f"layer {layer_index} out of range")
         return self.layers[layer_index]
 
-    def issue_token_ids(self, count: int) -> np.ndarray:
-        """The next ``count`` token ids, as an int64 array."""
-        start = self._next_token_id
-        self._next_token_id += count
-        return np.arange(start, start + count, dtype=np.int64)
 
-
-def admit(session: CacheSession, layer_index: int, token_ids, keys, values, protected) -> None:
-    """Append one frame's tokens to a layer, born at the current step.
+def admit(session: CacheSession, layer_index: int, keys, values, protected) -> np.ndarray:
+    """Append one frame's tokens to a layer, born at the current step,
+    under the next ids from the session's counter; returns those ids.
 
     ``keys`` and ``values`` are (count, dim) arrays and ``protected`` is
     the (count,) bool mask of the tokens eviction may never remove; it is
-    all the cache knows of a token's role. Ids must be new to the layer
-    and increasing, above every resident id. Raises
-    AdmissionOverflow when a bounded layer lacks room, which means the
-    eviction pass did not run (or did not free enough slots) first.
-    Validation happens before any mutation.
+    all the cache knows of a token's role. Raises AdmissionOverflow when
+    a bounded layer lacks room, which means the eviction pass did not
+    run (or did not free enough slots) first. Validation happens before
+    any mutation.
     """
     layer = session.layer(layer_index)
-    new_ids = np.asarray(token_ids, dtype=np.int64)
-    count, start = len(new_ids), layer.n
+    count, start = len(keys), layer.n
     if not session.unbounded:
         effective = layer.effective_budget(count)
         if start + count > effective:
@@ -220,43 +219,37 @@ def admit(session: CacheSession, layer_index: int, token_ids, keys, values, prot
                 f"layer {layer_index}: occupancy {start} + "
                 f"{count} new tokens exceeds effective budget {effective}"
             )
-    if (new_ids[1:] <= new_ids[:-1]).any() or (count and start and new_ids[0] <= layer.token_id[start - 1]):
-        raise ValueError(f"layer {layer_index}: token ids {new_ids.tolist()} are not new and increasing")
     protected = np.asarray(protected)
     if (protected.shape != (count,) or protected.dtype != np.bool_
             or np.shape(keys) != (count, layer.K.shape[1]) or np.shape(values) != np.shape(keys)):
-        raise ValueError(f"layer {layer_index}: {count} ids need {count} bool protection flags, keys and values")
+        raise ValueError(f"layer {layer_index}: {count} keys need {count} bool protection flags and values")
 
+    ids = np.arange(session._next_token_id, session._next_token_id + count, dtype=np.int64)
+    session._next_token_id += count
     stop = start + count
     layer._reserve(stop)
     layer.K[start:stop] = keys
     layer.V[start:stop] = values
-    layer.token_id[start:stop] = new_ids
+    layer.token_id[start:stop] = ids
     layer.birth_step[start:stop] = session.step_counter
     layer.cum_score[start:stop] = 0.0
     layer.protected[start:stop] = protected
     layer.n = stop
     layer.protected_count += int(np.count_nonzero(protected))
+    return ids
 
 
 def remove(session: CacheSession, layer_index: int, token_ids) -> int:
-    """Remove the given ids (an int64 array or a sequence of ints) from a
-    layer, preserving survivor order.
+    """Evict the given ids (an int64 array or a sequence of ints) from a
+    layer: a lookup of their rows in front of ``LayerCache.evict``.
 
-    Evicted tokens' scalars move to the layer's eviction log. Returns
-    the number removed. Refuses protected ids and ids that are not
-    resident; validation happens before any mutation.
+    A repeated id counts once; returns the number removed. Refuses ids
+    not resident, and protected ids, before any mutation.
     """
     layer = session.layer(layer_index)
-    wanted = np.array(token_ids, dtype=np.int64)
-    wanted.sort()
+    wanted = np.unique(np.asarray(token_ids, dtype=np.int64))
     resident = layer.token_id[: layer.n]
-    rows = resident.searchsorted(wanted)
-    if len(wanted) and (not layer.n or (resident.take(rows, mode="clip") != wanted).any()):
-        missing = sorted(set(wanted.tolist()) - set(resident.tolist()))
-        raise UnknownToken(f"layer {layer_index}: unknown token ids {missing}")
-    shielded = layer.protected[rows]
-    if shielded.any():
-        raise ProtectedEviction(f"layer {layer_index}: protected token ids {wanted[shielded].tolist()}")
-    return layer._evict(rows) if len(rows) else 0
-
+    missing = np.setdiff1d(wanted, resident, assume_unique=True)
+    if len(missing):
+        raise UnknownToken(f"layer {layer_index}: unknown token ids {missing.tolist()}")
+    return layer.evict(resident.searchsorted(wanted))

@@ -1,9 +1,10 @@
 """Eviction policies and the per-step maintenance pass.
 
 All policies share one interface: given a layer cache and a slot count,
-name the token ids to remove. Maintenance runs before a frame is
-admitted, freeing slots against the budgets computed at the previous
-step (uniform bootstrap before the first frame).
+name the rows to remove. Maintenance runs before a frame is admitted and
+hands each plan's rows to ``LayerCache.evict``, freeing slots against the
+budgets computed at the previous step (uniform bootstrap before the
+first frame). ``remove``, which evicts by token id, is re-exported here.
 
 The attention policy evicts the lowest importance first, ties to the
 newest token, which is the higher row and id because admission takes
@@ -22,6 +23,8 @@ from .config import REASON_ADMIT, REASON_SHRINK, StreamConfig
 from .errors import ConfigError, InsufficientUnprotected
 from .scoring import importances
 
+__all__ = ["AttentionPolicy", "EvictionPlan", "NonePolicy", "RandomPolicy", "maintain_step", "make_policy", "remove"]
+
 _POLICY_STREAM_TAG = 18
 
 
@@ -29,10 +32,12 @@ _POLICY_STREAM_TAG = 18
 class EvictionPlan:
     """Victims chosen for one layer in one maintenance pass.
 
-    ``victim_ids`` (int64) and ``importances_at_eviction`` (float64) are
-    parallel arrays, in the order the policy chose the victims.
+    ``rows`` (the victims' distinct cache rows), ``victim_ids`` (int64)
+    and ``importances_at_eviction`` (float64) are parallel arrays, in the
+    order the policy chose the victims.
     """
 
+    rows: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp))
     victim_ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     importances_at_eviction: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.float64))
     reason: str | None = None
@@ -59,7 +64,8 @@ class AttentionPolicy:
         rows = _candidate_rows(layer, slots_needed)[::-1]
         values = importances(layer, rows)
         order = np.argsort(values, kind="stable")[:slots_needed]
-        return EvictionPlan(layer.token_id[rows[order]], values[order])
+        victims = rows[order]
+        return EvictionPlan(victims, layer.token_id[victims], values[order])
 
 
 class RandomPolicy:
@@ -73,7 +79,7 @@ class RandomPolicy:
             return EvictionPlan()
         rows = _candidate_rows(layer, slots_needed)
         victims = rows[self._rng.choice(len(rows), size=slots_needed, replace=False)]
-        return EvictionPlan(layer.token_id[victims], importances(layer, victims))
+        return EvictionPlan(victims, layer.token_id[victims], importances(layer, victims))
 
 
 class NonePolicy:
@@ -111,8 +117,8 @@ def maintain_step(session: CacheSession, policy) -> list[EvictionPlan]:
         effective = layer.effective_budget(per_frame)
         slots = 0 if session.unbounded else layer.occupancy() + per_frame - effective
         plan = policy.plan(layer, slots) if slots > 0 else EvictionPlan()
-        if len(plan.victim_ids):
+        if len(plan.rows):
             plan.reason = REASON_SHRINK if layer.occupancy() > effective else REASON_ADMIT
-            remove(session, layer.layer_index, plan.victim_ids)
+            layer.evict(plan.rows)
         plans.append(plan)
     return plans

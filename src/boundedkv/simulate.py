@@ -327,8 +327,7 @@ class StreamSimulator:
         records: list[TraceRecord] = []
         for li, layer in enumerate(session.layers):
             qkv = _rms_rows(z) @ self.w_qkv[li]
-            ids = session.issue_token_ids(cfg.tokens_per_frame)
-            admit(session, li, ids, qkv[:, d:2 * d], qkv[:, 2 * d:], protected)
+            admit(session, li, qkv[:, d:2 * d], qkv[:, 2 * d:], protected)
 
             keys = layer.keys_matrix()
             values = layer.values_matrix()

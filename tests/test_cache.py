@@ -10,7 +10,7 @@ from boundedkv.config import StreamConfig
 from boundedkv.errors import AdmissionOverflow, ProtectedEviction, UnknownLayer, UnknownToken
 
 
-def admit_tokens(session, layer, step, count=1, protected=None, ids=None):
+def admit_tokens(session, layer, step, count=1, protected=None):
     """Admit ``count`` zero-key tokens born at ``step`` (the session's
     step counter is set to it); returns their ids.
 
@@ -18,10 +18,8 @@ def admit_tokens(session, layer, step, count=1, protected=None, ids=None):
     at step 0 is protected and none born later."""
     session.step_counter = step
     protected = [step == 0] * count if protected is None else protected
-    ids = list(session.issue_token_ids(len(protected)) if ids is None else ids)
-    zeros = np.zeros((len(ids), session.config.dim))
-    admit(session, layer, ids, zeros, zeros, np.array(protected, dtype=bool))
-    return ids
+    zeros = np.zeros((len(protected), session.config.dim))
+    return admit(session, layer, zeros, zeros, np.array(protected, dtype=bool)).tolist()
 
 
 def make_session(**kwargs) -> CacheSession:
@@ -102,22 +100,17 @@ def test_remove_unknown_token():
 
 
 def test_token_ids_unique_across_layers_and_steps():
+    # admit returns the layer's newest ids, and the session's counter
+    # runs on across layers and steps, so ids never repeat.
     session = make_session(layers=3)
-    seen = set()
+    issued = []
     for t in range(4):
-        for layer in range(3):
-            for tid in admit_tokens(session, layer, t, 4):
-                assert tid not in seen
-                seen.add(tid)
+        for li, layer in enumerate(session.layers):
+            ids = admit_tokens(session, li, t, 4)
+            assert ids == layer.token_id[layer.n - 4:layer.n].tolist()
+            issued += ids
         session.step_counter += 1
-    assert len(seen) == 4 * 3 * 4
-
-
-def test_duplicate_token_id_rejected():
-    session = make_session()
-    ids = admit_tokens(session, 0, 2)
-    with pytest.raises(ValueError):
-        admit_tokens(session, 0, 2, ids=ids)
+    assert issued == list(range(4 * 3 * 4))
 
 
 @pytest.mark.parametrize("mask", [
@@ -135,7 +128,7 @@ def test_bad_protection_mask_rejected_before_mutation(mask):
     columns = [column.copy() for column in (layer._block, layer.protected, layer.K, layer.V)]
     zeros = np.zeros((3, session.config.dim))
     with pytest.raises(ValueError, match="bool protection flags"):
-        admit(session, 0, session.issue_token_ids(3), zeros, zeros, mask)
+        admit(session, 0, zeros, zeros, mask)
     assert (layer.n, layer.protected_count) == (n, protected_count)
     for before, after in zip(columns, (layer._block, layer.protected, layer.K, layer.V)):
         assert np.array_equal(before, after, equal_nan=True)

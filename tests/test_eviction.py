@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 from boundedkv.cache import CacheSession, admit, remove
 from boundedkv.config import StreamConfig
-from boundedkv.errors import InsufficientUnprotected
+from boundedkv.errors import InsufficientUnprotected, ProtectedEviction
 from boundedkv.eviction import (
     REASON_ADMIT,
     REASON_SHRINK,
     AttentionPolicy,
+    EvictionPlan,
     NonePolicy,
     RandomPolicy,
     maintain_step,
@@ -34,9 +35,9 @@ def build_layer(scores, protected=None, births=None):
     protected = protected or [False] * n
     births = births or [1] * n
     zeros = np.zeros((1, cfg.dim))
-    for i, tid in enumerate(session.issue_token_ids(n)):
+    for i in range(n):
         session.step_counter = births[i]
-        admit(session, 0, [tid], zeros, zeros, np.array([protected[i]]))
+        admit(session, 0, zeros, zeros, np.array([protected[i]]))
     layer = session.layers[0]
     layer.cum_score[:n] = scores
     layer.scored_step = births[-1]
@@ -146,6 +147,41 @@ def test_insufficient_unprotected_raises():
         RandomPolicy(seed=1).plan(session.layers[0], 2)
 
 
+@pytest.mark.parametrize("policy", [AttentionPolicy(), RandomPolicy(seed=4)], ids=["attention", "random"])
+def test_plan_rows_hold_the_victims(policy):
+    # Two tokens evicted first, so rows and ids part ways.
+    session, recs = build_layer(list(np.linspace(0.0, 1.0, 12)), protected=[True] + [False] * 11)
+    remove(session, 0, [recs[2].token_id, recs[5].token_id])
+    layer = session.layers[0]
+    plan = policy.plan(layer, 4)
+    assert len(np.unique(plan.rows)) == 4
+    np.testing.assert_array_equal(layer.token_id[plan.rows], plan.victim_ids)
+
+
+def test_maintain_refuses_a_plan_that_names_a_protected_row():
+    class TopRows:
+        """A faulty policy: the first rows, protected or not."""
+
+        def plan(self, layer, slots_needed):
+            rows = np.arange(slots_needed)
+            return EvictionPlan(rows, layer.token_id[rows], np.zeros(slots_needed))
+
+    cfg = StreamConfig(layers=1, tokens_per_frame=4, registers=0, budget_tokens=8, frames=10)
+    session = CacheSession(config=cfg)
+    layer = session.layers[0]
+    layer.budget = 8
+    rng = np.random.Generator(np.random.PCG64(5))
+    for t in range(2):  # step 0's frame is protected
+        session.step_counter = t
+        admit(session, 0, rng.normal(size=(4, cfg.dim)), rng.normal(size=(4, cfg.dim)), np.full(4, t == 0))
+    before = [column.copy() for column in (layer._block, layer.protected, layer.K, layer.V, layer._log)]
+    with pytest.raises(ProtectedEviction):
+        maintain_step(session, TopRows())
+    assert (layer.n, layer.n_evicted, layer.protected_count) == (8, 0, 4)
+    for old, new in zip(before, (layer._block, layer.protected, layer.K, layer.V, layer._log)):
+        assert np.array_equal(old, new, equal_nan=True)
+
+
 def test_random_policy_deterministic_per_seed():
     def plans_for(seed):
         session, _ = build_layer(list(np.linspace(0.0, 1.0, 20)))
@@ -194,8 +230,7 @@ def test_maintain_returns_one_plan_per_layer_in_order():
     zeros = np.zeros((4, cfg.dim))
     for t in range(3):
         for li in range(3):
-            ids = session.issue_token_ids(4)
-            admit(session, li, ids, zeros, zeros, np.array([True] + [t == 0] * 3))  # step 0 all protected
+            admit(session, li, zeros, zeros, np.array([True] + [t == 0] * 3))  # step 0 all protected
             session.layers[li].scored_step = t
         session.step_counter += 1
     resident = [set(layer.token_id[:layer.n].tolist()) for layer in session.layers]
@@ -231,9 +266,8 @@ def test_maintain_respects_budget_and_admission_room():
         for li in range(2):
             layer = session.layers[li]
             assert layer.occupancy() + 4 <= layer.effective_budget(4)
-            ids = list(session.issue_token_ids(4))
             zeros = np.zeros((4, cfg.dim))
-            admit(session, li, ids, zeros, zeros, (np.array(ids) % 4 == 0) | (t == 0))
+            admit(session, li, zeros, zeros, np.array([True, False, False, False]) | (t == 0))
             layer.scored_step = t
             assert layer.occupancy() <= max(layer.budget, layer.protected_count + 4)
         session.step_counter += 1

@@ -310,9 +310,8 @@ def test_module_direction(path):
 def evicting_layer() -> LayerCache:
     """A layer that has admitted four tokens and evicted two."""
     session = CacheSession(StreamConfig(layers=1, dim=8))
-    ids = session.issue_token_ids(4)
     zeros = np.zeros((4, 8))
-    admit(session, 0, ids, zeros, zeros, np.zeros(4, dtype=bool))
+    ids = admit(session, 0, zeros, zeros, np.zeros(4, dtype=bool))
     remove(session, 0, ids[:2])
     return session.layers[0]
 

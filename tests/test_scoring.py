@@ -26,7 +26,7 @@ def session_with(n_tokens, protected=None):
     session = CacheSession(config=cfg)
     protected = [False] * n_tokens if protected is None else protected
     zeros = np.zeros((n_tokens, cfg.dim))
-    admit(session, 0, session.issue_token_ids(n_tokens), zeros, zeros, np.array(protected, dtype=bool))
+    admit(session, 0, zeros, zeros, np.array(protected, dtype=bool))
     return session, session.layers[0].records
 
 
@@ -78,8 +78,7 @@ def test_two_step_accumulation_matches_bruteforce():
     accumulate(session.layers[0], record_from_maps(0, maps_t0, ids))
 
     session.step_counter = 1
-    newer = list(session.issue_token_ids(2))
-    admit(session, 0, newer, np.zeros((2, 32)), np.zeros((2, 32)), np.zeros(2, dtype=bool))
+    newer = admit(session, 0, np.zeros((2, 32)), np.zeros((2, 32)), np.zeros(2, dtype=bool)).tolist()
     all_ids = ids + newer
     maps_t1 = np.array([[[0.1, 0.2, 0.3, 0.4], [0.25, 0.25, 0.25, 0.25]]])
     accumulate(session.layers[0], record_from_maps(1, maps_t1, all_ids))
