@@ -4,17 +4,18 @@ Every other module mutates this substrate: admission writes a frame's
 keys/values under ids it assigns, eviction removes rows a policy chose,
 and the scoring module updates the per-token accumulators in place.
 
-A layer is a struct of arrays: keys, values, the protected mask and each
-stored scalar field are preallocated columns, entry i of every column
-is the i-th resident token in admission order, and only entries ``[:n]``
-are live. Ids, taken from the session's counter, increase down the rows,
-and birth steps, taken from the step counter, never decrease; exposure
-is derived from the birth step. Attention reads the key/value columns
-as views; eviction compacts every column by one gather per array.
-Columns grow by doubling, so a bounded layer settles at its largest
-occupancy. A layer's ``records`` is a record array copied from its
-metadata block, ``evicted`` a read-only record view of its eviction
-log; no Python object per token is built.
+A layer is a struct of arrays: token ids, birth steps, cumulative
+scores, the protected mask, keys and values are six preallocated
+columns (``_COLUMNS``), entry i of every column is the i-th resident
+token in admission order, and only entries ``[:n]`` are live. Ids,
+taken from the session's counter, increase down the rows, and birth
+steps, taken from the step counter, never decrease; exposure is derived
+from the birth step. Attention reads the key/value columns as views;
+eviction compacts every column by one gather per array. Columns grow by
+doubling, so a bounded layer settles at its largest occupancy. A
+layer's ``records`` is a ``_RECORD`` array copied from its columns and
+``evicted`` a read-only view of its eviction log, a ``_RECORD`` array
+too; no Python object per token is built.
 
 Admission marks which tokens eviction may never remove; the cache keeps
 that mark in its ``protected`` column and knows no token kinds (the
@@ -31,42 +32,34 @@ import numpy as np
 from .config import StreamConfig
 from .errors import AdmissionOverflow, ProtectedEviction, UnknownLayer, UnknownToken
 
-# A token's stored scalars (the rows of a layer's metadata block) and all
-# its scalars (the columns of its eviction log, the fields of ``records``).
-_META = ("token_id", "birth_step", "cum_score")
-_FIELDS = ("token_id", "birth_step", "exposure", "cum_score")
+# A layer's columns, one array each: entry i of every column is the i-th
+# resident token.
+_COLUMNS = ("token_id", "birth_step", "cum_score", "protected", "K", "V")
 
-# One token's scalars as a record: every field int64 but ``cum_score``.
-_RECORD = np.dtype([(name, np.float64 if name == "cum_score" else np.int64) for name in _FIELDS])
+# One token's scalars as a record: the fields of ``records`` and of the eviction log.
+_RECORD = np.dtype([("token_id", np.int64), ("birth_step", np.int64), ("exposure", np.int64),
+                    ("cum_score", np.float64)])
 
 _MIN_ROWS = 64
 
 
-def _grow(array: np.ndarray, live: int, rows: int, axis: int = 0) -> np.ndarray:
-    """A copy of ``array`` with room for ``rows`` entries along ``axis``
-    (at least double its capacity), keeping its first ``live`` entries."""
-    shape = list(array.shape)
-    shape[axis] = max(rows, 2 * shape[axis], _MIN_ROWS)
-    grown = np.empty(shape, dtype=array.dtype)
-    kept = (slice(None),) * axis + (slice(live),)
-    grown[kept] = array[kept]
+def _grow(array: np.ndarray, live: int, rows: int) -> np.ndarray:
+    """A copy of ``array`` with room for ``rows`` entries (at least double
+    its capacity), keeping its first ``live`` entries."""
+    grown = np.empty((max(rows, 2 * len(array), _MIN_ROWS), *array.shape[1:]), dtype=array.dtype)
+    grown[:live] = array[:live]
     return grown
-
-
-def _record_array(rows: np.ndarray) -> np.recarray:
-    """A C-contiguous (tokens, fields) int64 array read as one record per token; a view."""
-    return rows.view(_RECORD)[:, 0].view(np.recarray)
 
 
 class LayerCache:
     """Insertion-ordered bounded store of one layer's tokens.
 
-    ``K`` and ``V`` (compute dtype) and ``protected`` are arrays. The
-    ``_META`` fields are row views of one (fields, capacity) int64 block,
-    ``cum_score`` read as float64, so compaction moves them with one
-    gather. ``scored_step`` is the last step scored (-1 before any). The
-    eviction log is a (capacity, ``_FIELDS``) int64 block, one token per
-    row in eviction order, each frozen at eviction.
+    Each name in ``_COLUMNS`` is one array: ``token_id`` and
+    ``birth_step`` int64, ``cum_score`` float64, ``protected`` bool, and
+    ``K`` and ``V`` (capacity, dim) in the compute dtype. Compaction
+    gathers each column once. ``scored_step`` is the last step scored
+    (-1 before any). The eviction log is a ``_RECORD`` array, one token
+    per entry in eviction order, each frozen at eviction.
     """
 
     def __init__(self, layer_index: int, dim: int, dtype):
@@ -75,48 +68,43 @@ class LayerCache:
         self.protected_count = 0
         self.n = 0
         self.scored_step = -1
-        self._block = np.empty((len(_META), 0), dtype=np.int64)
+        self.token_id = np.empty(0, dtype=np.int64)
+        self.birth_step = np.empty(0, dtype=np.int64)
+        self.cum_score = np.empty(0, dtype=np.float64)
         self.protected = np.empty(0, dtype=np.bool_)
         self.K = np.empty((0, dim), dtype=dtype)
         self.V = np.empty((0, dim), dtype=dtype)
-        self._bind()
         self.n_evicted = 0
-        self._log = np.empty((0, len(_FIELDS)), dtype=np.int64)
-
-    def _bind(self) -> None:
-        # setattr, not vars(self).update: on CPython 3.11 materialising the
-        # instance dict makes every attribute read on the layer about 4x slower.
-        for name, row in zip(_META, self._block):
-            setattr(self, name, row.view(np.float64) if name == "cum_score" else row)
+        self._log = np.empty(0, dtype=_RECORD)
 
     def _reserve(self, rows: int) -> None:
-        if rows > self._block.shape[1]:
-            self._block = _grow(self._block, self.n, rows, axis=1)
-            self._bind()
-            self.protected, self.K, self.V = (_grow(a, self.n, rows) for a in (self.protected, self.K, self.V))
+        if rows > len(self.token_id):
+            for name in _COLUMNS:
+                setattr(self, name, _grow(getattr(self, name), self.n, rows))
 
     def exposure(self, rows: np.ndarray) -> np.ndarray:
         """Steps each given row has resided, birth and last scored step included."""
         return self.scored_step + 1 - self.birth_step[rows]
 
     def _scalars(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write the given rows' ``_FIELDS`` into ``out``, a (tokens, fields) int64 array."""
-        token_id, birth_step, cum_score = self._block.take(rows, axis=1)
-        fields = out.T
-        fields[0], fields[1], fields[2], fields[3] = token_id, birth_step, self.exposure(rows), cum_score
+        """Write the given rows' scalars into ``out``, a ``_RECORD`` array."""
+        out["token_id"] = self.token_id[rows]
+        out["birth_step"] = self.birth_step[rows]
+        out["exposure"] = self.exposure(rows)
+        out["cum_score"] = self.cum_score[rows]
         return out
 
     @property
     def records(self) -> np.recarray:
         """Residents' scalars in cache order; a copy."""
-        return _record_array(self._scalars(np.arange(self.n), np.empty((self.n, len(_FIELDS)), dtype=np.int64)))
+        return self._scalars(np.arange(self.n), np.empty(self.n, dtype=_RECORD)).view(np.recarray)
 
     @property
     def evicted(self) -> np.recarray:
         """Evicted tokens' scalars in eviction order, frozen at eviction;
         a read-only view of the log, which later evictions extend but
         never rewrite."""
-        log = _record_array(self._log[: self.n_evicted])
+        log = self._log[: self.n_evicted].view(np.recarray)
         log.flags.writeable = False
         return log
 
@@ -165,8 +153,8 @@ class LayerCache:
             self._log = _grow(self._log, self.n_evicted, logged)
         self._scalars(rows, self._log[self.n_evicted:logged])
         self.n_evicted = logged
-        self._block[:, low:stop] = self._block.take(survivors, axis=1)
-        for column in (self.protected, self.K, self.V):
+        for name in _COLUMNS:
+            column = getattr(self, name)
             column[low:stop] = column.take(survivors, axis=0)
         self.n = stop
         return len(rows)

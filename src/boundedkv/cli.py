@@ -6,7 +6,8 @@ lines) < explicit flags. The default output directory is ``./out``,
 overridable by the ``BOUNDEDKV_OUT`` environment variable or ``--out``.
 
 Exit codes: 0 success, 2 configuration or run error (a bad config, a
-malformed trace, a record that is not finite), 3 verification failure.
+malformed trace, a record that is not finite, a file that cannot be read
+or written or is not UTF-8 text), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -389,7 +390,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except BoundedKVError as exc:
+    except (BoundedKVError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

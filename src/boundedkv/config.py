@@ -84,6 +84,12 @@ class StreamConfig:
     def scalar_bytes(self) -> int:
         return 8 if self.attn_dtype == "float64" else 4
 
+    def layer_costs(self, n_keys: int) -> tuple[int, int]:
+        """Modelled multiplies and KV footprint bytes of one layer's step
+        over ``n_keys`` resident keys: every query of the frame meets each
+        key and value, and each key and value is stored."""
+        return 2 * self.tokens_per_frame * n_keys * self.dim, n_keys * 2 * self.dim * self.scalar_bytes
+
     @property
     def bounded(self) -> bool:
         return self.beta is not None or self.budget_tokens is not None

@@ -336,6 +336,7 @@ class StreamSimulator:
             z = z + ctx.astype(self.dtype, copy=False) @ self.w_out[li]
 
             n_keys = layer.occupancy()
+            multiplies, footprint_bytes = cfg.layer_costs(n_keys)
             plan = plans[li]
             record = TraceRecord(
                 step=t,
@@ -352,8 +353,8 @@ class StreamSimulator:
                 evicted_importances=plan.importances_at_eviction,
                 sigma=0.0,
                 pi=None,
-                multiplies=2 * cfg.tokens_per_frame * n_keys * cfg.dim,
-                footprint_bytes=n_keys * 2 * cfg.dim * cfg.scalar_bytes,
+                multiplies=multiplies,
+                footprint_bytes=footprint_bytes,
                 key_ids=layer.token_id[:n_keys].copy(),
                 col_sums_raw=stats_from_maps(maps),
                 maps=maps.copy() if cfg.keep_maps else None,

@@ -183,7 +183,7 @@ def _check_keys(values, names, lineno: int, what: str) -> None:
         raise MalformedTrace(f"{what} missing fields {sorted(missing)}, unknown fields {sorted(unknown)}", line=lineno)
 
 
-def _record_from_json(payload, lineno: int, heads: int) -> TraceRecord:
+def _record_from_json(payload, lineno: int, config: StreamConfig) -> TraceRecord:
     _check_keys(payload, _JSON_FIELDS, lineno, "record")
     for name, annotation in _SCALARS.items():
         if not admits(annotation, payload[name]):
@@ -210,13 +210,17 @@ def _record_from_json(payload, lineno: int, heads: int) -> TraceRecord:
         if array.ndim != rank or (array.size and not (array.dtype.kind in "if" and np.can_cast(array.dtype, dtype))):
             raise MalformedTrace(f"{name} is not a rank-{rank} {np.dtype(dtype).name} array", line=lineno)
         values[name] = array.astype(dtype, copy=False)
-    n_keys, maps = values["n_keys"], values["maps"]
+    heads, n_keys, maps = config.heads, values["n_keys"], values["maps"]
     if any(len(values[name]) != n_keys for name in _PER_KEY) or (maps is not None and maps.shape[2] != n_keys):
         raise MalformedTrace(f"per-key payloads must hold n_keys = {n_keys} entries", line=lineno)
     if maps is not None and maps.shape[0] != heads:
         raise MalformedTrace(f"maps must hold heads = {heads} maps on axis 0", line=lineno)
     if not np.array_equal(values.pop("col_sums_headmean"), values["col_sums_raw"] / heads):
         raise MalformedTrace("col_sums_headmean must equal col_sums_raw / heads", line=lineno)
+    multiplies, footprint_bytes = config.layer_costs(n_keys)
+    for name, value in (("occupancy_post", n_keys), ("multiplies", multiplies), ("footprint_bytes", footprint_bytes)):
+        if values[name] != value:
+            raise MalformedTrace(f"{name} must be {value} for n_keys = {n_keys}", line=lineno)
     return TraceRecord(**values)
 
 
@@ -254,9 +258,11 @@ def read_trace(path) -> Trace:
     each value of the same JSON type.
     A record must carry exactly the fields ``write_trace`` writes, with
     ``n_keys`` entries in each per-key payload, ``heads`` maps when it
-    has maps, and head-mean column sums exactly equal to ``col_sums_raw /
-    heads``, which are then dropped; any other line, a blank one
-    included, raises ``MalformedTrace`` naming its line number.
+    has maps, head-mean column sums exactly equal to ``col_sums_raw /
+    heads``, which are then dropped, ``occupancy_post`` equal to
+    ``n_keys``, and the ``multiplies`` and ``footprint_bytes`` that
+    ``StreamConfig.layer_costs`` gives for ``n_keys``; any other line, a
+    blank one included, raises ``MalformedTrace`` naming its line number.
 
     Only the current line is held besides the records, so reading takes
     little more memory than the records it returns. A last line without
@@ -301,7 +307,7 @@ def read_trace(path) -> Trace:
                 if not raw.endswith("\n"):
                     raise MalformedTrace("truncated last record", line=lineno) from exc
                 raise MalformedTrace(f"record is not valid JSON ({exc.msg})", line=lineno) from exc
-            records.append(_record_from_json(payload, lineno, valid.heads))
+            records.append(_record_from_json(payload, lineno, valid))
     return Trace(config=config, budget=budget, records=records)
 
 

@@ -1,5 +1,6 @@
 """Test helpers: a TraceRecord builder for tests that need one layer's
-attention data, and the name of the BLAS kernel the golden pins hold for.
+attention data, the names of a cache layer's columns, and the name of
+the BLAS kernel the golden pins hold for.
 
 ``TraceRecord`` has no field defaults, so ``layer_record`` passes every
 field: the given key ids, raw column sums and maps, with no budget, no
@@ -12,6 +13,16 @@ from pathlib import Path
 import numpy as np
 
 from boundedkv.telemetry import TraceRecord
+
+# A LayerCache's columns, named here rather than read from the cache, so
+# that a column the cache forgets to grow or compact shows in the tests.
+CACHE_COLUMNS = ("token_id", "birth_step", "cum_score", "protected", "K", "V")
+
+
+def layer_bytes(layer) -> dict[str, bytes]:
+    """The bytes of every column of ``layer`` and of its eviction log,
+    dead entries included: equal snapshots mean nothing moved."""
+    return {name: getattr(layer, name).tobytes() for name in (*CACHE_COLUMNS, "_log")}
 
 
 def layer_record(step, key_ids, col_sums_raw=None, maps=None, layer=0):

@@ -9,6 +9,8 @@ from boundedkv.cache import CacheSession, admit, remove
 from boundedkv.config import StreamConfig
 from boundedkv.errors import AdmissionOverflow, ProtectedEviction, UnknownLayer, UnknownToken
 
+from builders import CACHE_COLUMNS, layer_bytes
+
 
 def admit_tokens(session, layer, step, count=1, protected=None):
     """Admit ``count`` zero-key tokens born at ``step`` (the session's
@@ -125,13 +127,12 @@ def test_bad_protection_mask_rejected_before_mutation(mask):
     admit_tokens(session, 0, 1, protected=[True, False, False])
     layer = session.layers[0]
     n, protected_count = layer.n, layer.protected_count
-    columns = [column.copy() for column in (layer._block, layer.protected, layer.K, layer.V)]
+    before = layer_bytes(layer)
     zeros = np.zeros((3, session.config.dim))
     with pytest.raises(ValueError, match="bool protection flags"):
         admit(session, 0, zeros, zeros, mask)
     assert (layer.n, layer.protected_count) == (n, protected_count)
-    for before, after in zip(columns, (layer._block, layer.protected, layer.K, layer.V)):
-        assert np.array_equal(before, after, equal_nan=True)
+    assert layer_bytes(layer) == before
 
 
 def test_protected_count_tracks_admissions():
@@ -229,3 +230,54 @@ def test_len_of_evicted_copies_nothing():
         tracemalloc.stop()
     # The view's array headers only: a copy of the log would take 32,000 bytes.
     assert peak - before < 1024
+
+
+def assert_layer_is(layer, residents, log):
+    """Every column of ``layer``, its ``records`` and its ``evicted``
+    equal the model: ``residents`` holds one (token_id, birth_step,
+    cum_score, protected, key, value) tuple per resident in cache order,
+    ``log`` one (token_id, birth_step, exposure, cum_score) tuple per
+    evicted token in eviction order."""
+    n = len(residents)
+    assert layer.n == n and layer.protected_count == sum(r[3] for r in residents)
+    for name, values in zip(CACHE_COLUMNS, zip(*residents)):
+        assert getattr(layer, name)[:n].tolist() == list(values), name
+    assert layer.records.tolist() == [(r[0], r[1], layer.scored_step + 1 - r[1], r[2]) for r in residents]
+    assert layer.evicted.tolist() == log
+
+
+def test_columns_stay_aligned_through_growth():
+    # Admission, scoring and eviction by row and by id, mixed, until the
+    # columns have doubled twice past their first 64 rows and the log once;
+    # after each operation the layer equals a pure-Python model of it.
+    session = make_session(heads=1, dim=3)
+    layer = session.layers[0]
+    rng = np.random.Generator(np.random.PCG64(23))
+    residents, log = [], []
+    for step in range(60):
+        session.step_counter = step
+        count = int(rng.integers(1, 13))
+        keys, values = rng.normal(size=(2, count, 3))
+        protected = rng.random(count) < 0.15
+        ids = admit(session, 0, keys, values, protected)
+        residents += zip(ids.tolist(), [step] * count, [0.0] * count, protected.tolist(),
+                         keys.tolist(), values.tolist())
+        assert_layer_is(layer, residents, log)
+
+        scores = rng.random(layer.n)
+        layer.cum_score[: layer.n] += scores
+        layer.scored_step = step
+        residents = [(*r[:2], r[2] + s, *r[3:]) for r, s in zip(residents, scores.tolist())]
+        assert_layer_is(layer, residents, log)
+
+        candidates = np.array([i for i, r in enumerate(residents) if not r[3]], dtype=np.int64)
+        rows = rng.permutation(candidates)[: int(rng.integers(0, 5))]
+        if step % 2:
+            assert layer.evict(rows) == len(rows)
+        else:
+            assert remove(session, 0, [residents[i][0] for i in rows]) == len(rows)
+        gone = set(rows.tolist())
+        log += [(r[0], r[1], step + 1 - r[1], r[2]) for i, r in enumerate(residents) if i in gone]
+        residents = [r for i, r in enumerate(residents) if i not in gone]
+        assert_layer_is(layer, residents, log)
+    assert len(layer.token_id) >= 4 * 64 and len(layer._log) >= 2 * 64

@@ -121,6 +121,20 @@ def test_bad_config_file(tmp_path, capsys):
     assert "key = value" in err
 
 
+@pytest.mark.parametrize("content", [None, b"\xff\n"], ids=["missing", "not_utf8"])
+@pytest.mark.parametrize("args", [["export", "--trace"], ["run", "--config"]], ids=["trace", "config"])
+def test_unreadable_input_file_exits_2(args, content, tmp_path, capsys):
+    path = tmp_path / "input.txt"
+    if content is not None:
+        path.write_bytes(content)
+    code, _, err = run_cli([*args, str(path), "--out", str(tmp_path / "out")], capsys)
+    assert code == 2
+    if content is None:
+        assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out" / "summary.csv").exists()
+
+
 def test_sweep_table(tmp_path, capsys):
     code, out, _ = run_cli(
         ["sweep", *SMALL_FLAGS, "--betas", "0.3,0.6", "--seeds", "2", "--out", str(tmp_path)],

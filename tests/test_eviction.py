@@ -23,6 +23,8 @@ from boundedkv.eviction import (
 )
 from boundedkv.simulate import run_stream
 
+from builders import layer_bytes
+
 
 def build_layer(scores, protected=None, births=None):
     """A session whose layer 0 holds tokens with the given cumulative
@@ -174,12 +176,11 @@ def test_maintain_refuses_a_plan_that_names_a_protected_row():
     for t in range(2):  # step 0's frame is protected
         session.step_counter = t
         admit(session, 0, rng.normal(size=(4, cfg.dim)), rng.normal(size=(4, cfg.dim)), np.full(4, t == 0))
-    before = [column.copy() for column in (layer._block, layer.protected, layer.K, layer.V, layer._log)]
+    before = layer_bytes(layer)
     with pytest.raises(ProtectedEviction):
         maintain_step(session, TopRows())
     assert (layer.n, layer.n_evicted, layer.protected_count) == (8, 0, 4)
-    for old, new in zip(before, (layer._block, layer.protected, layer.K, layer.V, layer._log)):
-        assert np.array_equal(old, new, equal_nan=True)
+    assert layer_bytes(layer) == before
 
 
 def test_random_policy_deterministic_per_seed():

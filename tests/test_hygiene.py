@@ -45,6 +45,11 @@ The round-trip scan fails on ``np.array(list(...))`` (or ``np.asarray``)
 in the package: ids and protection masks travel the step path as
 arrays, and turning an iterable into a list only to build an array from
 it is the per-layer cost the array form removed.
+
+The view scan fails on any ``.view(...)`` call in the package that can
+read an array's bytes as another dtype: every argument but
+``np.recarray`` counts. A cache field is its own array of its own dtype,
+so no column is a bit-cast of another.
 """
 
 import ast
@@ -232,6 +237,33 @@ def test_scanner_flags_a_list_round_trip():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_list_round_trips(path):
     assert list_round_trips(path.read_text()) == []
+
+
+def byte_views(source: str) -> list[int]:
+    """Lines of every ``.view(...)`` call given anything but ``np.recarray``."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "view"
+        and [ast.unparse(arg) for arg in [*node.args, *(k.value for k in node.keywords)]] not in ([], ["np.recarray"])
+    )
+
+
+def test_scanner_flags_a_byte_view():
+    source = (
+        "a = row.view(np.float64)\n"
+        "b = rows.view(np.recarray)\n"
+        "c = rows.view()\n"
+        "d = rows.view(_RECORD)[:, 0].view(np.recarray)\n"
+        "e = rows.view(dtype=np.int8)\n"
+        "f = rows.view(type=np.recarray)\n"
+        "g = rows.view(np.int64, np.recarray)\n"
+    )
+    assert byte_views(source) == [1, 4, 5, 7]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_byte_views(path):
+    assert byte_views(path.read_text()) == []
 
 
 def untabled_payloads(source: str) -> list[str]:

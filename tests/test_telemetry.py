@@ -64,43 +64,45 @@ IDS = st.integers(-2**63, 2**63 - 1)
 
 
 @st.composite
-def trace_records(draw, heads):
+def trace_records(draw, config):
     # Only records the writer can produce: every per-key payload holds
     # n_keys entries, and maps hold them on their last axis and the
-    # config's heads on their first. The head-mean sums are not drawn:
-    # the writer derives them from col_sums_raw.
+    # config's heads on their first; occupancy_post is n_keys, and the
+    # multiplies and footprint are the config's costs for n_keys. The
+    # head-mean sums are not drawn: the writer derives them from col_sums_raw.
     n_evicted, n_keys = draw(st.integers(0, 4)), draw(st.integers(0, 5))
+    multiplies, footprint_bytes = config.layer_costs(n_keys)
     return TraceRecord(
         step=draw(IDS), layer=draw(IDS), n_keys=n_keys,
         budget_pre=draw(st.none() | IDS), budget_post=draw(st.none() | IDS),
-        occupancy_pre=draw(IDS), occupancy_post=draw(IDS), protected_count=draw(IDS),
+        occupancy_pre=draw(IDS), occupancy_post=n_keys, protected_count=draw(IDS),
         clamped=draw(st.booleans()), reason=draw(st.none() | st.sampled_from(REASONS)),
         evicted_ids=draw(arrays(np.int64, n_evicted, elements=IDS)),
         evicted_importances=draw(arrays(np.float64, n_evicted, elements=EDGE_FLOATS)),
         sigma=draw(EDGE_FLOATS), pi=draw(st.none() | EDGE_FLOATS),
-        multiplies=draw(IDS), footprint_bytes=draw(IDS),
+        multiplies=multiplies, footprint_bytes=footprint_bytes,
         key_ids=draw(arrays(np.int64, n_keys, elements=IDS)),
         col_sums_raw=draw(arrays(np.float64, n_keys, elements=EDGE_FLOATS)),
-        maps=draw(st.none() | arrays(np.float64, st.tuples(st.just(heads), st.integers(1, 3), st.just(n_keys)),
+        maps=draw(st.none() | arrays(np.float64, st.tuples(st.just(config.heads), st.integers(1, 3), st.just(n_keys)),
                                      elements=EDGE_FLOATS)),
     )
 
 
 @st.composite
-def heads_and_records(draw):
-    heads = draw(st.sampled_from([1, 2, 4]))
-    return heads, draw(st.lists(trace_records(heads), max_size=3))
+def config_and_records(draw):
+    tau = draw(EDGE_FLOATS.filter(lambda tau: tau > 0))
+    config = StreamConfig(tau=tau, heads=draw(st.sampled_from([1, 2, 4])))
+    return config, draw(st.lists(trace_records(config), max_size=3))
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(drawn=heads_and_records(), tau=EDGE_FLOATS.filter(lambda tau: tau > 0))
-def test_edge_values_read_back_exactly(tmp_path, drawn, tau):
+@given(drawn=config_and_records())
+def test_edge_values_read_back_exactly(tmp_path, drawn):
     # Every finite double and int64 reads back as the value written, and
     # the head-mean sums written as col_sums_raw / heads read back as that.
     # Rewriting what was read must give the same bytes, which also
     # catches a lost -0.0 sign that record equality cannot see.
-    heads, records = drawn
-    config = StreamConfig(tau=tau, heads=heads)
+    config, records = drawn
     trace = Trace(config=config.to_dict(), budget=config.budget_metadata(), records=records)
     first = write_trace(trace, tmp_path / "first.jsonl")
     read = read_trace(first)
@@ -294,21 +296,27 @@ MISSING = object()
     ("col_sums_headmean", lambda sums: [2 * x for x in sums]),
     ("maps", lambda maps: maps[:1]),
     ("maps", lambda maps: maps + maps[:1]),
+    ("occupancy_post", lambda n: n + 1),
+    ("multiplies", lambda n: n + 1),
+    ("footprint_bytes", lambda n: 2 * n),
 ], ids=["ragged_maps", "string_key_ids", "numeral_key_ids", "float_key_ids", "scalar_col_sums_raw",
         "rank2_col_sums_headmean", "string_evicted_id", "null_importance", "string_step", "bool_step",
         "float_layer", "n_keys_past_2_64", "null_occupancy", "int_clamped", "int_reason", "unknown_reason", "string_sigma",
         "bool_pi", "float_budget", "nan_sigma", "infinite_pi", "infinite_col_sum", "no_multiplies",
         "no_key_ids", "no_evicted", "unknown_field", "wrong_n_keys", "short_key_ids", "short_col_sums_raw",
         "short_col_sums_headmean", "short_maps_key_axis", "headmean_one_ulp_off", "headmean_is_raw",
-        "one_head_of_two", "three_heads_of_two"])
+        "one_head_of_two", "three_heads_of_two", "occupancy_post_not_n_keys", "multiplies_off_by_one",
+        "footprint_doubled"])
 def test_malformed_payload_reports_line(tmp_path, field, value):
     # A payload that is ragged, non-numeric or of the wrong rank, a scalar
     # of another JSON type than the writer gives it, a NaN or Infinity
     # literal (not JSON), a missing or unknown field, per-key payloads
     # that do not all hold n_keys entries, head-mean sums that are not
     # exactly col_sums_raw / heads (a function of the written value
-    # below), and maps that do not hold the header's heads fail on their
-    # own line instead of reading back as something else.
+    # below), maps that do not hold the header's heads, and an occupancy,
+    # multiply count or footprint that n_keys and the header's config
+    # contradict fail on their own line instead of reading back as
+    # something else.
     run = run_stream(StreamConfig(**SMALL, beta=0.3, keep_maps=True))
     lines = write_trace(run, tmp_path / "trace.jsonl").read_text().splitlines()
     record = json.loads(lines[3])
