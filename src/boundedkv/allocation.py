@@ -95,13 +95,13 @@ def reallocate_step(session: CacheSession, sigmas) -> AllocationResult | None:
     layers whose occupancy now exceeds the new budget evict down before
     admitting the next frame. No-op in unbounded mode.
     """
-    if session.unbounded:
-        return None
     cfg = session.config
+    if not cfg.bounded:
+        return None
     result = allocate(
         sigmas,
         cfg.effective_tau,
-        session.budgets_total,
+        cfg.total_budget_tokens(),
         cap=cfg.frames * cfg.tokens_per_frame,
     )
     for layer, budget in zip(session.layers, result.budgets):

@@ -163,9 +163,8 @@ class LayerCache:
 class CacheSession:
     """All layer caches plus allocation state for one stream.
 
-    Single-writer: no concurrent mutation. ``budgets_total`` is the total
-    token budget (None in unbounded baseline mode); per-layer budgets are
-    refreshed each step by the allocator and sum to the total exactly
+    Single-writer: no concurrent mutation. Per-layer budgets are refreshed
+    each step by the allocator and sum to the config's total exactly
     whenever the total is attainable within the stream horizon.
     """
 
@@ -174,12 +173,7 @@ class CacheSession:
         dtype = np.dtype(config.attn_dtype)
         self.layers = [LayerCache(i, config.dim, dtype) for i in range(config.layers)]
         self.step_counter = 0
-        self.budgets_total = config.total_budget_tokens()
         self._next_token_id = 0
-
-    @property
-    def unbounded(self) -> bool:
-        return self.budgets_total is None
 
     def layer(self, layer_index: int) -> LayerCache:
         if not 0 <= layer_index < len(self.layers):
@@ -200,7 +194,7 @@ def admit(session: CacheSession, layer_index: int, keys, values, protected) -> n
     """
     layer = session.layer(layer_index)
     count, start = len(keys), layer.n
-    if not session.unbounded:
+    if session.config.bounded:
         effective = layer.effective_budget(count)
         if start + count > effective:
             raise AdmissionOverflow(

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .allocation import allocate
-from .config import ATTN_DTYPES, BUDGET_MODES, POLICIES, StreamConfig, config_from_dict
+from .config import StreamConfig, config_from_dict
 from .errors import BoundedKVError, ConfigError, NonFiniteRecord
 from .oracle import baseline_run, brute_force_scores, compare_runs, landmark_retention, map_log_from_records
 from .scoring import importances
@@ -42,18 +42,14 @@ from .telemetry import (
 _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
 
-# StreamConfig fields that the CLI checks against a fixed set of values.
-_CHOICES = {"policy": POLICIES, "budget_mode": BUDGET_MODES, "attn_dtype": ATTN_DTYPES}
 # Flags that are not the field name with dashes.
 _FLAG_NAMES = {"keep_maps": "--trace-full-maps"}
-# Fields set from code only: no flag and no config key.
-_CODE_ONLY = {"sharpness_profile"}
-
-
+_TEXT_TYPES = {"int": int, "float": float, "bool": bool, "str": str}
 # Value type of every flag/config-file field, in StreamConfig order: its
-# annotation's first part ("int | None" is an int).
-_FIELD_TYPES = {f.name: {"int": int, "float": float, "bool": bool, "str": str}[f.type.split(" | ")[0]]
-                for f in fields(StreamConfig) if f.name not in _CODE_ONLY}
+# annotation's first part ("int | None" is an int). A field annotated
+# with no text form, such as list[float], is set from code only.
+_FIELD_TYPES = {f.name: _TEXT_TYPES[kind] for f in fields(StreamConfig)
+                if (kind := f.type.split(" | ")[0]) in _TEXT_TYPES}
 
 
 def _parse_bool(text: str) -> bool:
@@ -94,7 +90,8 @@ def _add_stream_flags(parser: argparse.ArgumentParser) -> None:
         if kind is bool:
             parser.add_argument(flag, dest=name, action="store_true", default=None)
         else:
-            parser.add_argument(flag, dest=name, type=kind, choices=_CHOICES.get(name))
+            choices = StreamConfig.__dataclass_fields__[name].metadata.get("choices")
+            parser.add_argument(flag, dest=name, type=kind, choices=choices)
     parser.add_argument("--out", help="output directory (default: $BOUNDEDKV_OUT or ./out)")
 
 
@@ -190,7 +187,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for beta in betas:
         for s in range(args.seeds):
             cell = replace(cfg, beta=beta, budget_tokens=None, seed=cfg.seed + s)
-            cell.validate()
             run = run_stream(cell)
             rows.append(summary_row(run, label=f"beta{beta:g}-seed{cell.seed}",
                                     retention=landmark_retention(run)))
@@ -210,7 +206,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     retention_by_policy = {p: [] for p in policies}
     retained_mass_by_policy = {p: [] for p in policies}
     for s in range(args.seeds):
-        seed_cfg = replace(cfg, beta=args.budget_frac, budget_tokens=None, seed=cfg.seed + s)
+        # Validated with a policy ablate runs: the baseline and every cell replace the given one.
+        seed_cfg = replace(cfg, beta=args.budget_frac, budget_tokens=None, seed=cfg.seed + s, policy=policies[0])
         seed_cfg.validate()
         base = baseline_run(seed_cfg)
         for policy in policies:

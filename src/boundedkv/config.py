@@ -15,7 +15,7 @@ run metadata:
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import Field, asdict, dataclass, field, fields
 
 from .errors import ConfigError
 
@@ -44,12 +44,21 @@ _ANNOTATION_TYPES = {
 }
 
 
-def admits(annotation: str, value) -> bool:
-    """Whether a field annotated ``annotation`` (a string such as
-    ``"int | None"``) may hold ``value``, by its exact type."""
-    kinds = [kind for part in annotation.split(" | ") for kind in _ANNOTATION_TYPES[part]]
+def admits(f: Field, value) -> bool:
+    """Whether field ``f`` may hold ``value``: a value of an exact type its
+    annotation (a string such as ``"int | None"``) names and, when the
+    field declares ``choices`` in its metadata, one of them."""
+    kinds = [kind for part in f.type.split(" | ") for kind in _ANNOTATION_TYPES[part]]
     return type(value) in kinds and (
-        type(value) is not list or all(type(entry) in _ANNOTATION_TYPES["float"] for entry in value))
+        type(value) is not list or all(type(entry) in _ANNOTATION_TYPES["float"] for entry in value)) and (
+        "choices" not in f.metadata or value in f.metadata["choices"])
+
+
+def allowed(f: Field, value) -> str:
+    """What field ``f`` allows, as an error names it for ``value``: its
+    choices when ``value`` has the type of one, else its annotation."""
+    choices = f.metadata.get("choices", ())
+    return f"one of {choices}" if type(value) in map(type, choices) else f.type
 
 
 @dataclass
@@ -64,16 +73,16 @@ class StreamConfig:
     frames: int = 24
     beta: float | None = None
     budget_tokens: int | None = None
-    budget_mode: str = "fixed-horizon"
+    budget_mode: str = field(default="fixed-horizon", metadata={"choices": BUDGET_MODES})
     ref_frames: int | None = None
     tau: float = 1.5
-    policy: str = "attention"
+    policy: str = field(default="attention", metadata={"choices": POLICIES})
     seed: int = 7
     landmark_frac: float = 0.25
     landmark_gain: float = 6.0
     sharpness: float = 2.0
     sharpness_profile: list[float] | None = None
-    attn_dtype: str = "float64"
+    attn_dtype: str = field(default="float64", metadata={"choices": ATTN_DTYPES})
     keep_maps: bool = False
 
     @property
@@ -101,8 +110,9 @@ class StreamConfig:
 
     def validate(self) -> None:
         for f in fields(self):
-            if not admits(f.type, getattr(self, f.name)):
-                raise ConfigError(f"{f.name} must be {f.type}")
+            value = getattr(self, f.name)
+            if not admits(f, value):
+                raise ConfigError(f"{f.name} must be {allowed(f, value)}")
         if self.layers < 1:
             raise ConfigError("layers must be >= 1")
         if self.heads < 1:
@@ -124,14 +134,10 @@ class StreamConfig:
             raise ConfigError("beta must be in (0, 1]")
         if self.budget_tokens is not None and self.budget_tokens < 0:
             raise ConfigError("budget_tokens must be >= 0")
-        if self.budget_mode not in BUDGET_MODES:
-            raise ConfigError(f"budget_mode must be one of {BUDGET_MODES}")
         if self.ref_frames is not None and self.ref_frames < 1:
             raise ConfigError("ref_frames must be >= 1")
         if not (math.isfinite(self.tau) and self.tau > 0.0):
             raise ConfigError("tau must be finite and > 0")
-        if self.policy not in POLICIES:
-            raise ConfigError(f"policy must be one of {POLICIES}")
         if self.policy == "none" and self.bounded and self.frames >= 3 and (
             self.total_budget_tokens() < self.layers * self.frames * self.tokens_per_frame
         ):
@@ -153,8 +159,6 @@ class StreamConfig:
                 raise ConfigError("sharpness_profile must have one entry per layer")
             if not all(math.isfinite(s) and s >= 0.0 for s in self.sharpness_profile):
                 raise ConfigError("sharpness_profile entries must be finite and >= 0")
-        if self.attn_dtype not in ATTN_DTYPES:
-            raise ConfigError(f"attn_dtype must be one of {ATTN_DTYPES}")
         # A trace carries these as JSON ints, which its encoder and decoder hold in 64 bits.
         if not 0 <= self.seed < 2**63:
             raise ConfigError("seed must be in [0, 2**63)")
@@ -190,8 +194,7 @@ class StreamConfig:
 
 
 def config_from_dict(values: dict) -> StreamConfig:
-    known = {f for f in StreamConfig.__dataclass_fields__}
-    unknown = set(values) - known
+    unknown = values.keys() - StreamConfig.__dataclass_fields__.keys()
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     cfg = StreamConfig(**values)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .cache import CacheSession, LayerCache, remove
 from .config import REASON_ADMIT, REASON_SHRINK, StreamConfig
-from .errors import ConfigError, InsufficientUnprotected
+from .errors import InsufficientUnprotected
 from .scoring import importances
 
 __all__ = ["AttentionPolicy", "EvictionPlan", "NonePolicy", "RandomPolicy", "maintain_step", "make_policy", "remove"]
@@ -90,18 +90,16 @@ class NonePolicy:
 
 
 def make_policy(config: StreamConfig):
-    """Policy instance for a session.
+    """Policy instance for a session, one per choice of ``config.policy``.
 
-    ``uniform_budget`` shares the attention policy's token selection; it
-    differs only in the allocation temperature (handled by the config).
+    ``attention`` and ``uniform_budget`` share the attention policy's token
+    selection; they differ only in the allocation temperature (handled by the config).
     """
-    if config.policy in ("attention", "uniform_budget"):
-        return AttentionPolicy()
     if config.policy == "random":
         return RandomPolicy(config.seed)
     if config.policy == "none":
         return NonePolicy()
-    raise ConfigError(f"unknown policy {config.policy!r}")
+    return AttentionPolicy()
 
 
 def maintain_step(session: CacheSession, policy) -> list[EvictionPlan]:
@@ -111,11 +109,11 @@ def maintain_step(session: CacheSession, policy) -> list[EvictionPlan]:
     (previous step's reallocation). Returns one plan per layer, in order; a
     layer that evicts nothing, as in unbounded mode, gets an empty one with reason None.
     """
-    per_frame = session.config.tokens_per_frame
+    per_frame, bounded = session.config.tokens_per_frame, session.config.bounded
     plans = []
     for layer in session.layers:
         effective = layer.effective_budget(per_frame)
-        slots = 0 if session.unbounded else layer.occupancy() + per_frame - effective
+        slots = layer.occupancy() + per_frame - effective if bounded else 0
         plan = policy.plan(layer, slots) if slots > 0 else EvictionPlan()
         if len(plan.rows):
             plan.reason = REASON_SHRINK if layer.occupancy() > effective else REASON_ADMIT

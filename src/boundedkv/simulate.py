@@ -257,8 +257,7 @@ class StreamSimulator:
         # Every attention call of the stream writes its maps here; grown by
         # doubling, so a bounded stream settles at its largest (H, M, N).
         self._maps_scratch = np.empty(0, dtype=np.float64)
-        if not self.session.unbounded:
-            bootstrap_budgets(self.session)
+        bootstrap_budgets(self.session)
 
     def _weights(self, seed: int, tag: int, index: int, d: int) -> np.ndarray:
         w = _rng(seed, tag, index).standard_normal((d, d)) / math.sqrt(d)

@@ -22,12 +22,12 @@ import json
 import math
 import re
 from collections import defaultdict
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .config import REASONS, StreamConfig, admits, config_from_dict
+from .config import REASONS, StreamConfig, admits, allowed, config_from_dict
 from .errors import ConfigError, MalformedTrace, NonFiniteRecord, UnknownLayer
 
 TRACE_FORMAT = "boundedkv-trace"
@@ -75,7 +75,7 @@ class TraceRecord:
     occupancy_post: int
     protected_count: int
     clamped: bool
-    reason: str | None
+    reason: str | None = field(metadata={"choices": (None, *REASONS)})
     evicted_ids: np.ndarray
     evicted_importances: np.ndarray
     sigma: float
@@ -111,11 +111,11 @@ def records_from_run(run) -> list[TraceRecord]:
 # one "evicted" list, and col_sums_raw followed by its head-mean sums.
 _JSON_FIELDS = ({f.name for f in fields(TraceRecord)} - {"evicted_ids", "evicted_importances"}
                 | {"evicted", "col_sums_headmean"})
-_SCALARS = {f.name: f.type for f in fields(TraceRecord) if f.name not in PAYLOADS}
+_SCALARS = [f for f in fields(TraceRecord) if f.name not in PAYLOADS]
 # Payloads with one entry per resident key; maps hold them on axis 2.
 _PER_KEY = ("key_ids", "col_sums_raw")
 # The float fields and payloads a record must hold finite: JSON has no NaN or Infinity.
-_FINITE = [name for name, annotation in _SCALARS.items() if "float" in annotation.split(" | ")] + [
+_FINITE = [f.name for f in _SCALARS if "float" in f.type.split(" | ")] + [
     name for name, (dtype, _) in PAYLOADS.items() if dtype is np.float64]
 # Bytes after which "0.0000" starts a number, not the tail of one like 10.00001.
 _NUMBER_START = (b"", b"[", b",", b":", b"-")
@@ -185,11 +185,14 @@ def _check_keys(values, names, lineno: int, what: str) -> None:
 
 def _record_from_json(payload, lineno: int, config: StreamConfig) -> TraceRecord:
     _check_keys(payload, _JSON_FIELDS, lineno, "record")
-    for name, annotation in _SCALARS.items():
-        if not admits(annotation, payload[name]):
-            raise MalformedTrace(f"record {name} must be {annotation}", line=lineno)
-    if payload["reason"] not in (None, *REASONS):
-        raise MalformedTrace(f"reason must be one of {REASONS} or null", line=lineno)
+    for f in _SCALARS:
+        value = payload[f.name]
+        if not admits(f, value):
+            raise MalformedTrace(f"record {f.name} must be {allowed(f, value)}", line=lineno)
+    step, layer = divmod(lineno - 2, config.layers)
+    if (payload["step"], payload["layer"]) != (step, layer) or step >= config.frames:
+        raise MalformedTrace(f"record {lineno - 2} must be step {step}, layer {layer}; a trace holds "
+                             f"{config.frames} steps x {config.layers} layers in order", line=lineno)
     values = dict(payload)
     evicted = values.pop("evicted")
     try:
@@ -263,6 +266,9 @@ def read_trace(path) -> Trace:
     ``n_keys``, and the ``multiplies`` and ``footprint_bytes`` that
     ``StreamConfig.layer_costs`` gives for ``n_keys``; any other line, a
     blank one included, raises ``MalformedTrace`` naming its line number.
+    Record i, on line i + 2, must be that of ``(step, layer) == divmod(i,
+    layers)``, and there must be ``frames * layers`` of them; a trace that
+    ends early fails on the line after its last record.
 
     Only the current line is held besides the records, so reading takes
     little more memory than the records it returns. A last line without
@@ -308,6 +314,8 @@ def read_trace(path) -> Trace:
                     raise MalformedTrace("truncated last record", line=lineno) from exc
                 raise MalformedTrace(f"record is not valid JSON ({exc.msg})", line=lineno) from exc
             records.append(_record_from_json(payload, lineno, valid))
+        if len(records) != valid.frames * valid.layers:
+            raise MalformedTrace(f"trace ends after {len(records)} records", line=len(records) + 2)
     return Trace(config=config, budget=budget, records=records)
 
 

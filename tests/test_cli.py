@@ -9,12 +9,12 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from boundedkv import eviction, simulate
+from boundedkv import cli, eviction, simulate
 from boundedkv.cli import _merge_config, build_parser, main
-from boundedkv.config import StreamConfig
-from boundedkv.errors import ConfigError
+from boundedkv.config import ATTN_DTYPES, BUDGET_MODES, POLICIES, StreamConfig
+from boundedkv.errors import ConfigError, MalformedTrace
 from boundedkv.simulate import run_stream
-from boundedkv.telemetry import summarize, summary_row
+from boundedkv.telemetry import read_trace, summarize, summary_row, write_trace
 
 from builders import blas_kernel
 
@@ -162,6 +162,21 @@ def test_ablate_orders_policies(tmp_path, capsys):
     assert set(retention) == {"attention", "uniform_budget", "random"}
     assert retention["attention"] > retention["random"]
     assert (tmp_path / "ablate_summary.csv").exists()
+
+
+def test_ablate_checks_the_policies_it_runs(tmp_path, capsys, monkeypatch):
+    # ablate runs attention, uniform_budget and random whatever --policy
+    # says, so a budget that policy 'none' could not keep is no error;
+    # a bad --budget-frac still fails before the baseline runs.
+    code, out, err = run_cli(["ablate", "--budget-frac", "0.5", "--policy", "none", "--frames", "4",
+                              "--seeds", "1", "--out", str(tmp_path)], capsys)
+    assert code == 0, err
+    assert [line.split()[0] for line in out.splitlines() if line.startswith("policy=")] == [
+        "policy=attention", "policy=uniform_budget", "policy=random"]
+    monkeypatch.setattr(cli, "baseline_run", lambda cfg: pytest.fail("the baseline ran"))
+    code, _, err = run_cli(["ablate", "--budget-frac", "1.5", "--frames", "4", "--seeds", "1",
+                            "--out", str(tmp_path)], capsys)
+    assert (code, err) == (2, "config error: beta must be in (0, 1]\n")
 
 
 def test_verify_default_config_passes(tmp_path, capsys):
@@ -366,3 +381,37 @@ def test_bad_choice_exits_2(flag, tmp_path, capsys):
         main(["run", flag, "bogus", "--out", str(tmp_path)])
     assert exc.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+CHOICE_FIELDS = pytest.mark.parametrize("field, choices", [
+    ("policy", POLICIES), ("budget_mode", BUDGET_MODES), ("attn_dtype", ATTN_DTYPES),
+], ids=["policy", "budget_mode", "attn_dtype"])
+
+
+@CHOICE_FIELDS
+def test_out_of_set_value_fails_validate(field, choices):
+    with pytest.raises(ConfigError) as err:
+        StreamConfig(**{field: "bogus"}).validate()
+    assert str(err.value) == f"{field} must be one of {choices}"
+
+
+@CHOICE_FIELDS
+def test_out_of_set_value_fails_config_file(field, choices, tmp_path):
+    cfg_file = tmp_path / "bogus.cfg"
+    cfg_file.write_text(f"{field} = bogus\n")
+    with pytest.raises(ConfigError) as err:
+        _merge_config(build_parser().parse_args(["run", "--config", str(cfg_file)]))
+    assert str(err.value) == f"{field} must be one of {choices}"
+
+
+@CHOICE_FIELDS
+def test_out_of_set_value_fails_trace_header(field, choices, tmp_path):
+    lines = write_trace(run_stream(StreamConfig(**SMALL, beta=0.5)), tmp_path / "trace.jsonl").read_text().splitlines()
+    header = json.loads(lines[0])
+    header["config"][field] = "bogus"
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+    with pytest.raises(MalformedTrace) as err:
+        read_trace(bad)
+    assert err.value.line == 1
+    assert f"{field} must be one of {choices}" in str(err.value)

@@ -50,6 +50,12 @@ The view scan fails on any ``.view(...)`` call in the package that can
 read an array's bytes as another dtype: every argument but
 ``np.recarray`` counts. A cache field is its own array of its own dtype,
 so no column is a bit-cast of another.
+
+The choices scan fails when a package module other than ``config.py``
+names ``POLICIES``, ``BUDGET_MODES`` or ``ATTN_DTYPES``, in an import or
+an expression: each setting's allowed values are declared once, on its
+``StreamConfig`` field, and validation, the CLI and the trace reader
+read them there, so no second copy can drift from the first.
 """
 
 import ast
@@ -264,6 +270,42 @@ def test_scanner_flags_a_byte_view():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_byte_views(path):
     assert byte_views(path.read_text()) == []
+
+
+CHOICE_CONSTANTS = {"POLICIES", "BUDGET_MODES", "ATTN_DTYPES"}
+
+
+def choice_constants(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every import or use of a ``CHOICE_CONSTANTS`` name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name.split(".")[-1] for alias in node.names]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name in CHOICE_CONSTANTS]
+    return sorted(found)
+
+
+def test_scanner_flags_a_choice_constant():
+    source = (
+        "from .config import POLICIES as P, StreamConfig\n"
+        "import boundedkv.config\n"
+        "x = config.BUDGET_MODES\n"
+        "y = {'policy': ATTN_DTYPES}\n"
+        "z = 'POLICIES'\n"
+        "w = StreamConfig.__dataclass_fields__['policy'].metadata['choices']\n"
+    )
+    assert choice_constants(source) == [(1, "POLICIES"), (3, "BUDGET_MODES"), (4, "ATTN_DTYPES")]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "config.py"], ids=lambda p: p.name)
+def test_choices_are_declared_only_in_config(path):
+    assert choice_constants(path.read_text()) == []
 
 
 def untabled_payloads(source: str) -> list[str]:

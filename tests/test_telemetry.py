@@ -64,7 +64,7 @@ IDS = st.integers(-2**63, 2**63 - 1)
 
 
 @st.composite
-def trace_records(draw, config):
+def trace_records(draw, config, step, layer):
     # Only records the writer can produce: every per-key payload holds
     # n_keys entries, and maps hold them on their last axis and the
     # config's heads on their first; occupancy_post is n_keys, and the
@@ -73,7 +73,7 @@ def trace_records(draw, config):
     n_evicted, n_keys = draw(st.integers(0, 4)), draw(st.integers(0, 5))
     multiplies, footprint_bytes = config.layer_costs(n_keys)
     return TraceRecord(
-        step=draw(IDS), layer=draw(IDS), n_keys=n_keys,
+        step=step, layer=layer, n_keys=n_keys,
         budget_pre=draw(st.none() | IDS), budget_post=draw(st.none() | IDS),
         occupancy_pre=draw(IDS), occupancy_post=n_keys, protected_count=draw(IDS),
         clamped=draw(st.booleans()), reason=draw(st.none() | st.sampled_from(REASONS)),
@@ -90,9 +90,13 @@ def trace_records(draw, config):
 
 @st.composite
 def config_and_records(draw):
+    # A small stream and one record per (step, layer) cell, in order: the
+    # only layout the reader accepts.
     tau = draw(EDGE_FLOATS.filter(lambda tau: tau > 0))
-    config = StreamConfig(tau=tau, heads=draw(st.sampled_from([1, 2, 4])))
-    return config, draw(st.lists(trace_records(config), max_size=3))
+    config = StreamConfig(tau=tau, heads=draw(st.sampled_from([1, 2, 4])),
+                          frames=draw(st.integers(0, 3)), layers=draw(st.integers(1, 2)))
+    return config, [draw(trace_records(config, step, layer))
+                    for step in range(config.frames) for layer in range(config.layers)]
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -332,6 +336,28 @@ def test_malformed_payload_reports_line(tmp_path, field, value):
     with pytest.raises(MalformedTrace) as err:
         read_trace(bad)
     assert err.value.line == 4
+
+
+@pytest.mark.parametrize("edit, line", [
+    (lambda lines: lines + lines[-1:], 14),
+    (lambda lines: [*lines[:2], lines[3], lines[2], *lines[4:]], 3),
+    (lambda lines: [*lines[:3], lines[3].replace('"layer":0', '"layer":2', 1), *lines[4:]], 4),
+    (lambda lines: lines[:4], 5),
+    (lambda lines: lines[:-2], 12),
+], ids=["last_line_repeated", "two_lines_swapped", "layer_past_layers", "cut_mid_step", "last_step_missing"])
+def test_records_must_fill_every_cell_in_order(tmp_path, edit, line):
+    # Record i, on line i + 2, is the record of (step, layer) =
+    # divmod(i, layers), and a trace holds frames * layers of them; read
+    # back, any other layout would give a summary that counts a cell
+    # twice or not at all.
+    run = run_stream(StreamConfig(**SMALL, beta=0.5))
+    lines = write_trace(run, tmp_path / "trace.jsonl").read_text().splitlines()
+    assert len(lines) == 13 and '"layer":0' in lines[3]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(edit(lines)) + "\n")
+    with pytest.raises(MalformedTrace) as err:
+        read_trace(bad)
+    assert err.value.line == line
 
 
 def test_writer_keys_are_the_reader_schema(tmp_path):
