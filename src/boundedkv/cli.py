@@ -42,8 +42,6 @@ from .telemetry import (
 _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
 
-# Flags that are not the field name with dashes.
-_FLAG_NAMES = {"keep_maps": "--trace-full-maps"}
 _TEXT_TYPES = {"int": int, "float": float, "bool": bool, "str": str}
 # Value type of every flag/config-file field, in StreamConfig order: its
 # annotation's first part ("int | None" is an int). A field annotated
@@ -86,12 +84,12 @@ def _add_stream_flags(parser: argparse.ArgumentParser) -> None:
     """One flag per settable StreamConfig field, between --config and --out."""
     parser.add_argument("--config", help="config file with key = value lines (flags override)")
     for name, kind in _FIELD_TYPES.items():
-        flag = _FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
+        metadata = StreamConfig.__dataclass_fields__[name].metadata
+        flag = metadata.get("flag", "--" + name.replace("_", "-"))
         if kind is bool:
             parser.add_argument(flag, dest=name, action="store_true", default=None)
         else:
-            choices = StreamConfig.__dataclass_fields__[name].metadata.get("choices")
-            parser.add_argument(flag, dest=name, type=kind, choices=choices)
+            parser.add_argument(flag, dest=name, type=kind, choices=metadata.get("choices"))
     parser.add_argument("--out", help="output directory (default: $BOUNDEDKV_OUT or ./out)")
 
 

@@ -83,7 +83,7 @@ class StreamConfig:
     sharpness: float = 2.0
     sharpness_profile: list[float] | None = None
     attn_dtype: str = field(default="float64", metadata={"choices": ATTN_DTYPES})
-    keep_maps: bool = False
+    keep_maps: bool = field(default=False, metadata={"flag": "--trace-full-maps"})
 
     @property
     def patch_tokens(self) -> int:

@@ -34,17 +34,6 @@ TRACE_FORMAT = "boundedkv-trace"
 TRACE_VERSION = 1
 
 
-# Dtype and rank of every per-token TraceRecord payload, in a run and
-# after read_trace alike; record equality compares payloads exactly.
-PAYLOADS = {
-    "evicted_ids": (np.int64, 1),
-    "evicted_importances": (np.float64, 1),
-    "key_ids": (np.int64, 1),
-    "col_sums_raw": (np.float64, 1),
-    "maps": (np.float64, 3),
-}
-
-
 @dataclass(eq=False)
 class TraceRecord:
     """Telemetry of one (step, layer) cell, in memory and in the trace.
@@ -60,10 +49,11 @@ class TraceRecord:
     its key ids and column sums, and it holds the (H, M, N) attention
     maps when ``keep_maps`` is set (otherwise ``maps`` is None). It keeps
     one per-key float array, ``col_sums_raw``; readers that want the
-    head-mean sums divide it by the config's ``heads``. Every
-    payload is an ndarray of the dtype and rank in ``PAYLOADS``, in a run
-    and after ``read_trace`` alike. Two records are equal when their
-    payloads are exactly equal and every other field compares equal.
+    head-mean sums divide it by the config's ``heads``. A payload is an
+    ndarray of the ``dtype`` and ``rank`` its field's metadata declares, in
+    a run and after ``read_trace`` alike, with one entry per resident key
+    on its ``key_axis`` if it declares one. Two records are equal when
+    their payloads are exactly equal and every other field compares equal.
     """
 
     step: int
@@ -76,22 +66,22 @@ class TraceRecord:
     protected_count: int
     clamped: bool
     reason: str | None = field(metadata={"choices": (None, *REASONS)})
-    evicted_ids: np.ndarray
-    evicted_importances: np.ndarray
+    evicted_ids: np.ndarray = field(metadata={"dtype": np.int64, "rank": 1})
+    evicted_importances: np.ndarray = field(metadata={"dtype": np.float64, "rank": 1})
     sigma: float
     pi: float | None
     multiplies: int
     footprint_bytes: int
-    key_ids: np.ndarray
-    col_sums_raw: np.ndarray
-    maps: np.ndarray | None
+    key_ids: np.ndarray = field(metadata={"dtype": np.int64, "rank": 1, "key_axis": 0})
+    col_sums_raw: np.ndarray = field(metadata={"dtype": np.float64, "rank": 1, "key_axis": 0})
+    maps: np.ndarray | None = field(metadata={"dtype": np.float64, "rank": 3, "key_axis": 2})
 
     def __eq__(self, other):
         if not isinstance(other, TraceRecord):
             return NotImplemented
-        pairs = ((f.name, getattr(self, f.name), getattr(other, f.name)) for f in fields(TraceRecord))
-        return all(a is b if a is None or b is None else np.array_equal(a, b) if name in PAYLOADS else a == b
-                   for name, a, b in pairs)
+        pairs = ((f, getattr(self, f.name), getattr(other, f.name)) for f in fields(TraceRecord))
+        return all(a is b if a is None or b is None else np.array_equal(a, b) if "dtype" in f.metadata else a == b
+                   for f, a, b in pairs)
 
 
 @dataclass
@@ -111,12 +101,11 @@ def records_from_run(run) -> list[TraceRecord]:
 # one "evicted" list, and col_sums_raw followed by its head-mean sums.
 _JSON_FIELDS = ({f.name for f in fields(TraceRecord)} - {"evicted_ids", "evicted_importances"}
                 | {"evicted", "col_sums_headmean"})
-_SCALARS = [f for f in fields(TraceRecord) if f.name not in PAYLOADS]
-# Payloads with one entry per resident key; maps hold them on axis 2.
-_PER_KEY = ("key_ids", "col_sums_raw")
+_PAYLOAD_FIELDS = {f.name: f for f in fields(TraceRecord) if "dtype" in f.metadata}
+_SCALARS = [f for f in fields(TraceRecord) if "dtype" not in f.metadata]
 # The float fields and payloads a record must hold finite: JSON has no NaN or Infinity.
-_FINITE = [f.name for f in _SCALARS if "float" in f.type.split(" | ")] + [
-    name for name, (dtype, _) in PAYLOADS.items() if dtype is np.float64]
+_FINITE = [f.name for f in fields(TraceRecord)
+           if "float" in f.type.split(" | ") or f.metadata.get("dtype") is np.float64]
 # Bytes after which "0.0000" starts a number, not the tail of one like 10.00001.
 _NUMBER_START = (b"", b"[", b",", b":", b"-")
 # A one-digit negative exponent, and the start of a positive one.
@@ -183,16 +172,37 @@ def _check_keys(values, names, lineno: int, what: str) -> None:
         raise MalformedTrace(f"{what} missing fields {sorted(missing)}, unknown fields {sorted(unknown)}", line=lineno)
 
 
-def _record_from_json(payload, lineno: int, config: StreamConfig) -> TraceRecord:
+def _in_order(records, frames: int, layers: int):
+    """Yield ``records``, checking each as it comes: record i, on line i + 2 of a trace, is that
+    of ``(step, layer) == divmod(i, layers)``, and ``frames * layers`` records fill the trace."""
+    count = 0
+    for rec in records:
+        step, layer = divmod(count, layers)
+        if (rec.step, rec.layer) != (step, layer) or step >= frames:
+            raise MalformedTrace(f"record {count} must be step {step}, layer {layer}; a trace holds "
+                                 f"{frames} steps x {layers} layers in order", line=count + 2)
+        yield rec
+        count += 1
+    if count != frames * layers:
+        raise MalformedTrace(f"trace ends after {count} records", line=count + 2)
+
+
+def _record_from_json(raw: str, lineno: int, config: StreamConfig) -> TraceRecord:
+    # Imported here so that importing the package does not load the decoder.
+    import orjson
+
+    try:
+        payload = orjson.loads(raw)
+    except orjson.JSONDecodeError as exc:
+        # Only the last line can lack its newline.
+        if not raw.endswith("\n"):
+            raise MalformedTrace("truncated last record", line=lineno) from exc
+        raise MalformedTrace(f"record is not valid JSON ({exc.msg})", line=lineno) from exc
     _check_keys(payload, _JSON_FIELDS, lineno, "record")
     for f in _SCALARS:
         value = payload[f.name]
         if not admits(f, value):
             raise MalformedTrace(f"record {f.name} must be {allowed(f, value)}", line=lineno)
-    step, layer = divmod(lineno - 2, config.layers)
-    if (payload["step"], payload["layer"]) != (step, layer) or step >= config.frames:
-        raise MalformedTrace(f"record {lineno - 2} must be step {step}, layer {layer}; a trace holds "
-                             f"{config.frames} steps x {config.layers} layers in order", line=lineno)
     values = dict(payload)
     evicted = values.pop("evicted")
     try:
@@ -201,8 +211,9 @@ def _record_from_json(payload, lineno: int, config: StreamConfig) -> TraceRecord
     except (TypeError, KeyError) as exc:
         raise MalformedTrace("evicted entries need token_id and importance", line=lineno) from exc
     # Every payload, and the head-mean sums as col_sums_raw.
-    for name, (dtype, rank) in {**PAYLOADS, "col_sums_headmean": PAYLOADS["col_sums_raw"]}.items():
-        if name == "maps" and values[name] is None:
+    for name, f in {**_PAYLOAD_FIELDS, "col_sums_headmean": _PAYLOAD_FIELDS["col_sums_raw"]}.items():
+        dtype, rank, key_axis = f.metadata["dtype"], f.metadata["rank"], f.metadata.get("key_axis")
+        if values[name] is None and "None" in f.type.split(" | "):
             continue
         try:
             array = np.array(values[name])
@@ -212,10 +223,10 @@ def _record_from_json(payload, lineno: int, config: StreamConfig) -> TraceRecord
         # reads as float64 and takes either dtype.
         if array.ndim != rank or (array.size and not (array.dtype.kind in "if" and np.can_cast(array.dtype, dtype))):
             raise MalformedTrace(f"{name} is not a rank-{rank} {np.dtype(dtype).name} array", line=lineno)
+        if key_axis is not None and array.shape[key_axis] != values["n_keys"]:
+            raise MalformedTrace(f"{name} must hold n_keys = {values['n_keys']} on axis {key_axis}", line=lineno)
         values[name] = array.astype(dtype, copy=False)
     heads, n_keys, maps = config.heads, values["n_keys"], values["maps"]
-    if any(len(values[name]) != n_keys for name in _PER_KEY) or (maps is not None and maps.shape[2] != n_keys):
-        raise MalformedTrace(f"per-key payloads must hold n_keys = {n_keys} entries", line=lineno)
     if maps is not None and maps.shape[0] != heads:
         raise MalformedTrace(f"maps must hold heads = {heads} maps on axis 0", line=lineno)
     if not np.array_equal(values.pop("col_sums_headmean"), values["col_sums_raw"] / heads):
@@ -236,10 +247,10 @@ def write_trace(source, path) -> Path:
     """Write a trace file from a finished run (``RunSummary``) or a ``Trace`` read back.
 
     Each record's head-mean column sums are written as ``col_sums_raw / heads``.
-    A record with a NaN or infinite float raises ``NonFiniteRecord``, naming
-    its step, layer and field, before the file is opened."""
+    Before the file is opened, a NaN or infinite float raises ``NonFiniteRecord``,
+    and records out of (step, layer) order the ``MalformedTrace`` of ``read_trace``."""
     config = _config_of(source)
-    for rec in source.records:
+    for rec in _in_order(source.records, config["frames"], config["layers"]):
         for name in _FINITE:
             value = getattr(rec, name)
             if value is not None and not np.isfinite(value).all():
@@ -304,18 +315,8 @@ def read_trace(path) -> Trace:
         if not isinstance(budget, dict) or {key: (type(value), value) for key, value in budget.items()} != expected:
             raise MalformedTrace("budget disagrees with its config", line=1)
 
-        records = []
-        for lineno, raw in enumerate(fh, start=2):
-            try:
-                payload = orjson.loads(raw)
-            except orjson.JSONDecodeError as exc:
-                # Only the last line can lack its newline.
-                if not raw.endswith("\n"):
-                    raise MalformedTrace("truncated last record", line=lineno) from exc
-                raise MalformedTrace(f"record is not valid JSON ({exc.msg})", line=lineno) from exc
-            records.append(_record_from_json(payload, lineno, valid))
-        if len(records) != valid.frames * valid.layers:
-            raise MalformedTrace(f"trace ends after {len(records)} records", line=len(records) + 2)
+        parsed = (_record_from_json(raw, lineno, valid) for lineno, raw in enumerate(fh, start=2))
+        records = list(_in_order(parsed, valid.frames, valid.layers))
     return Trace(config=config, budget=budget, records=records)
 
 

@@ -25,10 +25,13 @@ The column scan checks that a new ``LayerCache`` and one that has
 evicted tokens hold no ``object``-dtype array, and that no field of
 their ``records`` and ``evicted`` record arrays is an ``object`` field.
 
-The payload scan checks that the ``PAYLOADS`` table in ``telemetry.py``
-names exactly the ``TraceRecord`` fields annotated ``np.ndarray``, so a
-new payload field cannot skip the trace reader's conversion or the
-record's exact equality.
+The payload check reads ``TraceRecord``'s fields at run time: exactly
+the fields annotated ``np.ndarray`` declare an integer or float
+``dtype`` and a ``rank`` in their metadata, and a declared ``key_axis``
+is an axis below that rank. Record equality, the writer's finite check
+and the trace reader all read the payloads from that metadata, so a new
+payload field that does not declare it fails here instead of skipping
+the reader's conversion or the record's exact equality.
 
 The dependency scan fails when a package module imports, at module
 level or inside a function, a top-level package that is neither in the
@@ -61,6 +64,7 @@ read them there, so no second copy can drift from the first.
 import ast
 import re
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +72,7 @@ import pytest
 
 from boundedkv.cache import CacheSession, LayerCache, admit, remove
 from boundedkv.config import StreamConfig
+from boundedkv.telemetry import TraceRecord
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "boundedkv").glob("*.py"))
@@ -308,33 +313,14 @@ def test_choices_are_declared_only_in_config(path):
     assert choice_constants(path.read_text()) == []
 
 
-def untabled_payloads(source: str) -> list[str]:
-    """Fields of ``TraceRecord`` annotated ``np.ndarray`` that ``PAYLOADS``
-    does not name, and names in ``PAYLOADS`` that are no such field."""
-    annotated: set[str] = set()
-    tabled: set[str] = set()
-    for node in ast.parse(source).body:
-        if isinstance(node, ast.ClassDef) and node.name == "TraceRecord":
-            annotated = {
-                stmt.target.id for stmt in node.body
-                if isinstance(stmt, ast.AnnAssign) and "np.ndarray" in ast.unparse(stmt.annotation)
-            }
-        elif isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "PAYLOADS" for t in node.targets):
-            tabled = {ast.literal_eval(key) for key in node.value.keys}
-    return sorted(annotated ^ tabled)
-
-
-def test_scanner_flags_an_untabled_payload():
-    source = (
-        "PAYLOADS = {'a': (np.int64, 1), 'c': (np.float64, 1)}\n"
-        "class TraceRecord:\n    a: np.ndarray\n    b: np.ndarray | None = None\n"
-        "    c: int = 0\n    d: list[int] = field(default_factory=list)\n"
-    )
-    assert untabled_payloads(source) == ["b", "c"]
-
-
-def test_payload_table_names_every_array_field():
-    assert untabled_payloads((ROOT / "src" / "boundedkv" / "telemetry.py").read_text()) == []
+def test_payload_fields_declare_dtype_and_rank():
+    for f in fields(TraceRecord):
+        array = "np.ndarray" in f.type
+        assert ("dtype" in f.metadata, "rank" in f.metadata) == (array, array), f.name
+        if array:
+            assert np.dtype(f.metadata["dtype"]).kind in "if", f.name
+        if "key_axis" in f.metadata:
+            assert array and 0 <= f.metadata["key_axis"] < f.metadata["rank"], f.name
 
 
 def package_imports(node: ast.Import | ast.ImportFrom) -> list[str]:

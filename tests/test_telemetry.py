@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,6 @@ from boundedkv.errors import MalformedTrace, NonFiniteRecord, UnknownLayer
 from boundedkv.oracle import baseline_run, brute_force_scores, map_log_from_records
 from boundedkv.simulate import run_stream
 from boundedkv.telemetry import (
-    PAYLOADS,
     TRACE_FORMAT,
     Trace,
     TraceRecord,
@@ -238,14 +237,16 @@ def test_non_finite_field_is_named(tmp_path, field, bad):
 
 def assert_typed_payloads(records):
     for rec in records:
-        for name, (dtype, rank) in PAYLOADS.items():
-            value = getattr(rec, name)
-            assert type(value) is np.ndarray and value.dtype == dtype and value.ndim == rank, name
+        for f in fields(TraceRecord):
+            if "dtype" in f.metadata:
+                value = getattr(rec, f.name)
+                assert type(value) is np.ndarray and value.dtype == f.metadata["dtype"], f.name
+                assert value.ndim == f.metadata["rank"], f.name
 
 
 def test_run_and_trace_payloads_are_typed_arrays(tmp_path):
     # A run's records and the records a trace reads back hold every
-    # payload as an ndarray of its PAYLOADS dtype and rank, and a layer
+    # payload as an ndarray of its field's dtype and rank, and a layer
     # that evicted nothing writes an empty "evicted" list.
     run = run_stream(StreamConfig(**SMALL, beta=0.3, keep_maps=True))
     assert_typed_payloads(run.records)
@@ -300,6 +301,7 @@ MISSING = object()
     ("col_sums_headmean", lambda sums: [2 * x for x in sums]),
     ("maps", lambda maps: maps[:1]),
     ("maps", lambda maps: maps + maps[:1]),
+    ("maps", lambda maps: [[row[:-1] for row in head] for head in maps]),
     ("occupancy_post", lambda n: n + 1),
     ("multiplies", lambda n: n + 1),
     ("footprint_bytes", lambda n: 2 * n),
@@ -309,8 +311,8 @@ MISSING = object()
         "bool_pi", "float_budget", "nan_sigma", "infinite_pi", "infinite_col_sum", "no_multiplies",
         "no_key_ids", "no_evicted", "unknown_field", "wrong_n_keys", "short_key_ids", "short_col_sums_raw",
         "short_col_sums_headmean", "short_maps_key_axis", "headmean_one_ulp_off", "headmean_is_raw",
-        "one_head_of_two", "three_heads_of_two", "occupancy_post_not_n_keys", "multiplies_off_by_one",
-        "footprint_doubled"])
+        "one_head_of_two", "three_heads_of_two", "maps_short_of_n_keys", "occupancy_post_not_n_keys",
+        "multiplies_off_by_one", "footprint_doubled"])
 def test_malformed_payload_reports_line(tmp_path, field, value):
     # A payload that is ragged, non-numeric or of the wrong rank, a scalar
     # of another JSON type than the writer gives it, a NaN or Infinity
@@ -338,12 +340,14 @@ def test_malformed_payload_reports_line(tmp_path, field, value):
     assert err.value.line == 4
 
 
+# Each edit takes the records, as trace lines or as TraceRecords, and a
+# function that moves one of them to another layer.
 @pytest.mark.parametrize("edit, line", [
-    (lambda lines: lines + lines[-1:], 14),
-    (lambda lines: [*lines[:2], lines[3], lines[2], *lines[4:]], 3),
-    (lambda lines: [*lines[:3], lines[3].replace('"layer":0', '"layer":2', 1), *lines[4:]], 4),
-    (lambda lines: lines[:4], 5),
-    (lambda lines: lines[:-2], 12),
+    (lambda records, relayer: records + records[-1:], 14),
+    (lambda records, relayer: [records[0], records[2], records[1], *records[3:]], 3),
+    (lambda records, relayer: [*records[:2], relayer(records[2], 2), *records[3:]], 4),
+    (lambda records, relayer: records[:3], 5),
+    (lambda records, relayer: records[:-2], 12),
 ], ids=["last_line_repeated", "two_lines_swapped", "layer_past_layers", "cut_mid_step", "last_step_missing"])
 def test_records_must_fill_every_cell_in_order(tmp_path, edit, line):
     # Record i, on line i + 2, is the record of (step, layer) =
@@ -351,13 +355,22 @@ def test_records_must_fill_every_cell_in_order(tmp_path, edit, line):
     # back, any other layout would give a summary that counts a cell
     # twice or not at all.
     run = run_stream(StreamConfig(**SMALL, beta=0.5))
-    lines = write_trace(run, tmp_path / "trace.jsonl").read_text().splitlines()
-    assert len(lines) == 13 and '"layer":0' in lines[3]
+    header, *lines = write_trace(run, tmp_path / "trace.jsonl").read_text().splitlines()
+    assert len(lines) == 12 and '"layer":0' in lines[2]
     bad = tmp_path / "bad.jsonl"
-    bad.write_text("\n".join(edit(lines)) + "\n")
+    edited = edit(lines, lambda text, layer: text.replace('"layer":0', f'"layer":{layer}', 1))
+    bad.write_text("\n".join([header, *edited]) + "\n")
     with pytest.raises(MalformedTrace) as err:
         read_trace(bad)
     assert err.value.line == line
+    # The writer refuses the same records with the same error, before it
+    # creates the file.
+    trace = read_trace(tmp_path / "trace.jsonl")
+    trace.records = edit(trace.records, lambda rec, layer: replace(rec, layer=layer))
+    with pytest.raises(MalformedTrace) as refused:
+        write_trace(trace, tmp_path / "refused.jsonl")
+    assert str(refused.value) == str(err.value)
+    assert not (tmp_path / "refused.jsonl").exists()
 
 
 def test_writer_keys_are_the_reader_schema(tmp_path):
