@@ -16,7 +16,6 @@ from .errors import (
     ConfigError,
     ConfigMismatch,
     IncompleteLog,
-    InsufficientUnprotected,
     MalformedTrace,
     NonFiniteRecord,
     ProtectedEviction,

@@ -32,10 +32,6 @@ class BadTemperature(BoundedKVError):
     """Softmax temperature must be strictly positive."""
 
 
-class InsufficientUnprotected(BoundedKVError):
-    """Fewer unprotected tokens than eviction slots requested."""
-
-
 class IncompleteLog(BoundedKVError):
     """Attention-map log is missing steps or map payloads."""
 

@@ -4,7 +4,10 @@ All policies share one interface: given a layer cache and a slot count,
 name the rows to remove. Maintenance runs before a frame is admitted and
 hands each plan's rows to ``LayerCache.evict``, freeing slots against the
 budgets computed at the previous step (uniform bootstrap before the
-first frame). ``remove``, which evicts by token id, is re-exported here.
+first frame). The pass asks a policy only for a positive slot count,
+which the protected floor in ``LayerCache.effective_budget`` keeps
+within the unprotected count; a plan that falls short faults at
+admission. ``remove``, which evicts by token id, is re-exported here.
 
 The attention policy evicts the lowest importance first, ties to the
 newest token, which is the higher row and id because admission takes
@@ -20,7 +23,6 @@ import numpy as np
 
 from .cache import CacheSession, LayerCache, remove
 from .config import REASON_ADMIT, REASON_SHRINK, StreamConfig
-from .errors import InsufficientUnprotected
 from .scoring import importances
 
 __all__ = ["AttentionPolicy", "EvictionPlan", "NonePolicy", "RandomPolicy", "maintain_step", "make_policy", "remove"]
@@ -43,25 +45,17 @@ class EvictionPlan:
     reason: str | None = None
 
 
-def _candidate_rows(layer: LayerCache, slots_needed: int) -> np.ndarray:
-    """Unprotected rows in cache order; raises if they cannot cover the slots."""
-    rows = (~layer.protected[: layer.n]).nonzero()[0]
-    if len(rows) < slots_needed:
-        raise InsufficientUnprotected(
-            f"layer {layer.layer_index}: need {slots_needed} slots, "
-            f"{len(rows)} unprotected tokens"
-        )
-    return rows
+def _candidate_rows(layer: LayerCache) -> np.ndarray:
+    """Unprotected rows in cache order."""
+    return (~layer.protected[: layer.n]).nonzero()[0]
 
 
 class AttentionPolicy:
     """Evict the lowest-importance unprotected tokens, deterministically."""
 
     def plan(self, layer: LayerCache, slots_needed: int) -> EvictionPlan:
-        if slots_needed <= 0:
-            return EvictionPlan()
         # Newest row first, so the stable sort breaks ties to the newest token.
-        rows = _candidate_rows(layer, slots_needed)[::-1]
+        rows = _candidate_rows(layer)[::-1]
         values = importances(layer, rows)
         order = np.argsort(values, kind="stable")[:slots_needed]
         victims = rows[order]
@@ -75,9 +69,7 @@ class RandomPolicy:
         self._rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, _POLICY_STREAM_TAG])))
 
     def plan(self, layer: LayerCache, slots_needed: int) -> EvictionPlan:
-        if slots_needed <= 0:
-            return EvictionPlan()
-        rows = _candidate_rows(layer, slots_needed)
+        rows = _candidate_rows(layer)
         victims = rows[self._rng.choice(len(rows), size=slots_needed, replace=False)]
         return EvictionPlan(victims, layer.token_id[victims], importances(layer, victims))
 

@@ -46,11 +46,6 @@ def accumulate(cache_layer: LayerCache, record: TraceRecord) -> None:
             f"layer {cache_layer.layer_index}: record covers {record.n_keys} keys, "
             f"cache holds {n}"
         )
-    if len(record.col_sums_raw) != record.n_keys:
-        raise StaleStats(
-            f"layer {cache_layer.layer_index}: {len(record.col_sums_raw)} column sums "
-            f"for {record.n_keys} keys"
-        )
     inv_n = 1.0 / n
     cache_layer.cum_score[:n] += record.col_sums_raw * inv_n
     cache_layer.scored_step = record.step

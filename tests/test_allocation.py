@@ -27,6 +27,13 @@ def test_equal_sigmas_split_uniformly():
     result = allocate([0.0] * 4, 1.5, 400)
     assert result.shares == pytest.approx([0.25] * 4)
     assert result.budgets == [100, 100, 100, 100]
+    # An indivisible total: the remainder's ties go to the lower layer.
+    assert allocate([0.0] * 3, 1.0, 4).budgets == [2, 1, 1]
+
+
+def test_negative_total_rejected():
+    with pytest.raises(ValueError, match="total budget"):
+        allocate([0.0, 0.0], 1.0, -1)
 
 
 def test_bad_temperature():

@@ -135,6 +135,18 @@ def test_bad_protection_mask_rejected_before_mutation(mask):
     assert layer_bytes(layer) == before
 
 
+def test_values_wider_than_keys_rejected_before_mutation():
+    session = make_session()
+    admit_tokens(session, 0, 0, 2)
+    layer = session.layers[0]
+    n, next_id, before = layer.n, session._next_token_id, layer_bytes(layer)
+    dim = session.config.dim
+    with pytest.raises(ValueError, match="bool protection flags and values"):
+        admit(session, 0, np.zeros((3, dim)), np.zeros((3, dim + 1)), np.zeros(3, dtype=bool))
+    assert (layer.n, session._next_token_id) == (n, next_id)
+    assert layer_bytes(layer) == before
+
+
 def test_protected_count_tracks_admissions():
     session = make_session(registers=2)
     admit_tokens(session, 0, 0)                                     # protected: step 0

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from boundedkv.cache import CacheSession, admit, remove
 from boundedkv.config import StreamConfig
-from boundedkv.errors import InsufficientUnprotected, ProtectedEviction
+from boundedkv.errors import ProtectedEviction
 from boundedkv.eviction import (
     REASON_ADMIT,
     REASON_SHRINK,
@@ -139,14 +139,6 @@ def test_protected_never_planned():
         protected_ids = {recs[0].token_id, recs[1].token_id}
         assert not protected_ids & set(plan.victim_ids)
         assert len(plan.victim_ids) == 4
-
-
-def test_insufficient_unprotected_raises():
-    session, _ = build_layer([0.1, 0.2], protected=[True, False])
-    with pytest.raises(InsufficientUnprotected):
-        AttentionPolicy().plan(session.layers[0], 2)
-    with pytest.raises(InsufficientUnprotected):
-        RandomPolicy(seed=1).plan(session.layers[0], 2)
 
 
 @pytest.mark.parametrize("policy", [AttentionPolicy(), RandomPolicy(seed=4)], ids=["attention", "random"])

@@ -81,6 +81,11 @@ def test_stream_properties(layers, heads, patches, registers, frames, budget, va
             if policy == "attention":
                 assert cell.evicted_importances.tolist() == sorted(cell.evicted_importances)
             assert cell.occupancy_post <= max(cell.budget_pre, cell.protected_count + m)
+            # Exactly the slots the protected floor leaves to free: the
+            # floor counts the residents protected before this frame.
+            protected_pre = cell.protected_count - (m if cell.step == 0 else 1 + registers)
+            effective = max(cell.budget_pre, protected_pre + m)
+            assert len(cell.evicted_ids) == max(0, cell.occupancy_pre + m - effective)
             previous = ids
         assert [r.token_id for r in lc.records] == previous
 
