@@ -157,13 +157,12 @@ def generate_frame(config: StreamConfig, frame_index: int) -> FrameTokens:
 
     mask = np.zeros(m, dtype=bool)
     n_landmarks = int(round(config.landmark_frac * config.patch_tokens))
-    if n_landmarks > 0:
-        patch_offset = 1 + config.registers
-        slots = _rng(config.seed, _TAG_LANDMARK, frame_index).choice(
-            config.patch_tokens, size=n_landmarks, replace=False
-        )
-        mask[patch_offset + np.sort(slots)] = True
-        emb[mask] += config.landmark_gain * u
+    patch_offset = 1 + config.registers
+    slots = _rng(config.seed, _TAG_LANDMARK, frame_index).choice(
+        config.patch_tokens, size=n_landmarks, replace=False
+    )
+    mask[patch_offset + np.sort(slots)] = True
+    emb[mask] += config.landmark_gain * u
     return FrameTokens(frame_index=frame_index, embeddings=emb, landmark_mask=mask)
 
 

@@ -346,10 +346,8 @@ def heatmap_grid(source, layer: int, reweight: bool = False):
     if reweight:
         grid *= steps[:, None] + 1
     # Frame f starts at the lowest column first seen at step f.
-    first_step = steps[rows[first]]
-    framed = (first_step >= 0) & (first_step < n_rows)
     boundaries = np.full(n_rows, len(col_ids))
-    np.minimum.at(boundaries, first_step[framed], np.flatnonzero(framed))
+    np.minimum.at(boundaries, steps[rows[first]], np.arange(len(col_ids)))
     return grid, col_ids.tolist(), boundaries.tolist()
 
 
@@ -365,8 +363,7 @@ def export_heatmap(source, layer: int, path, reweight: bool = False) -> np.ndarr
     path = Path(path)
     np.savetxt(path, grid, fmt="%.17g")
 
-    peak = float(grid.max()) if grid.size else 0.0
-    levels = np.zeros_like(grid, dtype=np.int64) if peak <= 0 else np.rint(grid / peak * 255).astype(np.int64)
+    levels = np.rint(grid / grid.max() * 255).astype(np.int64)
     pgm_lines = [f"P2\n{grid.shape[1]} {grid.shape[0]}\n255\n"]
     for row in levels:
         pgm_lines.append(" ".join(str(v) for v in row) + "\n")

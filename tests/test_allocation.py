@@ -36,6 +36,18 @@ def test_negative_total_rejected():
         allocate([0.0, 0.0], 1.0, -1)
 
 
+@pytest.mark.parametrize("sigmas", [[], [[0.0, 1.0]]], ids=["empty", "two_d"])
+def test_sigmas_must_be_a_non_empty_vector(sigmas):
+    with pytest.raises(ValueError, match="sigmas must be a non-empty 1-d sequence"):
+        allocate(sigmas, 1.0, 10)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sigmas_must_be_finite(bad):
+    with pytest.raises(ValueError, match="sigmas must be finite"):
+        allocate([0.0, bad], 1.0, 10)
+
+
 def test_bad_temperature():
     with pytest.raises(BadTemperature):
         allocate([0.0, 0.0], 0.0, 10)

@@ -57,6 +57,27 @@ def test_bounded_admit_without_evict_overflows():
         admit_tokens(session, 0, 6, 2)
 
 
+def test_admission_fills_the_effective_budget_exactly():
+    # Budget 3 and nothing protected: two tokens plus two overflow by
+    # one, and two plus one fill the budget.
+    session = make_session(tokens_per_frame=2, registers=0, budget_tokens=8, frames=4)
+    session.layers[0].budget = 3
+    admit_tokens(session, 0, 5, 2)
+    with pytest.raises(AdmissionOverflow):
+        admit_tokens(session, 0, 6, 2)
+    admit_tokens(session, 0, 6, 1)
+    assert session.layers[0].occupancy() == 3
+
+
+def test_admit_takes_a_list_mask():
+    session = make_session()
+    zeros = np.zeros((3, session.config.dim))
+    admit(session, 0, zeros, zeros, [True, False, False])
+    layer = session.layers[0]
+    assert layer.protected[: layer.n].tolist() == [True, False, False]
+    assert layer.protected_count == 1
+
+
 def test_protected_floor_lifts_effective_budget():
     session = make_session(tokens_per_frame=2, registers=0, budget_tokens=8, frames=4)
     session.layers[0].budget = 2

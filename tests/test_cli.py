@@ -1,6 +1,8 @@
 """CLI subcommands, config precedence, exit codes, flag schema, output goldens."""
 
+import csv
 import hashlib
+import io
 import json
 import math
 import re
@@ -145,6 +147,16 @@ def test_sweep_table(tmp_path, capsys):
     assert table.count("\n") == 5  # header + 2 betas x 2 seeds
 
 
+@pytest.mark.parametrize("args, message", [
+    (["sweep", "--betas", ",", "--seeds", "1"], "sweep needs at least one beta and one seed"),
+    (["sweep", "--betas", "0.5", "--seeds", "0"], "sweep needs at least one beta and one seed"),
+    (["ablate", "--budget-frac", "0.5", "--seeds", "0"], "ablate needs at least one seed"),
+], ids=["sweep_no_betas", "sweep_no_seeds", "ablate_no_seeds"])
+def test_empty_sweep_or_ablation_exits_2(args, message, tmp_path, capsys):
+    code, out, err = run_cli([*args, *SMALL_FLAGS, "--out", str(tmp_path)], capsys)
+    assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+
 def test_ablate_orders_policies(tmp_path, capsys):
     code, out, _ = run_cli(
         ["ablate", "--layers", "2", "--heads", "2", "--dim", "16",
@@ -218,6 +230,24 @@ def test_verify_fails_when_later_frames_lose_protection(tmp_path, capsys, monkey
     assert "FAIL: protected-persistence" in out
 
 
+def test_verify_fails_when_protection_marks_the_wrong_slots(tmp_path, capsys, monkeypatch):
+    # Reversed, the mask protects as many tokens of each later frame as
+    # the rule does, but patches in place of the camera and registers
+    # that the id layout names: the protected count holds, and verify
+    # fails on the camera and register tokens evicted.
+    rule = simulate.frame_protection
+    monkeypatch.setattr(simulate, "frame_protection", lambda cfg, frame: rule(cfg, frame)[::-1])
+    code, out, _ = run_cli(["verify", "--out", str(tmp_path)], capsys)
+    assert code == 3
+    assert "FAIL: protected-persistence" in out
+
+
+def test_verify_passes_a_zero_frame_stream(tmp_path, capsys):
+    code, out, err = run_cli(["verify", "--frames", "0", "--out", str(tmp_path)], capsys)
+    assert (code, err) == (0, "")
+    assert "FAIL" not in out
+
+
 def test_verify_reruns_byte_identical(tmp_path, capsys):
     d1, d2 = tmp_path / "v1", tmp_path / "v2"
     assert run_cli(["verify", "--frames", "10", "--out", str(d1)], capsys)[0] == 0
@@ -264,6 +294,34 @@ def test_export_summary_row_matches_run(tmp_path, capsys):
         expected = summarize([summary_row(run_stream(StreamConfig(**{**SMALL, **extra})), label="run")])
         assert [row.split(",")[1:] for row in exported] == \
             [row.split(",")[1:] for row in expected.splitlines()]
+
+
+def test_zero_frame_run_and_export_round_trip(tmp_path, capsys):
+    run_dir, export_dir = tmp_path / "run", tmp_path / "export"
+    code, _, err = run_cli(["run", *SMALL_FLAGS, "--frames", "0", "--beta", "0.5", "--out", str(run_dir)], capsys)
+    assert (code, err) == (0, "")
+    trace = run_dir / "trace.jsonl"
+    assert trace.read_text().count("\n") == 1
+    assert read_trace(trace).records == []
+    code, _, err = run_cli(["export", "--trace", str(trace), "--out", str(export_dir)], capsys)
+    assert (code, err) == (0, "")
+
+    def summary(directory):
+        (row,) = csv.DictReader(io.StringIO((directory / "summary.csv").read_text()))
+        return row
+
+    run_row, export_row = summary(run_dir), summary(export_dir)
+    assert (run_row.pop("label"), export_row.pop("label")) == ("run", "trace")
+    assert run_row == export_row
+    assert (run_row["mean_divergence"], run_row["landmark_retention"]) == ("", "")
+
+
+def test_export_of_an_unknown_layer_exits_2(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert run_cli(["run", *SMALL_FLAGS, "--frames", "2", "--out", str(run_dir)], capsys)[0] == 0
+    code, _, err = run_cli(["export", "--trace", str(run_dir / "trace.jsonl"), "--layer", "9",
+                            "--out", str(tmp_path / "export")], capsys)
+    assert (code, err) == (2, "error: no records for layer 9\n")
 
 
 def test_export_malformed_trace_exit_code(tmp_path, capsys):

@@ -54,6 +54,11 @@ read an array's bytes as another dtype: every argument but
 ``np.recarray`` counts. A cache field is its own array of its own dtype,
 so no column is a bit-cast of another.
 
+The mutant-table check loads ``tools/mutants.py`` and fails when an
+entry's text does not occur exactly once in its module, or when one of
+the nine probed modules has fewer than three entries, so a refactor that
+leaves an entry stale fails here instead of on the next probe run.
+
 The choices scan fails when a package module other than ``config.py``
 names ``POLICIES``, ``BUDGET_MODES`` or ``ATTN_DTYPES``, in an import or
 an expression: each setting's allowed values are declared once, on its
@@ -62,8 +67,10 @@ read them there, so no second copy can drift from the first.
 """
 
 import ast
+import importlib.util
 import re
 import sys
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -386,3 +393,19 @@ def test_no_object_columns(make):
         columns.update((f"{snapshot}.{field}", dtype) for field, (dtype, _) in getattr(layer, snapshot).dtype.fields.items())
     assert columns
     assert [name for name, dtype in columns.items() if dtype == object] == []
+
+
+def load_mutants():
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_mutant_table_is_current():
+    mutants = load_mutants()
+    sources = {module: (ROOT / "src" / "boundedkv" / f"{module}.py").read_text() for module in mutants.MODULES}
+    stale = [(module, text) for module, text, _, _ in mutants.MUTANTS if sources[module].count(text) != 1]
+    assert stale == []
+    per_module = Counter(module for module, *_ in mutants.MUTANTS)
+    assert {module: per_module[module] for module in mutants.MODULES if per_module[module] < 3} == {}

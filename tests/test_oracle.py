@@ -140,6 +140,8 @@ def test_incomplete_log_rejected():
         ])
     with pytest.raises(IncompleteLog):
         brute_force_scores([layer_record(0, [0, 1, 2], maps=maps)])
+    with pytest.raises(IncompleteLog, match=r"log steps \[1, 2\] are not 0..1"):
+        brute_force_scores([layer_record(1, [0, 1], maps=maps), layer_record(2, [0, 1], maps=maps)])
 
 
 def test_baseline_keeps_no_maps_and_compares_the_same():
@@ -198,6 +200,15 @@ def test_config_mismatch_detected():
     b = run_stream(StreamConfig(**{**DESK, "dim": 16}, frames=4))
     with pytest.raises(ConfigMismatch):
         compare_runs(a, b)
+    c = run_stream(StreamConfig(**DESK, frames=3))
+    with pytest.raises(ConfigMismatch, match=r"runs differ structurally in \['frames'\]"):
+        compare_runs(a, c)
+
+
+def test_zero_frame_runs_retain_all_mass():
+    cfg = StreamConfig(**DESK, frames=0, beta=0.5)
+    div = compare_runs(run_stream(cfg), baseline_run(cfg))
+    assert (div.max_abs, div.rms, div.retained_mass) == ([], [], [1.0] * cfg.layers)
 
 
 def test_landmark_retention_protected_frame0_excluded():

@@ -1,6 +1,7 @@
 """Simulator: kernels, determinism, growth laws, pipeline contracts."""
 
 import hashlib
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boundedkv.config import StreamConfig
+from boundedkv.config import StreamConfig, config_from_dict
 from boundedkv.errors import AdmissionOverflow, BadTemperature, ConfigError
 from boundedkv.oracle import baseline_run, compare_runs
 from boundedkv.simulate import (
@@ -62,6 +63,10 @@ def test_frame_layout():
     assert frame_protection(cfg, 1).tolist() == [True] * 3 + [False] * 5
     assert frame.landmark_mask[:3].sum() == 0  # mask covers patches only
     assert frame.embeddings.shape == (8, cfg.dim)
+    # One landmark of five patches in every frame, never on the camera or a register.
+    masks = np.array([generate_frame(cfg, t).landmark_mask for t in range(16)])
+    assert not masks[:, :3].any()
+    assert masks.sum(axis=1).tolist() == [1] * 16
 
 
 def test_zero_gain_masks_have_no_effect():
@@ -218,6 +223,30 @@ def test_empty_stream():
     assert run.reports == [] and run.outputs == []
 
 
+def test_frame_must_arrive_at_its_step():
+    cfg = StreamConfig(**SMALL)
+    sim = StreamSimulator(cfg)
+    with pytest.raises(ValueError, match="frame 1 arrived at step 0"):
+        sim.step(generate_frame(cfg, 1))
+    sim.step(generate_frame(cfg, 0))
+    with pytest.raises(ValueError, match="frame 0 arrived at step 1"):
+        sim.step(generate_frame(cfg, 0))
+
+
+def test_maps_scratch_reallocations_stay_logarithmic():
+    # An unbounded stream attends over one more frame of keys each step.
+    # The maps scratch grows by doubling, so it is allocated once and then
+    # replaced at each doubling of the key count, not at every step.
+    cfg = StreamConfig(**{**SMALL, "frames": 64})
+    sim = StreamSimulator(cfg)
+    replaced = 0
+    for t in range(cfg.frames):
+        scratch = sim._maps_scratch
+        sim.step(generate_frame(cfg, t))
+        replaced += sim._maps_scratch is not scratch
+    assert replaced <= math.log2(cfg.frames) + 1
+
+
 def test_multiply_count_follows_occupancy_rule():
     cfg = StreamConfig(**SMALL, beta=0.6)
     run = run_stream(cfg)
@@ -320,6 +349,24 @@ def test_config_ints_past_int64_are_rejected(values):
     # seed cannot seed the generators.
     with pytest.raises(ConfigError):
         StreamConfig(**{**SMALL, **values}).validate()
+
+
+def test_config_from_dict_refuses_unknown_keys():
+    with pytest.raises(ConfigError, match=r"unknown config keys: \['bogus'\]"):
+        config_from_dict({"frames": 3, "bogus": 1})
+
+
+def test_budget_ceiling_ignores_binary_float_fuzz():
+    # 0.05 * 3 * 10 * 8 is 12.000000000000002 in binary floats.
+    assert StreamConfig(layers=3, frames=10, tokens_per_frame=8, beta=0.05).total_budget_tokens() == 12
+
+
+@pytest.mark.parametrize("budget, mode", [
+    (dict(beta=0.5), "steady-state"), (dict(budget_tokens=40), None), ({}, None),
+], ids=["beta", "budget_tokens", "unbounded"])
+def test_budget_metadata_names_a_mode_only_for_beta(budget, mode):
+    cfg = StreamConfig(**SMALL, **budget, budget_mode="steady-state")
+    assert cfg.budget_metadata()["budget_mode"] == mode
 
 
 def test_negative_sharpness_profile_entry_is_rejected():

@@ -424,15 +424,16 @@ def test_malformed_trace_reports_line(tmp_path):
         read_trace(nohdr)
     assert err.value.line == 1
 
-    # The header's config and budget must be objects, and its version an
-    # int (True and 1.0 compare equal to 1). Its config must hold every
-    # field, each of the JSON type to_dict writes, and no other; its
-    # budget must be the one that config resolves to.
+    # The header must carry the format tag, its config and budget must be
+    # objects, and its version an int (True and 1.0 compare equal to 1).
+    # Its config must hold every field, each of the JSON type to_dict
+    # writes, and no other; its budget must be the one that config
+    # resolves to.
     header = json.loads(lines[0])
     config = header["config"]
     no_frames = {key: value for key, value in config.items() if key != "frames"}
     for i, (key, value) in enumerate([
-        ("config", [1]), ("budget", [1]), ("version", True), ("version", 1.0),
+        ("format", "other-trace"), ("config", [1]), ("budget", [1]), ("version", True), ("version", 1.0),
         ("config", no_frames), ("config", {**config, "junk": 1}), ("config", {**config, "frames": 3.0}),
         ("config", {**config, "keep_maps": 1}), ("config", {**config, "beta": 0.5}),
         ("budget", {**header["budget"], "budget_tokens": 12}),
@@ -455,6 +456,13 @@ def test_malformed_trace_reports_line(tmp_path):
         with pytest.raises(MalformedTrace) as err:
             read_trace(bad_layout)
         assert err.value.line == line
+
+
+def test_empty_trace_file_is_reported(tmp_path):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_bytes(b"")
+    with pytest.raises(MalformedTrace, match="line 1: empty trace file"):
+        read_trace(empty)
 
 
 def test_truncated_last_record_is_reported(tmp_path):
@@ -528,6 +536,12 @@ def test_heatmap_unknown_layer():
         heatmap_grid(trace, 5)
 
 
+def test_graymap_levels_round_to_nearest(tmp_path):
+    # A level is grid / peak * 255 rounded: 0.45 / 0.55 * 255 = 208.6 reads 209.
+    export_heatmap(synthetic_trace([[0.55, 0.45]]), 0, tmp_path / "grid.txt")
+    assert (tmp_path / "grid.pgm").read_text().splitlines()[3] == "255 209"
+
+
 def test_heatmap_files_and_boundaries(tmp_path):
     cfg = StreamConfig(**SMALL)
     run = baseline_run(cfg)
@@ -580,6 +594,12 @@ def test_summarize_empty_is_header_only():
     lines = text.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("label,policy,")
+
+
+def test_summary_row_reads_all_nan_retention_as_none():
+    run = run_stream(StreamConfig(**SMALL, beta=0.5))
+    assert summary_row(run, "x", retention=[float("nan")] * 2).landmark_retention is None
+    assert summary_row(run, "x", retention=[float("nan"), 0.25]).landmark_retention == 0.25
 
 
 def test_summarize_pure_function():
