@@ -223,10 +223,9 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     print(table, end="")
     for policy in policies:
         ret = retention_by_policy[policy]
-        mass = retained_mass_by_policy[policy]
         print(f"policy={policy} mean_landmark_retention="
               f"{float(np.mean(ret)) if ret else float('nan')!r} "
-              f"mean_retained_mass={float(np.mean(mass)) if mass else float('nan')!r}")
+              f"mean_retained_mass={float(np.mean(retained_mass_by_policy[policy]))!r}")
     return 0
 
 

@@ -66,6 +66,18 @@ ANCHOR_FLOOR = 0.3
 # differences so dense-layer rankings are churn-stable.
 DENSE_LOGIT_SCALE = 0.6
 
+# numpy streams a ufunc operand that needs buffering, such as the
+# softmax's broadcast row max and row sum, through an iterator buffer of
+# np.getbufsize() elements, _NUMPY_BUFSIZE by default. Rows shorter than
+# the buffer are copied through it, and filling and draining it is most
+# of the time of the broadcast -= and /=. Under a buffer no longer than a
+# row, numpy loops over each row in place, with the same bits. A small
+# buffer slows numpy's reductions on short rows, so only a step whose
+# largest (heads, tokens_per_frame, keys) block outgrows the default
+# buffer runs under _ROW_BUFSIZE. numpy < 2 takes only multiples of 16.
+_ROW_BUFSIZE = 16
+_NUMPY_BUFSIZE = 8192
+
 
 @dataclass
 class FrameTokens:
@@ -305,7 +317,21 @@ class StreamSimulator:
         return z + ctx.astype(self.dtype, copy=False) @ self.fw_out
 
     def step(self, frame: FrameTokens) -> tuple[np.ndarray, StepReport]:
-        """Process one frame; returns its output embeddings and telemetry."""
+        """Process one frame; returns its output embeddings and telemetry.
+
+        The caller's ufunc buffer size comes back on return and on an
+        exception alike."""
+        cfg = self.config
+        keys = max(layer.occupancy() for layer in self.session.layers) + cfg.tokens_per_frame
+        if cfg.heads * cfg.tokens_per_frame * keys <= _NUMPY_BUFSIZE:
+            return self._advance(frame)
+        previous = np.setbufsize(_ROW_BUFSIZE)
+        try:
+            return self._advance(frame)
+        finally:
+            np.setbufsize(previous)
+
+    def _advance(self, frame: FrameTokens) -> tuple[np.ndarray, StepReport]:
         cfg = self.config
         session = self.session
         t = session.step_counter

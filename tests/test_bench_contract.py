@@ -43,15 +43,24 @@ def _pass(name, tmp_path):
     return cfg, run, stage
 
 
-@pytest.mark.parametrize("name", sorted(worker.spec.WORKLOADS))
-def test_workload_passes_bench_checks(name, tmp_path):
-    cfg, run, stage = _pass(name, tmp_path)
+@pytest.fixture(scope="module", params=sorted(worker.spec.WORKLOADS))
+def workload(request, tmp_path_factory):
+    """(name, config, run, audit stage) of one seed-0 pass of a workload."""
+    return request.param, *_pass(request.param, tmp_path_factory.mktemp(request.param))
+
+
+def test_workload_passes_bench_checks(workload):
+    _, cfg, run, stage = workload
     problems = worker.check_steps(run, cfg)
     if stage:
         problems += worker.check_audit(run, stage, telemetry)
     assert problems == []
     counts = worker.counts_of(run, oracle)
     assert counts["kv_footprint_mib"] > 0
+
+
+def test_workload_output_digest_is_recorded(workload):
+    name, _, run, _ = workload
     assert worker.output_digest(run) == DIGESTS[name]["0"]
 
 

@@ -198,6 +198,10 @@ def test_verify_default_config_passes(tmp_path, capsys):
         "ok: " + name for name in ("beta1-equivalence", "conservation", "scoring-oracle", "allocation-example",
                                    "occupancy-bound", "protected-persistence", "determinism")
     ]
+
+
+def test_verify_outputs_match_golden(tmp_path, capsys):
+    assert run_cli(["verify", "--out", str(tmp_path)], capsys)[0] == 0
     assert_golden(tmp_path / "verify_trace.jsonl", "verify/verify_trace.jsonl")
     assert_golden(tmp_path / "verify_summary.csv", "verify/verify_summary.csv")
 
@@ -256,21 +260,31 @@ def test_verify_reruns_byte_identical(tmp_path, capsys):
     assert (d1 / "verify_summary.csv").read_bytes() == (d2 / "verify_summary.csv").read_bytes()
 
 
-def test_export_heatmap_from_trace(tmp_path, capsys):
+def export_small_run(tmp_path, capsys):
+    """Run SMALL_FLAGS at beta 0.5 and export layer 1 of its trace,
+    reweighted; returns the export directory."""
     run_dir = tmp_path / "run"
     code, _, _ = run_cli(["run", *SMALL_FLAGS, "--beta", "0.5", "--out", str(run_dir)], capsys)
     assert code == 0
     export_dir = tmp_path / "export"
-    code, out, _ = run_cli(
+    code, _, _ = run_cli(
         ["export", "--trace", str(run_dir / "trace.jsonl"), "--layer", "1",
          "--reweight", "--out", str(export_dir)],
         capsys,
     )
     assert code == 0
+    return export_dir
+
+
+def test_export_heatmap_from_trace(tmp_path, capsys):
+    export_dir = export_small_run(tmp_path, capsys)
     assert (export_dir / "heatmap_layer1.txt").exists()
     assert (export_dir / "heatmap_layer1.pgm").exists()
     assert (export_dir / "heatmap_layer1.frames.json").exists()
-    assert_golden(export_dir / "summary.csv", "export/summary.csv")
+
+
+def test_export_summary_matches_golden(tmp_path, capsys):
+    assert_golden(export_small_run(tmp_path, capsys) / "summary.csv", "export/summary.csv")
 
 
 def test_export_summary_row_matches_run(tmp_path, capsys):
@@ -382,6 +396,8 @@ def test_rerun_outputs_byte_identical(tmp_path, capsys):
     assert (d1 / "trace.jsonl").read_bytes() == (d2 / "trace.jsonl").read_bytes()
     assert (d1 / "summary.csv").read_bytes() == (d2 / "summary.csv").read_bytes()
 
+
+def test_run_outputs_match_golden(tmp_path, capsys):
     plain, maps = tmp_path / "plain", tmp_path / "maps"
     run_cli(["run", *SMALL_FLAGS, "--beta", "0.5", "--out", str(plain)], capsys)
     run_cli(["run", *SMALL_FLAGS, "--beta", "0.5", "--trace-full-maps", "--out", str(maps)], capsys)

@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 from boundedkv.config import StreamConfig, config_from_dict
 from boundedkv.errors import AdmissionOverflow, BadTemperature, ConfigError
 from boundedkv.oracle import baseline_run, compare_runs
+from boundedkv import simulate
 from boundedkv.simulate import (
     StreamSimulator,
     _multihead_attention,
     _rms_rows,
+    _softmax_rows_f64,
     anchor_direction,
     frame_protection,
     generate_frame,
@@ -168,7 +170,7 @@ def test_batched_kernel_equals_per_head_loop(dtype, heads, n_keys):
     assert np.array_equal(ctx, ref_ctx)
 
 
-def test_run_deterministic_and_golden():
+def test_run_deterministic_and_matches_the_oracle():
     cfg = StreamConfig(beta=1.0, budget_mode="fixed-horizon")  # default desk config, full budget
     first = run_stream(cfg)
     second = run_stream(cfg)
@@ -176,10 +178,14 @@ def test_run_deterministic_and_golden():
     base = baseline_run(cfg)
     div = compare_runs(first, base)
     assert div.overall_max_abs <= 1e-12
-    # Locked once from this reference run, cross-validated above against
-    # the unbounded oracle path. Anchored to the BLAS kernel picked at run
-    # time (SkylakeX), not to the build.
-    assert output_digest(first) == GOLDEN_DIGEST, f"golden output digest under BLAS kernel {blas_kernel()}"
+
+
+def test_run_deterministic_and_golden():
+    # Locked once from the reference run above, cross-validated there
+    # against the unbounded oracle path. Anchored to the BLAS kernel
+    # picked at run time (SkylakeX), not to the build.
+    run = run_stream(StreamConfig(beta=1.0, budget_mode="fixed-horizon"))
+    assert output_digest(run) == GOLDEN_DIGEST, f"golden output digest under BLAS kernel {blas_kernel()}"
 
 
 GOLDEN_DIGEST = "a169b2d1cf3f0c03a86b8344c0013e3bd04a23ae248f683d3fb6ce44ccba5303"
@@ -451,6 +457,104 @@ def test_steady_state_step_allocates_less_than_one_maps_stack():
         tracemalloc.stop()
     stack = cfg.heads * cfg.tokens_per_frame * max(rec.n_keys for rec in report.layers) * 8
     assert peak < stack, f"step peaked at {peak / stack:.2f} maps stacks"
+
+
+# A stream whose attention blocks outgrow numpy's default ufunc buffer
+# from its third step on, so those steps run under the step's own size.
+WIDE = dict(layers=2, heads=4, dim=16, tokens_per_frame=32, registers=1, frames=8, keep_maps=True)
+
+
+@pytest.mark.parametrize("attn_dtype", ["float64", "float32"])
+@pytest.mark.parametrize("budget", [dict(beta=0.5), dict(beta=0.5, policy="random"), dict(policy="none")],
+                         ids=["attention", "random", "unbounded"])
+def test_step_ufunc_buffer_keeps_every_bit(monkeypatch, tmp_path, attn_dtype, budget):
+    cfg = StreamConfig(**WIDE, attn_dtype=attn_dtype, **budget)
+    shipped = run_stream(cfg)
+    monkeypatch.setattr(simulate, "_ROW_BUFSIZE", simulate._NUMPY_BUFSIZE)
+    default = run_stream(cfg)
+    assert cfg.heads * cfg.tokens_per_frame * max(rec.n_keys for rec in shipped.records) > simulate._NUMPY_BUFSIZE
+    assert [out.tobytes() for out in shipped.outputs] == [out.tobytes() for out in default.outputs]
+    write_trace(shipped, tmp_path / "shipped.jsonl")
+    write_trace(default, tmp_path / "default.jsonl")
+    assert (tmp_path / "shipped.jsonl").read_bytes() == (tmp_path / "default.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("n_keys", [410, simulate._NUMPY_BUFSIZE + 100], ids=["short_rows", "long_rows"])
+def test_softmax_bits_do_not_depend_on_the_ufunc_buffer(n_keys):
+    logits = 4.0 * np.random.default_rng(5).standard_normal((2, 3, n_keys))
+    results = []
+    for size in (simulate._NUMPY_BUFSIZE, simulate._ROW_BUFSIZE):
+        previous = np.setbufsize(size)
+        try:
+            results.append(_softmax_rows_f64(logits.copy()).tobytes())
+        finally:
+            np.setbufsize(previous)
+    assert results[0] == results[1]
+
+
+def test_step_buffer_follows_the_widest_block(monkeypatch):
+    # Unbounded, step t attends (4, 32, 32 (t + 1)): blocks of 4,096 and
+    # 8,192 elements fit numpy's default buffer, later ones do not.
+    cfg = StreamConfig(**WIDE, policy="none")
+    callers = np.getbufsize()
+    sizes = []
+
+    def rms_rows(z):
+        sizes.append(np.getbufsize())
+        return _rms_rows(z)
+
+    monkeypatch.setattr(simulate, "_rms_rows", rms_rows)
+    run_stream(cfg)
+    per_step = [set(sizes[i:i + cfg.layers + 1]) for i in range(0, len(sizes), cfg.layers + 1)]
+    assert per_step == [{callers}] * 2 + [{simulate._ROW_BUFSIZE}] * (cfg.frames - 2)
+
+
+def test_step_restores_the_callers_ufunc_buffer():
+    cfg = StreamConfig(**WIDE, beta=0.5)
+    sim = StreamSimulator(cfg)
+    previous = np.setbufsize(4096)  # the caller's own size, not numpy's default
+    try:
+        for t in range(4):
+            sim.step(generate_frame(cfg, t))
+            assert np.getbufsize() == 4096
+        # The next step's block outgrows the default buffer, so the
+        # frame-index check raises inside the step's buffer scope.
+        keys = max(layer.occupancy() for layer in sim.session.layers) + cfg.tokens_per_frame
+        assert cfg.heads * cfg.tokens_per_frame * keys > simulate._NUMPY_BUFSIZE
+        with pytest.raises(ValueError, match="arrived at step"):
+            sim.step(generate_frame(cfg, 5))
+        assert np.getbufsize() == 4096
+    finally:
+        np.setbufsize(previous)
+
+
+def test_steady_state_attention_skips_the_default_ufunc_buffer(monkeypatch):
+    # At the scale_evict shape, numpy's default buffer adds about 31 KiB
+    # to a (4, 32, 410) attention call: the broadcast softmax operand
+    # streamed through 8,192 float64 elements. Under the step's
+    # row-sized buffer the call allocates only its context, (H, M, d/H)
+    # and its (M, d) copy.
+    cfg = StreamConfig(layers=1, heads=4, dim=64, tokens_per_frame=32, budget_tokens=410, frames=16)
+    sim = StreamSimulator(cfg)
+    for t in range(cfg.frames - 1):
+        sim.step(generate_frame(cfg, t))
+    peaks = {}
+
+    def traced(q, k, *args):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = _multihead_attention(q, k, *args)
+        peaks[len(k)] = tracemalloc.get_traced_memory()[1] - before
+        return result
+
+    monkeypatch.setattr(simulate, "_multihead_attention", traced)
+    tracemalloc.start()
+    try:
+        sim.step(generate_frame(cfg, cfg.frames - 1))
+    finally:
+        tracemalloc.stop()
+    context = 2 * cfg.tokens_per_frame * cfg.dim * 8
+    assert peaks[410] - context < 8 * 1024, f"a (4, 32, 410) call allocated {peaks[410]} B"
 
 
 @pytest.mark.parametrize("registers", [0, 2])

@@ -151,6 +151,15 @@ MUTANTS = [
      "a record's key ids do not change with the cache"),
     ("simulate", "if L == 1:", "if False:",
      "a one-layer stack has a dense profile"),
+    ("simulate", "previous = np.setbufsize(_ROW_BUFSIZE)", "previous = np.getbufsize()",
+     "a step whose attention outgrows numpy's default buffer runs under a row-sized one"),
+    ("simulate", "keys <= _NUMPY_BUFSIZE:", "keys < _NUMPY_BUFSIZE:",
+     "a step whose attention fits numpy's default buffer keeps the caller's size"),
+    ("simulate", "finally:\n            np.setbufsize(previous)", "finally:\n            pass",
+     "a step gives the caller's ufunc buffer size back"),
+    ("simulate", "try:\n            return self._advance(frame)\n        finally:\n            np.setbufsize(previous)",
+     "result = self._advance(frame)\n        np.setbufsize(previous)\n        return result",
+     "a step gives the caller's ufunc buffer size back when it raises"),
     ("telemetry", "if not first:", "if False:",
      "an empty trace file is reported as empty"),
     ("telemetry", ' or header.get("format") != TRACE_FORMAT', "",
