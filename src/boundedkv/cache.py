@@ -11,11 +11,13 @@ token in admission order, and only entries ``[:n]`` are live. Ids,
 taken from the session's counter, increase down the rows, and birth
 steps, taken from the step counter, never decrease; exposure is derived
 from the birth step. Attention reads the key/value columns as views;
-eviction compacts every column by one gather per array. Columns grow by
-doubling, so a bounded layer settles at its largest occupancy. A
-layer's ``records`` is a ``_RECORD`` array copied from its columns and
-``evicted`` a read-only view of its eviction log, a ``_RECORD`` array
-too; no Python object per token is built.
+eviction compacts every column by one gather per array, the ids into a
+fresh array. Columns grow by doubling into new arrays, so a bounded
+layer settles at its largest occupancy, and no live id prefix is ever
+rewritten: a view of one, as an unbounded stream's records hold, never
+changes. A layer's ``records`` is a ``_RECORD`` array copied from its
+columns and ``evicted`` a read-only view of its eviction log, a
+``_RECORD`` array too; no Python object per token is built.
 
 Admission marks which tokens eviction may never remove; the cache keeps
 that mark in its ``protected`` column and knows no token kinds (the
@@ -153,6 +155,8 @@ class LayerCache:
             self._log = _grow(self._log, self.n_evicted, logged)
         self._scalars(rows, self._log[self.n_evicted:logged])
         self.n_evicted = logged
+        # Compacted into a fresh array: records may hold views of the ids.
+        self.token_id = self.token_id.copy()
         for name in _COLUMNS:
             column = getattr(self, name)
             column[low:stop] = column.take(survivors, axis=0)

@@ -361,6 +361,11 @@ class StreamSimulator:
 
             n_keys = layer.occupancy()
             multiplies, footprint_bytes = cfg.layer_costs(n_keys)
+            # An unbounded layer only appends and evict compacts into a fresh
+            # id column, so a view of the live ids never changes. A bounded
+            # layer compacts almost every step; a view would pin its buffer.
+            key_ids = layer.token_id[:n_keys].copy() if cfg.bounded else layer.token_id[:n_keys]
+            key_ids.flags.writeable = False
             plan = plans[li]
             record = TraceRecord(
                 step=t,
@@ -379,7 +384,7 @@ class StreamSimulator:
                 pi=None,
                 multiplies=multiplies,
                 footprint_bytes=footprint_bytes,
-                key_ids=layer.token_id[:n_keys].copy(),
+                key_ids=key_ids,
                 col_sums_raw=stats_from_maps(maps),
                 maps=maps.copy() if cfg.keep_maps else None,
             )

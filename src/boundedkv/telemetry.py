@@ -52,8 +52,12 @@ class TraceRecord:
     head-mean sums divide it by the config's ``heads``. A payload is an
     ndarray of the ``dtype`` and ``rank`` its field's metadata declares, in
     a run and after ``read_trace`` alike, with one entry per resident key
-    on its ``key_axis`` if it declares one. Two records are equal when
-    their payloads are exactly equal and every other field compares equal.
+    on its ``key_axis`` if it declares one. In a run, ``key_ids`` is
+    read-only: a copy when the stream is bounded, and a view of the
+    layer's append-only id column when it is not, so an unbounded run
+    holds each id once rather than once per step. Two records are equal
+    when their payloads are exactly equal and every other field compares
+    equal.
     """
 
     step: int
@@ -101,6 +105,8 @@ def records_from_run(run) -> list[TraceRecord]:
 # one "evicted" list, and col_sums_raw followed by its head-mean sums.
 _JSON_FIELDS = ({f.name for f in fields(TraceRecord)} - {"evicted_ids", "evicted_importances"}
                 | {"evicted", "col_sums_headmean"})
+# The fields of one entry of a record's "evicted" list.
+_EVICTED_FIELDS = {"token_id", "importance"}
 _PAYLOAD_FIELDS = {f.name: f for f in fields(TraceRecord) if "dtype" in f.metadata}
 _SCALARS = [f for f in fields(TraceRecord) if "dtype" not in f.metadata]
 # The float fields and payloads a record must hold finite: JSON has no NaN or Infinity.
@@ -205,11 +211,12 @@ def _record_from_json(raw: str, lineno: int, config: StreamConfig) -> TraceRecor
             raise MalformedTrace(f"record {f.name} must be {allowed(f, value)}", line=lineno)
     values = dict(payload)
     evicted = values.pop("evicted")
-    try:
-        values["evicted_ids"] = [entry["token_id"] for entry in evicted]
-        values["evicted_importances"] = [entry["importance"] for entry in evicted]
-    except (TypeError, KeyError) as exc:
-        raise MalformedTrace("evicted entries need token_id and importance", line=lineno) from exc
+    if not isinstance(evicted, list):
+        raise MalformedTrace("evicted is not a list", line=lineno)
+    for entry in evicted:
+        _check_keys(entry, _EVICTED_FIELDS, lineno, "evicted entry")
+    values["evicted_ids"] = [entry["token_id"] for entry in evicted]
+    values["evicted_importances"] = [entry["importance"] for entry in evicted]
     # Every payload, and the head-mean sums as col_sums_raw.
     for name, f in {**_PAYLOAD_FIELDS, "col_sums_headmean": _PAYLOAD_FIELDS["col_sums_raw"]}.items():
         dtype, rank, key_axis = f.metadata["dtype"], f.metadata["rank"], f.metadata.get("key_axis")
@@ -270,13 +277,14 @@ def read_trace(path) -> Trace:
     The header's ``config`` must be what ``StreamConfig.to_dict`` writes
     for a valid config and its ``budget`` that config's ``budget_metadata()``,
     each value of the same JSON type.
-    A record must carry exactly the fields ``write_trace`` writes, with
-    ``n_keys`` entries in each per-key payload, ``heads`` maps when it
-    has maps, head-mean column sums exactly equal to ``col_sums_raw /
-    heads``, which are then dropped, ``occupancy_post`` equal to
-    ``n_keys``, and the ``multiplies`` and ``footprint_bytes`` that
-    ``StreamConfig.layer_costs`` gives for ``n_keys``; any other line, a
-    blank one included, raises ``MalformedTrace`` naming its line number.
+    A record, and each entry of its ``evicted`` list, must carry exactly
+    the fields ``write_trace`` writes, with ``n_keys`` entries in each
+    per-key payload, ``heads`` maps when it has maps, head-mean column
+    sums exactly equal to ``col_sums_raw / heads``, which are then
+    dropped, ``occupancy_post`` equal to ``n_keys``, and the
+    ``multiplies`` and ``footprint_bytes`` that ``StreamConfig.layer_costs``
+    gives for ``n_keys``; any other line, a blank one included, raises
+    ``MalformedTrace`` naming its line number.
     Record i, on line i + 2, must be that of ``(step, layer) == divmod(i,
     layers)``, and there must be ``frames * layers`` of them; a trace that
     ends early fails on the line after its last record.
@@ -357,13 +365,16 @@ def export_heatmap(source, layer: int, path, reweight: bool = False) -> np.ndarr
 
     ``path`` names the plain-text grid; the portable graymap and the
     frame-boundary index list are written next to it with ``.pgm`` and
-    ``.frames.json`` suffixes.
+    ``.frames.json`` suffixes. The graymap scales the grid's maximum to
+    level 255; a negative cell, and every cell of a grid with no positive
+    one, is level 0.
     """
     grid, col_ids, boundaries = heatmap_grid(source, layer, reweight=reweight)
     path = Path(path)
     np.savetxt(path, grid, fmt="%.17g")
 
-    levels = np.rint(grid / grid.max() * 255).astype(np.int64)
+    peak = grid.max()
+    levels = np.rint(np.maximum(grid, 0.0) / (peak if peak > 0 else 1.0) * 255).astype(np.int64)
     pgm_lines = [f"P2\n{grid.shape[1]} {grid.shape[0]}\n255\n"]
     for row in levels:
         pgm_lines.append(" ".join(str(v) for v in row) + "\n")

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import re
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -281,6 +282,38 @@ def test_export_heatmap_from_trace(tmp_path, capsys):
     assert (export_dir / "heatmap_layer1.txt").exists()
     assert (export_dir / "heatmap_layer1.pgm").exists()
     assert (export_dir / "heatmap_layer1.frames.json").exists()
+
+
+@pytest.mark.parametrize("change", ["zero", "negative", "negative_first_step"])
+def test_export_graymap_levels_stay_in_range(tmp_path, capsys, change):
+    # Column sums that are all zero, or negative, read back; the graymap
+    # still holds levels 0..255 only: a negative cell, and every cell of a
+    # grid with no positive one, is level 0. No warning is raised.
+    run_dir, export_dir = tmp_path / "run", tmp_path / "export"
+    assert run_cli(["run", *SMALL_FLAGS, "--frames", "3", "--beta", "0.5", "--out", str(run_dir)], capsys)[0] == 0
+    lines = (run_dir / "trace.jsonl").read_text().splitlines()
+    for i in range(1, len(lines)):
+        record = json.loads(lines[i])
+        if change == "zero":
+            sign = 0.0
+        else:
+            sign = -1.0 if change == "negative" or record["step"] == 0 else 1.0
+        for name in ("col_sums_raw", "col_sums_headmean"):
+            record[name] = [sign * x for x in record[name]]
+        lines[i] = json.dumps(record)
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("\n".join(lines) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(["export", "--trace", str(trace), "--layer", "1", "--out", str(export_dir)], capsys)
+    assert (code, err) == (0, "")
+    grid = np.loadtxt(export_dir / "heatmap_layer1.txt")
+    magic, shape, depth, *rows = (export_dir / "heatmap_layer1.pgm").read_text().splitlines()
+    assert (magic, shape, depth) == ("P2", f"{grid.shape[1]} {grid.shape[0]}", "255")
+    levels = np.array([[int(v) for v in row.split()] for row in rows])
+    assert levels.shape == grid.shape
+    assert levels.min() >= 0 and (levels[grid <= 0] == 0).all()
+    assert levels.max() == (255 if change == "negative_first_step" else 0)
 
 
 def test_export_summary_matches_golden(tmp_path, capsys):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boundedkv.cache import remove
 from boundedkv.config import StreamConfig, config_from_dict
 from boundedkv.errors import AdmissionOverflow, BadTemperature, ConfigError
 from boundedkv.oracle import baseline_run, compare_runs
@@ -438,6 +439,70 @@ def test_kept_maps_own_their_memory():
     for i, a in enumerate(kept):
         assert not np.shares_memory(a, sim._maps_scratch)
         assert not any(np.shares_memory(a, b) for b in kept[i + 1:])
+
+
+def test_unbounded_records_view_their_layers_id_column():
+    # An unbounded layer only appends, so each record's key ids are a
+    # read-only view of the layer's id column as it was at that step. The
+    # column doubles as it grows (64, 128, 256 rows here), so the distinct
+    # buffers behind one layer's records total at most twice its final
+    # capacity, not the sum of every step's occupancy.
+    cfg = StreamConfig(**{**SMALL, "frames": 40}, policy="none")
+    run = run_stream(cfg)
+    for li, layer in enumerate(run.session.layers):
+        records = [report.layers[li] for report in run.reports]
+        assert all(not rec.key_ids.flags.writeable for rec in records)
+        buffers = {id(rec.key_ids.base): rec.key_ids.base for rec in records}
+        assert all(np.shares_memory(rec.key_ids, rec.key_ids.base) for rec in records)
+        assert np.shares_memory(records[-1].key_ids, layer.token_id)
+        assert len(buffers) > 1
+        assert sum(buffer.nbytes for buffer in buffers.values()) <= 2 * layer.token_id.nbytes
+        assert sum(rec.key_ids.nbytes for rec in records) > 2 * layer.token_id.nbytes
+
+
+def test_bounded_records_own_their_key_ids():
+    # A bounded layer compacts almost every step, so a view would pin a
+    # whole capacity-sized buffer per record: its records own exactly
+    # n_keys ids.
+    run = run_stream(StreamConfig(**{**SMALL, "frames": 20}, beta=0.4))
+    assert sum(len(rec.evicted_ids) for rec in run.records) > 0
+    for rec in run.records:
+        assert rec.key_ids.base is None
+        assert rec.key_ids.shape == (rec.n_keys,)
+        assert not rec.key_ids.flags.writeable
+
+
+def test_unbounded_records_keep_their_ids_when_a_caller_removes_tokens():
+    # remove compacts the layer, and eviction writes the ids into a fresh
+    # array, so a record made before the removal still reads its own ids.
+    cfg = StreamConfig(**{**SMALL, "frames": 8}, policy="none")
+    sim = StreamSimulator(cfg)
+    made = []
+
+    def step(t):
+        _, report = sim.step(generate_frame(cfg, t))
+        made.extend((rec, rec.key_ids.copy()) for rec in report.layers)
+
+    for t in range(4):
+        step(t)
+    layer = sim.session.layers[0]
+    unprotected = layer.token_id[: layer.n][~layer.protected[: layer.n]]
+    assert remove(sim.session, 0, unprotected[:2]) == 2
+    for t in range(4, cfg.frames):
+        step(t)
+    assert len(made) == cfg.frames * cfg.layers
+    for rec, ids in made:
+        assert np.array_equal(rec.key_ids, ids)
+    last_layer0_ids = made[-cfg.layers][1]
+    assert not np.isin(unprotected[:2], last_layer0_ids).any()
+
+
+@pytest.mark.parametrize("budget", [dict(beta=0.4), dict(policy="none")])
+def test_writing_a_records_key_ids_raises(budget):
+    run = run_stream(StreamConfig(**SMALL, **budget))
+    for rec in run.records:
+        with pytest.raises(ValueError, match="read-only"):
+            rec.key_ids[0] = -1
 
 
 def test_steady_state_step_allocates_less_than_one_maps_stack():

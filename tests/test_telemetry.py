@@ -274,6 +274,11 @@ MISSING = object()
     ("col_sums_headmean", [[0.5, 0.5]]),
     ("evicted", [{"token_id": "3", "importance": 0.1}]),
     ("evicted", [{"token_id": 3, "importance": None}]),
+    ("evicted", [{"token_id": 3, "importance": 0.1, "junk": 7}]),
+    ("evicted", [{"token_id": 3}]),
+    ("evicted", [[3, 0.1]]),
+    ("evicted", {"token_id": 3, "importance": 0.1}),
+    ("evicted", 3),
     ("step", "0"),
     ("step", True),
     ("layer", 1.0),
@@ -306,7 +311,9 @@ MISSING = object()
     ("multiplies", lambda n: n + 1),
     ("footprint_bytes", lambda n: 2 * n),
 ], ids=["ragged_maps", "string_key_ids", "numeral_key_ids", "float_key_ids", "scalar_col_sums_raw",
-        "rank2_col_sums_headmean", "string_evicted_id", "null_importance", "string_step", "bool_step",
+        "rank2_col_sums_headmean", "string_evicted_id", "null_importance", "unknown_evicted_field",
+        "evicted_without_importance", "evicted_entry_not_an_object", "evicted_object", "scalar_evicted",
+        "string_step", "bool_step",
         "float_layer", "n_keys_past_2_64", "null_occupancy", "int_clamped", "int_reason", "unknown_reason", "string_sigma",
         "bool_pi", "float_budget", "nan_sigma", "infinite_pi", "infinite_col_sum", "no_multiplies",
         "no_key_ids", "no_evicted", "unknown_field", "wrong_n_keys", "short_key_ids", "short_col_sums_raw",

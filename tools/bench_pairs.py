@@ -17,8 +17,10 @@ gain may be claimed only over at least ten pairs, when the change wins at
 least nine tenths of them and the medians differ by more than that
 spread; a metric whose median worsens by more than its ``bound`` is
 flagged. A timing's median ``raw`` value (before the host factor) is
-printed beside it when the run reports one. The exit code is 1 when any
-run failed or any metric is flagged. Uses only the standard library.
+printed beside it when the run reports one, and each side's median host
+factor (raw over normalised) after the table, so that a shift of the
+reference unit's speed between the sides shows. The exit code is 1 when
+any run failed or any metric is flagged. Uses only the standard library.
 """
 
 from __future__ import annotations
@@ -33,12 +35,15 @@ from pathlib import Path
 
 # A human-readable metric line of bench/run.py that ends in its raw value.
 _RAW_LINE = re.compile(r"^\s+(\S+)\s+\S+\s+\S+\s.*\braw (\S+)\s*$")
+# bench/run.py's line with the run's host factor.
+_HOST_FACTOR_LINE = re.compile(r"^\s+host factor (\S+)", re.MULTILINE)
 RUN_TIMEOUT_S = 600.0
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in ``checkout``: its metric values, raw values and
-    failure counts, or ``{"error": ...}`` when the run gave no result."""
+    """One benchmark run in ``checkout``: its metric values, raw values,
+    host factor (None when the run prints none) and failure counts, or
+    ``{"error": ...}`` when the run gave no result."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds)]
     try:
@@ -55,7 +60,9 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         match = _RAW_LINE.match(line)
         if match:
             raw[match.group(1)] = float(match.group(2))
+    host_factor = _HOST_FACTOR_LINE.search(proc.stdout)
     return {"values": {name: m["value"] for name, m in result["metrics"].items()}, "raw": raw,
+            "host_factor": float(host_factor.group(1)) if host_factor else None,
             "correct": result["correct"], "attempted": result["attempted"], "failed": result["failed"]}
 
 
@@ -100,6 +107,12 @@ def summarize(declared: list[dict], pairs: list[tuple[dict, dict]]) -> tuple[lis
     return lines, flagged
 
 
+def host_factor(pairs: list[tuple[dict, dict]], index: int) -> str:
+    """The median host factor of one side's runs, or "absent"."""
+    factors = [pair[index]["host_factor"] for pair in pairs if pair[index].get("host_factor") is not None]
+    return f"{statistics.median(factors):.4f}" if factors else "absent"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Alternating parent/change pairs of bench/run.py.")
     parser.add_argument("--parent", type=Path, required=True, help="parent checkout (repository root)")
@@ -134,6 +147,8 @@ def main(argv=None) -> int:
         print(f"  {side} passes failed: {sum(r['failed'] for r in done)}/{sum(r['attempted'] for r in done)}")
     lines, flagged = summarize(declared, pairs)
     print("\n".join(lines))
+    print("  median host factor: " + ", ".join(f"{side} {host_factor(pairs, index)}"
+                                               for side, index in (("parent", 0), ("change", 1))))
     return 1 if failed or flagged else 0
 
 

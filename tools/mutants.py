@@ -85,6 +85,8 @@ MUTANTS = [
      "a negative layer index is unknown"),
     ("cache", "if len(missing):", "if False:",
      "remove refuses ids that are not resident"),
+    ("cache", "self.token_id = self.token_id.copy()", "pass",
+     "eviction compacts the ids into a fresh array, so a record's view of them never changes"),
     ("scoring", "return maps.sum(axis=(0, 1))", "return maps.sum(axis=(0, 1)) / maps.shape[0]",
      "column sums total heads * queries"),
     ("scoring", " or not np.array_equal(record.key_ids, cache_layer.token_id[:n])", "",
@@ -147,8 +149,11 @@ MUTANTS = [
     ("simulate", "record.sigma = layer_sparsity(record.col_sums_raw / cfg.heads)",
      "record.sigma = layer_sparsity(record.col_sums_raw)",
      "sparsity is taken over the head-mean column sums"),
-    ("simulate", "key_ids=layer.token_id[:n_keys].copy()", "key_ids=layer.token_id[:n_keys]",
-     "a record's key ids do not change with the cache"),
+    ("simulate", "key_ids = layer.token_id[:n_keys].copy() if cfg.bounded else",
+     "key_ids = layer.token_id[:n_keys] if cfg.bounded else",
+     "a bounded stream's records own their key ids"),
+    ("simulate", "key_ids.flags.writeable = False", "pass",
+     "a record's key ids are read-only"),
     ("simulate", "if L == 1:", "if False:",
      "a one-layer stack has a dense profile"),
     ("simulate", "previous = np.setbufsize(_ROW_BUFSIZE)", "previous = np.getbufsize()",
@@ -184,8 +189,14 @@ MUTANTS = [
      "a one-digit negative exponent is written with two digits"),
     ("telemetry", "grid *= steps[:, None] + 1", "grid *= steps[:, None]",
      "reweighting multiplies each row by its 1-based frame number"),
-    ("telemetry", "np.rint(grid / grid.max() * 255)", "np.floor(grid / grid.max() * 255)",
+    ("telemetry", "np.rint(np.maximum(grid, 0.0)", "np.floor(np.maximum(grid, 0.0)",
      "graymap levels are rounded to nearest"),
+    ("telemetry", "np.maximum(grid, 0.0)", "grid",
+     "a negative heatmap cell is graymap level 0"),
+    ("telemetry", "(peak if peak > 0 else 1.0)", "peak",
+     "a heatmap with no positive cell is graymap level 0 throughout"),
+    ("telemetry", '_check_keys(entry, _EVICTED_FIELDS, lineno, "evicted entry")', "pass",
+     "an evicted entry carries exactly token_id and importance"),
     ("telemetry", "np.minimum.at(boundaries, steps[rows[first]], np.arange(len(col_ids)))",
      "np.maximum.at(boundaries, steps[rows[first]], np.arange(len(col_ids)))",
      "a frame boundary is the frame's first column"),
