@@ -11,13 +11,16 @@ token in admission order, and only entries ``[:n]`` are live. Ids,
 taken from the session's counter, increase down the rows, and birth
 steps, taken from the step counter, never decrease; exposure is derived
 from the birth step. Attention reads the key/value columns as views;
-eviction compacts every column by one gather per array, the ids into a
-fresh array. Columns grow by doubling into new arrays, so a bounded
-layer settles at its largest occupancy, and no live id prefix is ever
-rewritten: a view of one, as an unbounded stream's records hold, never
-changes. A layer's ``records`` is a ``_RECORD`` array copied from its
-columns and ``evicted`` a read-only view of its eviction log, a
-``_RECORD`` array too; no Python object per token is built.
+eviction compacts every column by one gather per array. Columns grow
+by doubling into new arrays, so a bounded layer settles at its largest
+occupancy. An unbounded layer admits every token of the stream, so
+its first admission reserves the stream's ``frames * tokens_per_frame``
+rows, and its eviction compacts the ids into a fresh array: no live id
+prefix of an unbounded layer is ever rewritten, and a view of one, as
+an unbounded stream's records hold, never changes. A layer's
+``records`` is a ``_RECORD`` array copied from its columns and
+``evicted`` a read-only view of its eviction log, a ``_RECORD`` array
+too; no Python object per token is built.
 
 Admission marks which tokens eviction may never remove; the cache keeps
 that mark in its ``protected`` column and knows no token kinds (the
@@ -155,8 +158,9 @@ class LayerCache:
             self._log = _grow(self._log, self.n_evicted, logged)
         self._scalars(rows, self._log[self.n_evicted:logged])
         self.n_evicted = logged
-        # Compacted into a fresh array: records may hold views of the ids.
-        self.token_id = self.token_id.copy()
+        if self.budget is None:
+            # Unbounded: records may view the ids, so compact into a fresh array.
+            self.token_id = self.token_id.copy()
         for name in _COLUMNS:
             column = getattr(self, name)
             column[low:stop] = column.take(survivors, axis=0)
@@ -197,8 +201,9 @@ def admit(session: CacheSession, layer_index: int, keys, values, protected) -> n
     any mutation.
     """
     layer = session.layer(layer_index)
+    cfg = session.config
     count, start = len(keys), layer.n
-    if session.config.bounded:
+    if cfg.bounded:
         effective = layer.effective_budget(count)
         if start + count > effective:
             raise AdmissionOverflow(
@@ -213,7 +218,9 @@ def admit(session: CacheSession, layer_index: int, keys, values, protected) -> n
     ids = np.arange(session._next_token_id, session._next_token_id + count, dtype=np.int64)
     session._next_token_id += count
     stop = start + count
-    layer._reserve(stop)
+    # An unbounded layer admits every token of the stream, so its first
+    # admission reserves the stream's rows.
+    layer._reserve(stop if cfg.bounded else max(stop, cfg.frames * cfg.tokens_per_frame))
     layer.K[start:stop] = keys
     layer.V[start:stop] = values
     layer.token_id[start:stop] = ids

@@ -442,21 +442,17 @@ def test_kept_maps_own_their_memory():
 
 
 def test_unbounded_records_view_their_layers_id_column():
-    # An unbounded layer only appends, so each record's key ids are a
-    # read-only view of the layer's id column as it was at that step. The
-    # column doubles as it grows (64, 128, 256 rows here), so the distinct
-    # buffers behind one layer's records total at most twice its final
-    # capacity, not the sum of every step's occupancy.
+    # An unbounded layer reserves the stream's frames * tokens_per_frame
+    # rows once and only appends, so each record's key ids are a read-only
+    # view of that one id column as it was at that step: the records hold
+    # each id once, not the sum of every step's occupancy.
     cfg = StreamConfig(**{**SMALL, "frames": 40}, policy="none")
     run = run_stream(cfg)
     for li, layer in enumerate(run.session.layers):
         records = [report.layers[li] for report in run.reports]
         assert all(not rec.key_ids.flags.writeable for rec in records)
-        buffers = {id(rec.key_ids.base): rec.key_ids.base for rec in records}
-        assert all(np.shares_memory(rec.key_ids, rec.key_ids.base) for rec in records)
-        assert np.shares_memory(records[-1].key_ids, layer.token_id)
-        assert len(buffers) > 1
-        assert sum(buffer.nbytes for buffer in buffers.values()) <= 2 * layer.token_id.nbytes
+        assert len(layer.token_id) == cfg.frames * cfg.tokens_per_frame
+        assert all(rec.key_ids.base is layer.token_id for rec in records)
         assert sum(rec.key_ids.nbytes for rec in records) > 2 * layer.token_id.nbytes
 
 

@@ -87,6 +87,9 @@ MUTANTS = [
      "remove refuses ids that are not resident"),
     ("cache", "self.token_id = self.token_id.copy()", "pass",
      "eviction compacts the ids into a fresh array, so a record's view of them never changes"),
+    ("cache", "layer._reserve(stop if cfg.bounded else max(stop, cfg.frames * cfg.tokens_per_frame))",
+     "layer._reserve(stop)",
+     "an unbounded layer's first admission reserves the stream's rows"),
     ("scoring", "return maps.sum(axis=(0, 1))", "return maps.sum(axis=(0, 1)) / maps.shape[0]",
      "column sums total heads * queries"),
     ("scoring", " or not np.array_equal(record.key_ids, cache_layer.token_id[:n])", "",
