@@ -22,12 +22,28 @@ and head; ``landmark_gain = 0`` switches the mechanism off bit-exactly.
 A per-layer logit sharpness profile (dense first/last, sharper middle)
 gives layers genuinely different attention-concentration statistics, so
 sparsity-driven budget allocation has structure to work with.
+
+A global-layer attention call splits its heads in two when it has at
+least two heads, its (heads, tokens_per_frame, keys) maps block has at
+least ``_SPLIT_ELEMENTS`` elements, and the process may run on more than
+one CPU. The calling thread attends the first half of the heads and one
+daemon helper thread per process, started on the first such call, the
+second half. Each half is the same batched kernel over column slices of
+the same q, k and v and over its own heads' block of the maps buffer:
+the same products and the same row softmax over the same memory and
+strides, so the maps and the joined context keep every bit of the
+unsplit call. The helper serves one call at a time; a call that finds
+it busy with another thread's stream runs unsplit on its caller's
+thread. A forked child forgets the parent's helper and starts its own
+when it needs one.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +93,12 @@ DENSE_LOGIT_SCALE = 0.6
 # buffer runs under _ROW_BUFSIZE. numpy < 2 takes only multiples of 16.
 _ROW_BUFSIZE = 16
 _NUMPY_BUFSIZE = 8192
+
+# A global-layer attention call whose (heads, tokens_per_frame, keys)
+# block has at least this many elements splits its heads with the
+# helper thread (see _attention). Below it, waking the helper costs more
+# than its half saves.
+_SPLIT_ELEMENTS = 32768
 
 
 @dataclass
@@ -233,6 +255,100 @@ def _multihead_attention(q, k, v, heads: int, scale_mult: float,
     return ctx.transpose(1, 0, 2).reshape(q.shape), maps
 
 
+def _many_cpus() -> bool:
+    """Whether this process may run on more than one CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
+
+
+class _Job:
+    """The helper's half of one split call: its context or its error, and
+    a completion of its own."""
+
+    __slots__ = ("done", "context", "error")
+
+    def __init__(self):
+        self.done = threading.Event()
+        self.context = None
+        self.error = None
+
+
+class _Helper:
+    """The daemon thread that attends a split call's second half of the heads.
+
+    It serves one job at a time: the caller takes _HELPER_FREE without
+    blocking before it hands a job over, and the helper releases it once
+    the job is finished."""
+
+    def __init__(self):
+        self._wake = threading.Semaphore(0)
+        self._slot = None
+        threading.Thread(target=self._serve, name=_HELPER_NAME, daemon=True).start()
+
+    def hand_over(self, job: _Job, args: tuple) -> None:
+        self._slot = job, args
+        self._wake.release()
+
+    def _serve(self) -> None:
+        # numpy's ufunc buffer size is per thread; every split call runs
+        # inside a step that is scoped to _ROW_BUFSIZE.
+        np.setbufsize(_ROW_BUFSIZE)
+        while True:
+            self._wake.acquire()
+            (job, args), self._slot = self._slot, None
+            try:
+                job.context = _multihead_attention(*args)[0]
+            except BaseException as error:
+                job.error = error
+            # Hold nothing of the job while idle: a view of its maps would
+            # pin the caller's maps scratch past the end of its stream.
+            done = job.done
+            del job, args
+            _HELPER_FREE.release()
+            done.set()
+
+
+def _drop_helper() -> None:
+    """In a forked child, which has no copy of the parent's helper thread."""
+    global _HELPER, _HELPER_FREE
+    _HELPER, _HELPER_FREE = None, threading.Lock()
+
+
+_HELPER_NAME = "boundedkv-attention"
+_HELPER: _Helper | None = None
+_HELPER_FREE = threading.Lock()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_helper)
+
+
+def _attention(q, k, v, heads: int, scale_mult: float,
+               out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_multihead_attention``, with the same bits, its heads split between
+    this thread and the helper when the call is wide enough and the helper
+    is free (see the module docstring)."""
+    global _HELPER
+    if heads < 2 or out.size < _SPLIT_ELEMENTS or not _many_cpus() or not _HELPER_FREE.acquire(blocking=False):
+        return _multihead_attention(q, k, v, heads, scale_mult, out)
+    h = (heads + 1) // 2
+    c = h * (q.shape[1] // heads)
+    job = _Job()
+    try:
+        if _HELPER is None:
+            _HELPER = _Helper()
+        _HELPER.hand_over(job, (q[:, c:], k[:, c:], v[:, c:], heads - h, scale_mult, out[h:]))
+    except BaseException:
+        _HELPER_FREE.release()
+        raise
+    try:
+        context, _ = _multihead_attention(q[:, :c], k[:, :c], v[:, :c], h, scale_mult, out[:h])
+    finally:
+        job.done.wait()
+    if job.error is not None:
+        raise job.error
+    return np.concatenate((context, job.context), axis=1), out
+
+
 class StreamSimulator:
     """Single-writer pipeline for one stream."""
 
@@ -355,8 +471,8 @@ class StreamSimulator:
 
             keys = layer.keys_matrix()
             values = layer.values_matrix()
-            ctx, maps = _multihead_attention(qkv[:, :d], keys, values, cfg.heads, self.sharpness[li],
-                                             self._maps_buffer(len(keys)))
+            ctx, maps = _attention(qkv[:, :d], keys, values, cfg.heads, self.sharpness[li],
+                                   self._maps_buffer(len(keys)))
             z = z + ctx.astype(self.dtype, copy=False) @ self.w_out[li]
 
             n_keys = layer.occupancy()

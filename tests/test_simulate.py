@@ -2,7 +2,13 @@
 
 import hashlib
 import math
+import multiprocessing
+import os
+import sys
+import threading
+import time
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -616,6 +622,247 @@ def test_steady_state_attention_skips_the_default_ufunc_buffer(monkeypatch):
         tracemalloc.stop()
     context = 2 * cfg.tokens_per_frame * cfg.dim * 8
     assert peaks[410] - context < 8 * 1024, f"a (4, 32, 410) call allocated {peaks[410]} B"
+
+
+# Split attention. A forced split lowers the threshold to one element and
+# answers the CPU check yes, so every global-layer call of a small stream
+# splits on any host. Each test compares runs made in one process, so
+# its equalities hold under any BLAS kernel.
+
+
+def force_split(mp):
+    mp.setattr(simulate, "_SPLIT_ELEMENTS", 1)
+    mp.setattr(simulate, "_many_cpus", lambda: True)
+
+
+def record_heads(mp) -> list[int]:
+    """Patch the kernel to log the heads of each call, on any thread."""
+    heads_seen = []
+
+    def kernel(q, k, v, heads, scale_mult, out):
+        heads_seen.append(heads)
+        return _multihead_attention(q, k, v, heads, scale_mult, out)
+
+    mp.setattr(simulate, "_multihead_attention", kernel)
+    return heads_seen
+
+
+def wide_inputs(heads, n_keys):
+    """q, k and v of a call with 32 queries and 16 dimensions per head."""
+    rng = np.random.default_rng([7, heads, n_keys])
+    d = 16 * heads
+    return rng.standard_normal((32, d)), rng.standard_normal((n_keys, d)), rng.standard_normal((n_keys, d))
+
+
+@settings(max_examples=30, deadline=None)
+@given(heads=st.sampled_from([2, 3]), head_dim=st.sampled_from([2, 4]), tokens=st.integers(2, 6),
+       frames=st.integers(1, 6), attn_dtype=st.sampled_from(["float64", "float32"]),
+       budget=st.sampled_from([dict(beta=0.5), dict(policy="none")]), keep_maps=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_split_attention_keeps_every_bit(heads, head_dim, tokens, frames, attn_dtype, budget, keep_maps, seed):
+    cfg = StreamConfig(layers=2, heads=heads, dim=heads * head_dim, tokens_per_frame=tokens, registers=0,
+                       frames=frames, seed=seed, attn_dtype=attn_dtype, keep_maps=keep_maps, **budget)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_SPLIT_ELEMENTS", math.inf)
+        whole = run_stream(cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        force_split(mp)
+        heads_seen = record_heads(mp)
+        split = run_stream(cfg)
+    # Per step: the frame-wise call whole, then two halves per layer.
+    assert heads_seen.count(heads) == frames
+    assert len(heads_seen) == frames * (1 + 2 * cfg.layers)
+    assert [out.tobytes() for out in split.outputs] == [out.tobytes() for out in whole.outputs]
+    assert split.records == whole.records
+
+
+def test_split_rule_follows_the_heads_and_the_block_size(monkeypatch):
+    monkeypatch.setattr(simulate, "_many_cpus", lambda: True)
+    seen = []
+
+    def kernel(q, k, v, heads, scale_mult, out):
+        seen.append((heads, np.getbufsize()))
+        return _multihead_attention(q, k, v, heads, scale_mult, out)
+
+    monkeypatch.setattr(simulate, "_multihead_attention", kernel)
+    callers = np.getbufsize()
+    at_threshold = simulate._SPLIT_ELEMENTS // (4 * 32)
+    assert 4 * 32 * at_threshold == simulate._SPLIT_ELEMENTS
+    # The helper's half runs under the row-sized ufunc buffer, whatever
+    # the caller's size.
+    cases = [
+        (4, at_threshold, [(2, callers), (2, simulate._ROW_BUFSIZE)]),
+        (4, at_threshold - 1, [(4, callers)]),
+        (3, 2 * at_threshold, [(2, callers), (1, simulate._ROW_BUFSIZE)]),
+        (1, 8 * at_threshold, [(1, callers)]),
+    ]
+    for heads, n_keys, calls in cases:
+        q, k, v = wide_inputs(heads, n_keys)
+        seen.clear()
+        ctx, maps = simulate._attention(q, k, v, heads, 1.3, np.empty((heads, len(q), n_keys)))
+        ref_ctx, ref_maps = attend(q, k, v, heads, 1.3)
+        assert sorted(seen) == sorted(calls), (heads, n_keys)
+        assert ctx.tobytes() == ref_ctx.tobytes() and maps.tobytes() == ref_maps.tobytes()
+
+
+def test_many_cpus_reads_the_affinity_then_the_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert not simulate._many_cpus()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3})
+    assert simulate._many_cpus()
+    monkeypatch.delattr(os, "sched_getaffinity")
+    for count, many in ((None, False), (1, False), (2, True)):
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert simulate._many_cpus() is many
+
+
+def test_no_helper_below_the_threshold_or_on_one_cpu(monkeypatch):
+    monkeypatch.setattr(simulate, "_HELPER", None)
+    heads_seen = record_heads(monkeypatch)
+    cfg = StreamConfig(**SMALL, beta=0.5)
+    run_stream(cfg)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(simulate, "_SPLIT_ELEMENTS", 1)
+    run_stream(cfg)
+    assert simulate._HELPER is None
+    assert heads_seen == [cfg.heads] * (2 * cfg.frames * (1 + cfg.layers))
+
+
+@pytest.mark.parametrize("faulty", ["caller", "helper"])
+def test_a_fault_in_either_half_propagates_after_the_helper_finishes(monkeypatch, faulty):
+    monkeypatch.setattr(simulate, "_many_cpus", lambda: True)
+    heads = 4
+    q, k, v = wide_inputs(heads, 512)
+    caller = threading.current_thread()
+    finished = []
+
+    def kernel(q, k, v, heads, scale_mult, out):
+        half = "caller" if threading.current_thread() is caller else "helper"
+        if half == "helper":
+            time.sleep(0.05)  # so that the caller's half ends first
+        if half == faulty:
+            raise RuntimeError(f"fault in the {half}'s half")
+        result = _multihead_attention(q, k, v, heads, scale_mult, out)
+        finished.append(half)
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_multihead_attention", kernel)
+        with pytest.raises(RuntimeError, match=f"fault in the {faulty}'s half"):
+            simulate._attention(q, k, v, heads, 1.3, np.empty((heads, len(q), len(k))))
+        assert finished == ["helper" if faulty == "caller" else "caller"]
+    assert not simulate._HELPER_FREE.locked()
+    heads_seen = record_heads(monkeypatch)
+    ctx, maps = simulate._attention(q, k, v, heads, 1.3, np.empty((heads, len(q), len(k))))
+    ref_ctx, ref_maps = attend(q, k, v, heads, 1.3)
+    assert heads_seen == [2, 2]
+    assert ctx.tobytes() == ref_ctx.tobytes() and maps.tobytes() == ref_maps.tobytes()
+
+
+def test_a_helper_that_fails_to_start_leaves_the_helper_free(monkeypatch):
+    def no_thread():
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(simulate, "_many_cpus", lambda: True)
+    monkeypatch.setattr(simulate, "_HELPER", None)
+    monkeypatch.setattr(simulate, "_Helper", no_thread)
+    q, k, v = wide_inputs(4, 512)
+    with pytest.raises(RuntimeError, match="can't start"):
+        simulate._attention(q, k, v, 4, 1.3, np.empty((4, len(q), len(k))))
+    assert not simulate._HELPER_FREE.locked()
+
+
+def test_a_call_that_finds_the_helper_busy_runs_unsplit(monkeypatch):
+    force_split(monkeypatch)
+    cfg = StreamConfig(**WIDE, beta=0.5)
+    expected = output_digest(run_stream(cfg))
+    heads_seen = record_heads(monkeypatch)
+    digests = []
+    # As if another thread's stream held the helper.
+    assert simulate._HELPER_FREE.acquire(blocking=False)
+    try:
+        stream = threading.Thread(target=lambda: digests.append(output_digest(run_stream(cfg))))
+        stream.start()
+        stream.join(timeout=30)
+        waited = stream.is_alive()
+    finally:
+        simulate._HELPER_FREE.release()
+    stream.join(timeout=30)
+    assert not waited, "a call waited for the busy helper"
+    assert digests == [expected]
+    assert heads_seen == [cfg.heads] * (cfg.frames * (1 + cfg.layers))
+
+
+def test_streams_in_threads_match_sequential_runs(monkeypatch):
+    # More streams than this host's two CPUs, switching threads often: one
+    # stream at a time holds the helper, the others' calls run unsplit.
+    force_split(monkeypatch)
+    configs = [StreamConfig(**WIDE, beta=0.5, seed=seed) for seed in (3, 4)] + [
+        StreamConfig(**WIDE, policy="none", seed=5)]
+    sequential = [output_digest(run_stream(cfg)) for cfg in configs]
+    digests = [None] * len(configs)
+    start = threading.Barrier(len(configs))
+
+    def stream(i):
+        start.wait()
+        digests[i] = output_digest(run_stream(configs[i]))
+
+    threads = [threading.Thread(target=stream, args=(i,)) for i in range(len(configs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert digests == sequential
+
+
+def test_split_streams_keep_one_daemon_helper_and_free_their_scratch(monkeypatch):
+    force_split(monkeypatch)
+    scratches = []
+    maps_buffer = StreamSimulator._maps_buffer
+
+    def recorded(self, n_keys):
+        out = maps_buffer(self, n_keys)
+        scratches.append(weakref.ref(self._maps_scratch))
+        return out
+
+    monkeypatch.setattr(StreamSimulator, "_maps_buffer", recorded)
+    before = threading.active_count()
+    for seed in range(3):
+        run_stream(StreamConfig(**WIDE, beta=0.5, seed=seed))
+        assert scratches[-1]() is None, "the helper pinned a finished stream's maps scratch"
+    assert threading.active_count() <= before + 1
+    helpers = [thread for thread in threading.enumerate() if thread.name == simulate._HELPER_NAME]
+    assert len(helpers) == 1 and helpers[0].daemon
+
+
+@pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no os.fork on this platform")
+def test_a_forked_child_starts_its_own_helper(monkeypatch):
+    force_split(monkeypatch)
+    cfg = StreamConfig(**WIDE, beta=0.5)
+    expected = output_digest(run_stream(cfg))
+    parents = simulate._HELPER
+    assert parents is not None
+
+    def child():
+        # Only the forking thread survives a fork, so a live helper here
+        # is the child's own.
+        assert output_digest(run_stream(cfg)) == expected
+        assert simulate._HELPER is not parents
+        assert [thread.name for thread in threading.enumerate()].count(simulate._HELPER_NAME) == 1
+
+    process = multiprocessing.get_context("fork").Process(target=child)
+    process.start()
+    process.join(timeout=30)
+    if process.is_alive():
+        process.kill()
+        process.join()
+    assert process.exitcode == 0
 
 
 @pytest.mark.parametrize("registers", [0, 2])

@@ -1,11 +1,14 @@
 """Alternating A/B pairs of the stream benchmark: a parent checkout against
-a change checkout, one workload.
+a change checkout, over one or more workloads.
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --workload trace_audit --pairs 10 --seconds 20
 
-Each pair runs ``python3 bench/run.py --workload W --seed SEED --seconds S``
-once in each checkout, in that checkout's directory; pairs 1, 3, ... run
+``--workload`` may be given more than once; the pairs of each workload
+run in the order given, and one summary per workload is printed at the
+end. Each pair runs
+``python3 bench/run.py --workload W --seed SEED --seconds S`` once in
+each checkout, in that checkout's directory; pairs 1, 3, ... run
 the parent first and pairs 2, 4, ... the change first, so a drift of the
 host over the measurement falls on both sides alike. Runs are sequential.
 
@@ -17,9 +20,10 @@ gain may be claimed only over at least ten pairs, when the change wins at
 least nine tenths of them and the medians differ by more than that
 spread; a metric whose median worsens by more than its ``bound`` is
 flagged. A timing's median ``raw`` value (before the host factor) is
-printed beside it when the run reports one, and each side's median host
-factor (raw over normalised) after the table, so that a shift of the
-reference unit's speed between the sides shows. The exit code is 1 when
+printed beside it when the run reports one, with the parent's quartile
+spread of that raw value, and each side's median host factor (raw over
+normalised) after the table, so that a shift of the reference unit's
+speed between the sides shows. The exit code is 1 when
 any run failed or any metric is flagged. Uses only the standard library.
 """
 
@@ -102,7 +106,8 @@ def summarize(declared: list[dict], pairs: list[tuple[dict, dict]]) -> tuple[lis
                 if name in p.get("raw", {}) and name in c.get("raw", {})]
         if raws:
             line += (f"  raw {statistics.median(v for v, _ in raws):.5g}"
-                     f" -> {statistics.median(v for _, v in raws):.5g}")
+                     f" -> {statistics.median(v for _, v in raws):.5g}"
+                     f" (parent IQR {quartile_spread([v for v, _ in raws]):.3g})")
         lines.append(line)
     return lines, flagged
 
@@ -113,11 +118,32 @@ def host_factor(pairs: list[tuple[dict, dict]], index: int) -> str:
     return f"{statistics.median(factors):.4f}" if factors else "absent"
 
 
+def run_pairs(sides: dict, workload: str, args) -> tuple[list[tuple[dict, dict]], bool]:
+    """``args.pairs`` alternating pairs of one workload, each run's line
+    printed as it ends, and whether any run failed."""
+    pairs, failed = [], False
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        runs = {}
+        for side in order:
+            runs[side] = run_once(sides[side], workload, args.seed, args.seconds)
+            run = runs[side]
+            if "error" in run:
+                print(f"{workload} pair {i + 1} {side}: {run['error']}", flush=True)
+                failed = True
+                continue
+            failed |= not run["correct"]
+            shown = " ".join(f"{k}={v:.5g}" for k, v in run["values"].items())
+            print(f"{workload} pair {i + 1} {side}: {run['failed']}/{run['attempted']} failed; {shown}", flush=True)
+        pairs.append((runs["parent"], runs["change"]))
+    return pairs, failed
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Alternating parent/change pairs of bench/run.py.")
     parser.add_argument("--parent", type=Path, required=True, help="parent checkout (repository root)")
     parser.add_argument("--change", type=Path, required=True, help="change checkout (repository root)")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", action="append", required=True, help="a workload; may be repeated")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--seed", type=int, default=1729)
@@ -125,31 +151,21 @@ def main(argv=None) -> int:
 
     declared = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    pairs, failed = [], False
-    for i in range(args.pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        runs = {}
-        for side in order:
-            runs[side] = run_once(sides[side], args.workload, args.seed, args.seconds)
-            run = runs[side]
-            if "error" in run:
-                print(f"pair {i + 1} {side}: {run['error']}", flush=True)
-                failed = True
-                continue
-            failed |= not run["correct"]
-            shown = " ".join(f"{k}={v:.5g}" for k, v in run["values"].items())
-            print(f"pair {i + 1} {side}: {run['failed']}/{run['attempted']} failed; {shown}", flush=True)
-        pairs.append((runs["parent"], runs["change"]))
-
-    print(f"{args.workload}, seed {args.seed}, {args.seconds:g} s runs, {args.pairs} pairs")
-    for side, index in (("parent", 0), ("change", 1)):
-        done = [pair[index] for pair in pairs if "error" not in pair[index]]
-        print(f"  {side} passes failed: {sum(r['failed'] for r in done)}/{sum(r['attempted'] for r in done)}")
-    lines, flagged = summarize(declared, pairs)
-    print("\n".join(lines))
-    print("  median host factor: " + ", ".join(f"{side} {host_factor(pairs, index)}"
-                                               for side, index in (("parent", 0), ("change", 1))))
-    return 1 if failed or flagged else 0
+    summaries, failed = [], False
+    for workload in args.workload:
+        pairs, workload_failed = run_pairs(sides, workload, args)
+        lines, flagged = summarize(declared, pairs)
+        failed |= workload_failed or flagged
+        summaries.append(f"{workload}, seed {args.seed}, {args.seconds:g} s runs, {args.pairs} pairs")
+        for side, index in (("parent", 0), ("change", 1)):
+            done = [pair[index] for pair in pairs if "error" not in pair[index]]
+            summaries.append(f"  {side} passes failed: {sum(r['failed'] for r in done)}/"
+                             f"{sum(r['attempted'] for r in done)}")
+        summaries += lines
+        summaries.append("  median host factor: " + ", ".join(f"{side} {host_factor(pairs, index)}"
+                                                              for side, index in (("parent", 0), ("change", 1))))
+    print("\n".join(summaries))
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

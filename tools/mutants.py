@@ -168,6 +168,26 @@ MUTANTS = [
     ("simulate", "try:\n            return self._advance(frame)\n        finally:\n            np.setbufsize(previous)",
      "result = self._advance(frame)\n        np.setbufsize(previous)\n        return result",
      "a step gives the caller's ufunc buffer size back when it raises"),
+    ("simulate", "out.size < _SPLIT_ELEMENTS", "out.size <= _SPLIT_ELEMENTS",
+     "a call whose maps block reaches the split threshold splits"),
+    ("simulate", "if heads < 2 or out.size", "if out.size",
+     "a one-head call never splits"),
+    ("simulate", "return len(os.sched_getaffinity(0)) > 1", "return len(os.sched_getaffinity(0)) > 0",
+     "a process tied to one CPU never splits"),
+    ("simulate", "not _HELPER_FREE.acquire(blocking=False)", "not _HELPER_FREE.acquire()",
+     "a call that finds the helper busy runs unsplit instead of waiting"),
+    ("simulate", "    finally:\n        job.done.wait()", "    except BaseException:\n        raise\n    job.done.wait()",
+     "the caller waits for the helper's half even when its own half raises"),
+    ("simulate", "if job.error is not None:", "if False:",
+     "a fault in the helper's half is raised in the caller"),
+    ("simulate", "del job, args", "del job",
+     "the idle helper holds no view of a finished call's maps"),
+    ("simulate", "        np.setbufsize(_ROW_BUFSIZE)\n        while True:", "        while True:",
+     "the helper attends under the row-sized ufunc buffer"),
+    ("simulate", "    except BaseException:\n        _HELPER_FREE.release()", "    except BaseException:\n        pass",
+     "a helper that fails to start leaves the helper free"),
+    ("simulate", "_HELPER, _HELPER_FREE = None, threading.Lock()", "pass",
+     "a forked child starts its own helper"),
     ("telemetry", "if not first:", "if False:",
      "an empty trace file is reported as empty"),
     ("telemetry", ' or header.get("format") != TRACE_FORMAT', "",
